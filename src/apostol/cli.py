@@ -61,8 +61,8 @@ TABLE_PRESET_NOTES = {
 
 def poly_to_json_terms(p: MultiPoly) -> list[dict]:
     terms = []
-    for exps, coeff in p.sorted_terms():
-        term: dict = {"coeff": str(coeff)}
+    for exps, num, den in p.reduced_terms():
+        term: dict = {"coeff": f"{num}" if den == 1 else f"{num}/{den}"}
         for key, e in zip(JSON_EXPONENT_KEYS, exps):
             if e:
                 term[key] = e
@@ -74,27 +74,27 @@ def poly_to_latex(p: MultiPoly) -> str:
     if not p:
         return "0"
     pieces = []
-    for i, (exps, coeff) in enumerate(p.sorted_terms()):
+    for i, (exps, num, den) in enumerate(p.reduced_terms()):
         mono = " ".join(
             LATEX_VAR_NAMES[v] if e == 1 else f"{LATEX_VAR_NAMES[v]}^{{{e}}}"
             for v, e in enumerate(exps)
             if e
         )
-        mag = abs(coeff)
-        if mag.denominator == 1:
+        mag = abs(num)
+        if den == 1:
             mag_tex = str(mag)
         else:
-            mag_tex = rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+            mag_tex = rf"\frac{{{mag}}}{{{den}}}"
         if not mono:
             body = mag_tex
-        elif mag == 1:
+        elif mag == 1 and den == 1:
             body = mono
         else:
             body = f"{mag_tex} {mono}"
         if i == 0:
-            pieces.append(f"-{body}" if coeff < 0 else body)
+            pieces.append(f"-{body}" if num < 0 else body)
         else:
-            pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
+            pieces.append(f"- {body}" if num < 0 else f"+ {body}")
     return " ".join(pieces)
 
 
@@ -182,6 +182,8 @@ def _parse_base(text: str, symbolic: LogBase) -> LogBase:
 
 
 def _parse_phi(kind: str, m: int | None) -> Phi:
+    if kind in ("unit", "hermite") and m is not None:
+        raise ValueError(f"--m does not apply to --phi {kind}")
     if kind == "unit":
         return Unit()
     if kind == "hermite":
@@ -195,10 +197,16 @@ def _parse_phi(kind: str, m: int | None) -> Phi:
     raise ValueError(f"unknown phi kind: {kind!r}")
 
 
+def _given(args: argparse.Namespace, *names: str) -> list[str]:
+    """The flags among names that were set on the command line (parser default None)."""
+    return [f"--{name}" for name in names if getattr(args, name) is not None]
+
+
 def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
     if args.preset:
-        if args.r is not None or args.alphas is not None:
-            raise ValueError("--preset cannot be combined with --r/--alphas")
+        given = _given(args, "r", "alphas", "k", "a", "b", "phi", "m")
+        if given:
+            raise ValueError(f"--preset cannot be combined with {', '.join(given)}")
         return PRESETS[args.preset]
     if args.r is None and args.alphas is None:
         r, alphas = 1, (Fraction(-1),)  # the Euler specialization
@@ -209,31 +217,33 @@ def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
         alphas = tuple(_parse_rational(s) for s in args.alphas.split(","))
     return FamilySpec(
         r=r,
-        k=args.k,
-        a=_parse_base(args.a, LogBase.SYMBOLIC_A),
-        b=_parse_base(args.b, LogBase.SYMBOLIC_B),
+        k=args.k if args.k is not None else 0,
+        a=_parse_base(args.a if args.a is not None else "1", LogBase.SYMBOLIC_A),
+        b=_parse_base(args.b if args.b is not None else "e", LogBase.SYMBOLIC_B),
         alphas=alphas,
-        phi=_parse_phi(args.phi, args.m),
+        phi=_parse_phi(args.phi if args.phi is not None else "unit", args.m),
     )
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
+    # Defaults are None so that _spec_from_args can tell a given flag from an
+    # absent one; the documented defaults are applied there.
     parser.add_argument("--preset", choices=sorted(PRESETS),
-                        help="named family (overrides the individual flags)")
+                        help="named family (cannot be combined with the individual flags)")
     parser.add_argument("--r", type=int,
                         help="order r (number of alphas); default family is r=1, alphas=-1")
-    parser.add_argument("--k", type=int, default=0,
-                        help="power-of-t twist k (default 0)")
+    parser.add_argument("--k", type=int, help="power-of-t twist k (default 0)")
     parser.add_argument("--alphas",
                         help="comma-separated rationals, one per factor; "
                              "write --alphas=-1,3 when the first is negative")
-    parser.add_argument("--a", default="1", help="base a: 1, e or sym (default 1)")
-    parser.add_argument("--b", default="e", help="base b: 1, e or sym (default e)")
-    parser.add_argument("--phi", default="unit",
+    parser.add_argument("--a", help="base a: 1, e or sym (default 1)")
+    parser.add_argument("--b", help="base b: 1, e or sym (default e)")
+    parser.add_argument("--phi",
                         choices=["unit", "gould-hopper", "hermite", "laguerre", "truncated-exp"],
                         help="two-variable polynomial layer (default unit)")
     parser.add_argument("--m", type=int,
-                        help="parameter of --phi gould-hopper/laguerre/truncated-exp")
+                        help="parameter of --phi gould-hopper/laguerre/truncated-exp "
+                             "(default 2, 1, 2)")
 
 
 TABLE_PRESETS = ("bernoulli", "euler", "genocchi", "gould-hopper",
@@ -241,6 +251,8 @@ TABLE_PRESETS = ("bernoulli", "euler", "genocchi", "gould-hopper",
 
 
 def _classical_table(preset: str, n_max: int, m: int | None) -> PolyTable:
+    if preset in ("bernoulli", "euler", "genocchi", "hermite") and m is not None:
+        raise ValueError(f"--m does not apply to --preset {preset}")
     if preset == "bernoulli":
         return special_case_oracle(ClassicalFamily.APOSTOL_BERNOULLI, 1, 1, n_max)
     if preset == "euler":
@@ -272,8 +284,13 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    c = _parse_rational(args.c)
-    d = _parse_rational(args.d)
+    scalars = _given(args, "c", "d")
+    if scalars and args.identity not in ("all", IdentityId.SYMMETRY.value):
+        raise ValueError(f"{' and '.join(scalars)}: only used by --identity symmetry or all")
+    if args.m_max is not None and args.identity not in ("all", IdentityId.DOUBLE_INDEX.value):
+        raise ValueError("--m-max: only used by --identity double-index or all")
+    c = _parse_rational(args.c if args.c is not None else "2")
+    d = _parse_rational(args.d if args.d is not None else "3")
     m_max = args.m_max if args.m_max is not None else args.n
     if args.identity == "all":
         verdicts = verify_all(spec, args.n, c=c, d=d, m_max=m_max)
@@ -323,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--identity", default="all",
                           choices=[i.value for i in IdentityId] + ["all"])
     p_verify.add_argument("--n", type=int, required=True, help="largest index n")
-    p_verify.add_argument("--c", default="2", help="first symmetry scalar (default 2)")
-    p_verify.add_argument("--d", default="3", help="second symmetry scalar (default 3)")
+    p_verify.add_argument("--c", help="first symmetry scalar (default 2)")
+    p_verify.add_argument("--d", help="second symmetry scalar (default 3)")
     p_verify.add_argument("--m-max", type=int, dest="m_max",
                           help="second index bound for double-index (default --n)")
     p_verify.set_defaults(func=cmd_verify)
@@ -333,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--preset", required=True, choices=TABLE_PRESETS)
     p_table.add_argument("--n", type=int, required=True, help="largest index n")
     p_table.add_argument("--m", type=int,
-                         help="order parameter for gould-hopper/laguerre/truncated-exp")
+                         help="order parameter for gould-hopper/laguerre/truncated-exp "
+                              "(default 3, 1, 2)")
     p_table.add_argument("--format", default="json", choices=["json", "csv", "latex"])
     p_table.set_defaults(func=cmd_table)
 

@@ -134,9 +134,12 @@ def verify_shift_mixed(spec: FamilySpec, n_max: int) -> Verdict:
 def verify_double_index(spec: FamilySpec, n_max: int, m_max: int) -> Verdict:
     """P_(n+m)(z,y) = sum_{p<=n, q<=m} C(n,p) C(m,q) (z-x)^(p+q) P_(n+m-p-q)(x,y).
 
-    Checked for every pair (n, m) with n <= n_max and m <= m_max; the double
-    sum is evaluated as stated, grouped by s = p + q so the polynomial
-    products (z-x)^s * P_j are shared between index pairs.
+    Checked for every pair (n, m) with n <= n_max and m <= m_max.  The double
+    sum is grouped by s = p + q into weights w_s = sum_p C(n,p) C(m,s-p),
+    each computed as stated.  The sum is then fixed by the weight vector
+    (w_0 .. w_(n+m)), so right sides are memoized on it: equal weights give
+    equal sums, exactly, whatever the weights turn out to be.  The products
+    (z-x)^s * P_j are cached too.
     """
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
@@ -145,6 +148,7 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int) -> Verdict:
     in_x = unified_members(spec, total)
     diff_pow = _powers(MultiPoly.var(VarId.Z) - MultiPoly.var(VarId.X), total)
     products: dict[tuple[int, int], MultiPoly] = {}
+    right_sides: dict[tuple[int, ...], MultiPoly] = {}
 
     def shifted_member(s: int, j: int) -> MultiPoly:
         key = (s, j)
@@ -152,18 +156,25 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int) -> Verdict:
             products[key] = diff_pow[s] * in_x[j]
         return products[key]
 
+    def right_side(weights: tuple[int, ...]) -> MultiPoly:
+        if weights not in right_sides:
+            top = len(weights) - 1
+            rhs = MultiPoly.zero()
+            for s, weight in enumerate(weights):
+                if weight:
+                    rhs = rhs + weight * shifted_member(s, top - s)
+            right_sides[weights] = rhs
+        return right_sides[weights]
+
     def pairs():
         for n in range(n_max + 1):
             for m in range(m_max + 1):
-                rhs = MultiPoly.zero()
-                for s in range(n + m + 1):
-                    weight = sum(
-                        comb(n, p) * comb(m, s - p)
-                        for p in range(max(0, s - m), min(n, s) + 1)
-                    )
-                    if weight:
-                        rhs = rhs + weight * shifted_member(s, n + m - s)
-                yield (n, m), in_z[n + m], rhs
+                weights = tuple(
+                    sum(comb(n, p) * comb(m, s - p)
+                        for p in range(max(0, s - m), min(n, s) + 1))
+                    for s in range(n + m + 1)
+                )
+                yield (n, m), in_z[n + m], right_side(weights)
 
     return _verdict(IdentityId.DOUBLE_INDEX, spec, n_max, pairs())
 

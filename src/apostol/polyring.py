@@ -8,17 +8,29 @@ has a fixed, closed set of five variables:
     La, Lb symbolic log-indeterminates standing for log(a) and log(b),
            so that a**t and b**t expand exactly as exp(La*t), exp(Lb*t).
 
-A polynomial is a mapping from exponent vectors (one non-negative integer
-per variable, in the canonical order x < y < z < La < Lb) to nonzero
-Fraction coefficients.  The zero polynomial is the empty mapping, so two
-polynomials are equal exactly when their term maps are equal; there is no
-normalization step to forget.
+Representation.  A polynomial stores integer numerators over one positive
+common denominator.  Each monomial's exponent vector (one non-negative
+integer per variable, in the canonical order x < y < z < La < Lb) is packed
+into a single int key of six FIELD_BITS-wide fields: the total degree in the
+top field, then the exponents of x, y, z, La, Lb.  A monomial product is then
+one integer add, and integer order on keys is graded-lexicographic order on
+monomials (packed exponent vectors, after Monagan & Pearce, CASC 2007).  A
+field can only overflow if the total degree does, so products check the
+degree alone and raise ValueError beyond MAX_DEGREE.
+
+Every value is kept in canonical form: no zero numerators, and
+gcd(den, *numerators) == 1, with den == 1 for the zero polynomial (the empty
+mapping).  Two polynomials are therefore equal exactly when their numerator
+maps and denominators are equal; there is no normalization step to forget.
+Fractions are built only at the edges (terms, sorted_terms, constant_value
+and substitute); rendering reads reduced integer pairs from reduced_terms.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 # The scalar field: arbitrary-precision exact fractions, always stored
@@ -44,150 +56,237 @@ VAR_NAMES = ("x", "y", "z", "La", "Lb")
 
 Exponents = tuple[int, int, int, int, int]
 
-_ZERO_EXPS: Exponents = (0, 0, 0, 0, 0)
+FIELD_BITS = 16
+MAX_DEGREE = (1 << FIELD_BITS) - 1
+_MASK = MAX_DEGREE
+_DEG_SHIFT = NVARS * FIELD_BITS
+# Keys at or above this have a total degree beyond MAX_DEGREE.
+_KEY_LIMIT = 1 << ((NVARS + 1) * FIELD_BITS)
 
 
-def _term_sort_key(item: tuple[Exponents, Fraction]) -> tuple[int, Exponents]:
-    exps, _ = item
-    return (sum(exps), exps)
+# Bit offsets of the x, y, z, La, Lb fields in a packed key.
+_SHIFTS = tuple((NVARS - 1 - v) * FIELD_BITS for v in VarId)
+_SX, _SY, _SZ, _SLA, _ = _SHIFTS
+
+
+def _pack(exps: Iterable[int]) -> int:
+    """The packed key of an exponent vector; ValueError if it cannot be one."""
+    e = tuple(exps)
+    if len(e) != NVARS or any(x < 0 for x in e):
+        raise ValueError(f"exponent vector must be {NVARS} non-negative integers, got {e}")
+    deg = sum(e)
+    if deg > MAX_DEGREE:
+        raise ValueError(f"total degree {deg} exceeds the ring's limit {MAX_DEGREE}")
+    key = deg
+    for x in e:
+        key = (key << FIELD_BITS) | x
+    return key
+
+
+def _unpack(key: int) -> Exponents:
+    """The exponent vector of a packed key."""
+    return ((key >> _SX) & _MASK, (key >> _SY) & _MASK, (key >> _SZ) & _MASK,
+            (key >> _SLA) & _MASK, key & _MASK)
+
+
+def _mul_into(out: dict[int, int], na: dict[int, int], nb: dict[int, int], f: int) -> None:
+    """out += f * na * nb on packed keys, without normalizing."""
+    if max(na) + max(nb) >= _KEY_LIMIT:
+        deg = (max(na) >> _DEG_SHIFT) + (max(nb) >> _DEG_SHIFT)
+        raise ValueError(f"total degree {deg} exceeds the ring's limit {MAX_DEGREE}")
+    if len(na) > len(nb):
+        na, nb = nb, na
+    get = out.get
+    nb_items = nb.items()
+    for ka, va in na.items():
+        if f != 1:
+            va *= f
+        for kb, vb in nb_items:
+            k = ka + kb
+            out[k] = get(k, 0) + va * vb
+
+
+def _scalar_parts(c: Scalar) -> tuple[int, int]:
+    """(numerator, positive denominator) of a rational scalar, reduced."""
+    if isinstance(c, int):
+        return c, 1
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator, c.denominator
 
 
 class MultiPoly:
     """An immutable sparse polynomial in the fixed five-variable ring.
 
-    Never mutate the term map of an existing value; every operation returns
-    a fresh polynomial in canonical form (no zero coefficients stored).
+    Never mutate the numerator map of an existing value; every operation
+    returns a fresh polynomial in canonical form.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[Exponents, Scalar] | None = None):
-        clean: dict[Exponents, Fraction] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    clean[exps] = c
-        self._terms = clean
+        fracs = {}
+        for exps, coeff in (terms or {}).items():
+            c = Fraction(coeff)
+            if c:
+                fracs[_pack(exps)] = c
+        # Over the lcm of reduced denominators the numerators share no factor with it.
+        self._den = lcm(*(c.denominator for c in fracs.values()))
+        self._nums = {k: c.numerator * (self._den // c.denominator) for k, c in fracs.items()}
+
+    # -- internal constructors ---------------------------------------------
+
+    @staticmethod
+    def _raw(nums: dict[int, int], den: int) -> MultiPoly:
+        """Wrap a map and denominator that are already in canonical form."""
+        p = MultiPoly.__new__(MultiPoly)
+        p._nums = nums
+        p._den = den
+        return p
+
+    @staticmethod
+    def _normalized(acc: dict[int, int], den: int) -> MultiPoly:
+        """Canonical form of acc / den: drop zeros, divide out the common gcd.
+
+        acc must be a fresh map; it becomes the result's numerator map.
+        """
+        if 0 in acc.values():
+            acc = {k: v for k, v in acc.items() if v}
+        if not acc:
+            return MultiPoly._raw({}, 1)
+        if den != 1:
+            g = gcd(den, *acc.values())
+            if g != 1:
+                acc = {k: v // g for k, v in acc.items()}
+                den //= g
+        return MultiPoly._raw(acc, den)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> MultiPoly:
-        return cls()
+        return cls._raw({}, 1)
 
     @classmethod
     def one(cls) -> MultiPoly:
-        return cls({_ZERO_EXPS: Fraction(1)})
+        return cls._raw({0: 1}, 1)
 
     @classmethod
     def const(cls, value: Scalar) -> MultiPoly:
-        return cls({_ZERO_EXPS: Fraction(value)})
+        num, den = _scalar_parts(value)
+        return cls._raw({0: num}, den) if num else cls._raw({}, 1)
 
     @classmethod
     def var(cls, v: VarId) -> MultiPoly:
-        exps = [0] * NVARS
-        exps[v] = 1
-        return cls({tuple(exps): Fraction(1)})
+        return cls._raw({(1 << _DEG_SHIFT) | (1 << _SHIFTS[v]): 1}, 1)
 
     @classmethod
     def monomial(cls, coeff: Scalar, exps: Iterable[int]) -> MultiPoly:
-        e = tuple(exps)
-        if len(e) != NVARS or any(x < 0 for x in e):
-            raise ValueError(f"exponent vector must be {NVARS} non-negative integers, got {e}")
-        return cls({e: Fraction(coeff)})
+        key = _pack(exps)
+        num, den = _scalar_parts(coeff)
+        return cls._raw({key: num}, den) if num else cls._raw({}, 1)
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> Mapping[Exponents, Fraction]:
-        return self._terms
+        """A fresh map from exponent vectors to nonzero Fraction coefficients."""
+        den = self._den
+        return {_unpack(k): Fraction(v, den) for k, v in self._nums.items()}
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def constant_value(self) -> Fraction | None:
         """The value of a constant polynomial, or None if any variable occurs."""
-        if not self._terms:
+        if not self._nums:
             return Fraction(0)
-        if len(self._terms) == 1 and _ZERO_EXPS in self._terms:
-            return self._terms[_ZERO_EXPS]
+        if len(self._nums) == 1 and 0 in self._nums:
+            return Fraction(self._nums[0], self._den)
         return None
 
     def total_degree(self) -> int:
-        if not self._terms:
+        if not self._nums:
             return 0
-        return max(sum(e) for e in self._terms)
+        return max(self._nums) >> _DEG_SHIFT
+
+    def reduced_terms(self) -> list[tuple[Exponents, int, int]]:
+        """(exponents, numerator, denominator) per term, in graded-lex order.
+
+        Each coefficient is reduced on its own, with a positive denominator.
+        The ordering (total degree, then exponent vector on the canonical
+        variable order, leading term first) is the single source of
+        deterministic output for rendering and golden files; on packed keys
+        it is integer order.
+        """
+        nums, den = self._nums, self._den
+        out = []
+        for k in sorted(nums, reverse=True):
+            v = nums[k]
+            g = gcd(v, den)
+            out.append((_unpack(k), v // g, den // g))
+        return out
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        """Terms in graded-lexicographic order, leading term first.
-
-        The ordering (total degree, then exponent vector on the canonical
-        variable order) is the single source of deterministic output for
-        rendering and golden files.
-        """
-        return sorted(self._terms.items(), key=_term_sort_key, reverse=True)
+        """Terms in graded-lexicographic order, leading term first."""
+        return [(e, Fraction(n, d)) for e, n, d in self.reduced_terms()]
 
     # -- arithmetic --------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other: MultiPoly | Scalar) -> MultiPoly:
-        if isinstance(other, MultiPoly):
-            return other
-        return MultiPoly.const(other)
-
     def __add__(self, other: MultiPoly | Scalar) -> MultiPoly:
-        q = self._coerce(other)
-        if not self._terms:
+        q = other if isinstance(other, MultiPoly) else MultiPoly.const(other)
+        if not self._nums:
             return q
-        if not q._terms:
+        if not q._nums:
             return self
-        out = dict(self._terms)
-        for exps, coeff in q._terms.items():
-            s = out.get(exps, Fraction(0)) + coeff
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        p = MultiPoly.__new__(MultiPoly)
-        p._terms = out
-        return p
+        g = gcd(self._den, q._den)
+        fa, fb = q._den // g, self._den // g
+        out = dict(self._nums) if fa == 1 else {k: v * fa for k, v in self._nums.items()}
+        get = out.get
+        for k, v in q._nums.items():
+            out[k] = get(k, 0) + v * fb
+        return MultiPoly._normalized(out, self._den * fa)
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        p = MultiPoly.__new__(MultiPoly)
-        p._terms = {e: -c for e, c in self._terms.items()}
-        return p
+        return MultiPoly._raw({k: -v for k, v in self._nums.items()}, self._den)
 
     def __sub__(self, other: MultiPoly | Scalar) -> MultiPoly:
-        return self + (-self._coerce(other))
+        q = other if isinstance(other, MultiPoly) else MultiPoly.const(other)
+        return self + (-q)
 
     def __rsub__(self, other: Scalar) -> MultiPoly:
-        return self._coerce(other) + (-self)
+        return MultiPoly.const(other) + (-self)
 
     def __mul__(self, other: MultiPoly | Scalar) -> MultiPoly:
-        q = self._coerce(other)
-        if not self._terms or not q._terms:
-            return MultiPoly.zero()
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in q._terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
-                     e1[3] + e2[3], e1[4] + e2[4])
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        p = MultiPoly.__new__(MultiPoly)
-        p._terms = out
-        return p
+        if not isinstance(other, MultiPoly):
+            return self._scaled(*_scalar_parts(other))
+        if not self._nums or not other._nums:
+            return MultiPoly._raw({}, 1)
+        out: dict[int, int] = {}
+        _mul_into(out, self._nums, other._nums, 1)
+        return MultiPoly._normalized(out, self._den * other._den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, p: int, q: int) -> MultiPoly:
+        """self * p/q for a reduced p/q with q > 0."""
+        if not p or not self._nums:
+            return MultiPoly._raw({}, 1)
+        g = gcd(p, self._den)
+        p //= g
+        den = self._den // g
+        nums = self._nums if p == 1 else {k: v * p for k, v in self._nums.items()}
+        if q != 1:
+            g = gcd(q, *nums.values())
+            if g != 1:
+                q //= g
+                nums = {k: v // g for k, v in nums.items()}
+        return MultiPoly._raw(nums, den * q)
 
     def __pow__(self, n: int) -> MultiPoly:
         if n < 0:
@@ -212,36 +311,26 @@ class MultiPoly:
             return self
         values = {VarId(v): Fraction(val) for v, val in bindings.items()}
         out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self._terms.items():
-            c = coeff
+        for exps, c in self.terms.items():
             new_exps = list(exps)
             for v, val in values.items():
-                e = exps[v]
-                if e:
-                    c *= val ** e
+                if exps[v]:
+                    c *= val ** exps[v]
                     new_exps[v] = 0
-            if not c:
-                continue
             key = tuple(new_exps)
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        p = MultiPoly.__new__(MultiPoly)
-        p._terms = out
-        return p
+            out[key] = out.get(key, 0) + c
+        return MultiPoly(out)
 
     # -- comparison and display --------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, MultiPoly):
-            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == MultiPoly.const(other)._terms
+            other = MultiPoly.const(other)
+        if isinstance(other, MultiPoly):
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
-    __hash__ = None  # term map is a plain dict; values are compared, not hashed
+    __hash__ = None  # numerator map is a plain dict; values are compared, not hashed
 
     def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
         return iter(self.sorted_terms())
@@ -253,26 +342,48 @@ class MultiPoly:
         return f"MultiPoly({format_poly(self)})"
 
 
+def sum_of_products(triples: Iterable[tuple[Scalar, MultiPoly, MultiPoly]]) -> MultiPoly:
+    """The sum of c * a * b over the triples, normalized once.
+
+    Every product is accumulated into one integer map over the lcm of the
+    triples' denominators, so a Cauchy-product coefficient costs one
+    canonicalization instead of one per addition.
+    """
+    items = []
+    for c, a, b in triples:
+        if a._nums and b._nums:
+            p, q = _scalar_parts(c)
+            if p:
+                items.append((p, a._nums, b._nums, a._den * b._den * q))
+    if not items:
+        return MultiPoly._raw({}, 1)
+    den = lcm(*(d for *_, d in items))
+    out: dict[int, int] = {}
+    for p, na, nb, d in items:
+        _mul_into(out, na, nb, p * (den // d))
+    return MultiPoly._normalized(out, den)
+
+
 def format_poly(p: MultiPoly) -> str:
     """Render a polynomial like ``x^2 - x + 1/6`` in graded-lex order."""
     if not p:
         return "0"
     pieces: list[str] = []
-    for i, (exps, coeff) in enumerate(p.sorted_terms()):
+    for i, (exps, num, den) in enumerate(p.reduced_terms()):
         mono = "*".join(
             VAR_NAMES[v] if e == 1 else f"{VAR_NAMES[v]}^{e}"
             for v, e in enumerate(exps)
             if e
         )
-        mag = abs(coeff)
+        mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
         if not mono:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = mono
         else:
             body = f"{mag}*{mono}"
         if i == 0:
-            pieces.append(f"-{body}" if coeff < 0 else body)
+            pieces.append(f"-{body}" if num < 0 else body)
         else:
-            pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
+            pieces.append(f"- {body}" if num < 0 else f"+ {body}")
     return " ".join(pieces)

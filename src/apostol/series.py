@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .polyring import MultiPoly, Scalar
+from .polyring import MultiPoly, Scalar, sum_of_products
 
 
 class SeriesError(Exception):
@@ -76,10 +76,8 @@ class PowerSeries:
         if order < 1:
             raise ValueError("a power series needs order >= 1")
         coeffs = [MultiPoly.one()]
-        acc = MultiPoly.one()
         for n in range(1, order):
-            acc = acc * coefficient * Fraction(1, n)
-            coeffs.append(acc)
+            coeffs.append(sum_of_products([(Fraction(1, n), coeffs[-1], coefficient)]))
         return cls(coeffs)
 
     # -- inspection --------------------------------------------------------
@@ -132,17 +130,11 @@ class PowerSeries:
 
     def __mul__(self, other: PowerSeries) -> PowerSeries:
         """Cauchy product, truncated to the smaller operand order."""
-        n = min(len(self._coeffs), len(other._coeffs))
-        out = []
-        for k in range(n):
-            acc = MultiPoly.zero()
-            for i in range(k + 1):
-                a = self._coeffs[i]
-                b = other._coeffs[k - i]
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return PowerSeries(out)
+        a, b = self._coeffs, other._coeffs
+        return PowerSeries([
+            sum_of_products((1, a[i], b[k - i]) for i in range(k + 1))
+            for k in range(min(len(a), len(b)))
+        ])
 
     def scale(self, c: MultiPoly | Scalar) -> PowerSeries:
         """Multiply every coefficient by the same ring element."""
@@ -187,15 +179,11 @@ class PowerSeries:
             )
         if f0 == 0:
             raise NotAUnitError("constant term is zero; use division with valuation instead")
-        inv0 = 1 / f0
-        out = [MultiPoly.const(inv0)]
-        for n in range(1, len(self._coeffs)):
-            acc = MultiPoly.zero()
-            for i in range(1, n + 1):
-                fi = self._coeffs[i]
-                if fi:
-                    acc = acc + fi * out[n - i]
-            out.append(acc * (-inv0))
+        f = self._coeffs
+        out = [MultiPoly.const(1 / f0)]
+        weight = -1 / f0
+        for n in range(1, len(f)):
+            out.append(sum_of_products((weight, f[i], out[n - i]) for i in range(1, n + 1)))
         return PowerSeries(out)
 
     def divide_with_valuation(self, den: PowerSeries, expected_valuation: int) -> PowerSeries:

@@ -100,6 +100,21 @@ def test_exit_code_2_on_spec_errors(capsys):
         ["expand", "--r", "1", "--alphas", "2", "--a", "q", "--n", "1"],
         ["verify", "--preset", "euler", "--n", "2", "--c", "0"],
         ["expand", "--r", "2", "--n", "2"],  # r without alphas
+        # a flag the chosen family or identity does not use is an error, not a no-op
+        ["expand", "--phi", "hermite", "--m", "5", "--n", "2"],
+        ["expand", "--phi", "unit", "--m", "5", "--n", "2"],
+        ["expand", "--m", "5", "--n", "2"],
+        ["expand", "--preset", "euler", "--phi", "laguerre", "--k", "3", "--n", "2"],
+        ["expand", "--preset", "hermite", "--a", "1", "--n", "2"],
+        ["verify", "--preset", "euler", "--b", "e", "--n", "2"],
+        ["verify", "--preset", "euler", "--m", "2", "--n", "2"],
+        ["table", "--preset", "bernoulli", "--m", "5", "--n", "2"],
+        ["table", "--preset", "euler", "--m", "5", "--n", "2"],
+        ["table", "--preset", "genocchi", "--m", "5", "--n", "2"],
+        ["table", "--preset", "hermite", "--m", "5", "--n", "2"],
+        ["verify", "--identity", "shift", "--preset", "euler", "--c", "5", "--n", "2"],
+        ["verify", "--identity", "double-index", "--preset", "euler", "--d", "5", "--n", "2"],
+        ["verify", "--identity", "symmetry", "--preset", "euler", "--m-max", "1", "--n", "2"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
@@ -152,3 +167,21 @@ def test_negative_alpha_list_with_equals_syntax(capsys):
                  "--a", "1", "--b", "e", "--n", "2", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == "2,-1/2"
+
+
+def test_explicit_default_flags_change_nothing(capsys):
+    runs = [
+        (["expand", "--phi", "gould-hopper", "--n", "3"],
+         ["expand", "--phi", "gould-hopper", "--m", "2", "--k", "0", "--a", "1", "--b", "e",
+          "--n", "3"]),
+        (["table", "--preset", "laguerre", "--n", "3"],
+         ["table", "--preset", "laguerre", "--m", "1", "--n", "3"]),
+        (["verify", "--preset", "euler", "--n", "2"],
+         ["verify", "--identity", "all", "--preset", "euler", "--c", "2", "--d", "3",
+          "--m-max", "2", "--n", "2"]),
+    ]
+    for implicit, explicit in runs:
+        assert main(implicit) == 0
+        first = capsys.readouterr().out
+        assert main(explicit) == 0
+        assert capsys.readouterr().out == first

@@ -270,6 +270,34 @@ def test_reduction_two_variable_apostol_type(phi, r, k):
         assert fam[n] == direct.extract(n)
 
 
+@pytest.mark.parametrize("phi", [Unit(), GouldHopper(2), Laguerre(1), TruncatedExp(2)])
+@pytest.mark.parametrize("r", [1, 2])
+def test_symbolic_bases_specialize_to_one_e(phi, r):
+    # La -> 0, Lb -> 1 is a ring map, so the sym/sym table must become the
+    # (1, e) table, which the reduction tests check against the oracle.
+    alphas, k = [Fraction(-3, 2), Fraction(5, 7)][:r], r - 1
+    sym = unified_members(FamilySpec(r, k, *SYM, tuple(alphas), phi), 10)
+    one_e = unified_members(spec_one_e(r, k, alphas, phi), 10)
+    for n in range(11):
+        assert sym[n].substitute({VarId.LA: 0, VarId.LB: 1}) == one_e[n]
+
+
+@pytest.mark.parametrize("r,k", [(1, 0), (1, 2), (2, 1), (3, 1)])
+def test_symbolic_quotient_times_denominator_is_numerator(r, k):
+    # den * Q == (-1)^r 2^(r(1-k)) t^(rk), truncated: checked by multiplying
+    # back with plain ring products, no division and no series kernel.
+    spec = FamilySpec(r, k, *SYM, tuple(Fraction(a) for a in [2, -3, Fraction(1, 2)][:r]))
+    order = r * k + 6
+    q = unified_series(spec, False, order, include_phi=False).coeffs
+    den = denominator_series(spec, order).coeffs
+    scalar = MultiPoly.const(Fraction((-1) ** r) * Fraction(2) ** (r * (1 - k)))
+    for n in range(order):
+        product = MultiPoly.zero()
+        for i in range(n + 1):
+            product = product + den[i] * q[n - i]
+        assert product == (scalar if n == r * k else MultiPoly.zero())
+
+
 def test_vanishing_below_rk():
     rng = random.Random(11)
     for _ in range(6):

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+
+import apostol.identities as identities_mod
 
 from apostol.family import (
     FamilySpec,
@@ -156,3 +159,40 @@ def test_verdict_reports_first_lex_mismatch():
     ok = _verdict(IdentityId.SHIFT, spec, 1, iter([((0,), X, X)]))
     assert ok.passed and ok.counterexample is None
     assert isinstance(ok, Verdict)
+
+
+@pytest.mark.parametrize("j", [0, 3, 5])
+def test_double_index_memo_reports_the_unmemoized_counterexample(monkeypatch, j):
+    # Perturb one member of the x-table only; the memoized verifier must fail
+    # at the same (n, m), with the same sides, as the double sum as stated.
+    spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
+    n_max, m_max = 3, 4
+
+    def faulty_members(s, n, **kwargs):
+        members = unified_members(s, n, **kwargs)
+        if "exp_argument" not in kwargs:
+            members[j] = members[j] + X
+        return members
+
+    monkeypatch.setattr(identities_mod, "unified_members", faulty_members)
+    verdict = verify_double_index(spec, n_max, m_max)
+
+    in_z = unified_members(spec, n_max + m_max, exp_argument=Z)
+    in_x = faulty_members(spec, n_max + m_max)
+
+    def first_unmemoized_mismatch():
+        for n in range(n_max + 1):
+            for m in range(m_max + 1):
+                rhs = MultiPoly.zero()
+                for p in range(n + 1):
+                    for q in range(m + 1):
+                        rhs = rhs + (comb(n, p) * comb(m, q) * (Z - X) ** (p + q)
+                                     * in_x[n + m - p - q])
+                if rhs != in_z[n + m]:
+                    return Counterexample((n, m), in_z[n + m], rhs)
+        return None
+
+    expected = first_unmemoized_mismatch()
+    assert expected is not None
+    assert not verdict.passed
+    assert verdict.counterexample == expected
