@@ -16,14 +16,11 @@ from fractions import Fraction
 from .family import (
     ClassicalFamily,
     FamilySpec,
-    GouldHopper,
-    Laguerre,
     LogBase,
+    PHI_KINDS,
     Phi,
     PolyTable,
     PRESETS,
-    TruncatedExp,
-    Unit,
     extract_table,
     general_members,
     gould_hopper_table,
@@ -99,11 +96,10 @@ def poly_to_latex(p: MultiPoly) -> str:
 
 
 def spec_to_json(spec: FamilySpec) -> dict:
-    phi: dict = {"kind": spec.phi.label}
-    if isinstance(spec.phi, (GouldHopper, Laguerre)):
-        phi["m"] = spec.phi.m
-    elif isinstance(spec.phi, TruncatedExp):
-        phi["beta"] = spec.phi.beta
+    phi: dict = {"kind": spec.phi.kind}
+    param = PHI_KINDS[spec.phi.kind][0]
+    if param is not None:
+        phi[param] = spec.phi.step
     return {
         "r": spec.r,
         "k": spec.k,
@@ -184,17 +180,7 @@ def _parse_base(text: str, symbolic: LogBase) -> LogBase:
 def _parse_phi(kind: str, m: int | None) -> Phi:
     if kind in ("unit", "hermite") and m is not None:
         raise ValueError(f"--m does not apply to --phi {kind}")
-    if kind == "unit":
-        return Unit()
-    if kind == "hermite":
-        return GouldHopper(2)
-    if kind == "gould-hopper":
-        return GouldHopper(m if m is not None else 2)
-    if kind == "laguerre":
-        return Laguerre(m if m is not None else 1)
-    if kind == "truncated-exp":
-        return TruncatedExp(m if m is not None else 2)
-    raise ValueError(f"unknown phi kind: {kind!r}")
+    return PRESETS["hermite"].phi if kind == "hermite" else Phi(kind, m)
 
 
 def _given(args: argparse.Namespace, *names: str) -> list[str]:
@@ -246,27 +232,16 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
                              "(default 2, 1, 2)")
 
 
-TABLE_PRESETS = ("bernoulli", "euler", "genocchi", "gould-hopper",
-                 "hermite", "laguerre", "truncated-exp")
-
-
 def _classical_table(preset: str, n_max: int, m: int | None) -> PolyTable:
     if preset in ("bernoulli", "euler", "genocchi", "hermite") and m is not None:
         raise ValueError(f"--m does not apply to --preset {preset}")
-    if preset == "bernoulli":
-        return special_case_oracle(ClassicalFamily.APOSTOL_BERNOULLI, 1, 1, n_max)
-    if preset == "euler":
-        return special_case_oracle(ClassicalFamily.APOSTOL_EULER, 1, 1, n_max)
-    if preset == "genocchi":
-        return special_case_oracle(ClassicalFamily.APOSTOL_GENOCCHI, 1, 1, n_max)
-    if preset == "gould-hopper":
-        return gould_hopper_table(m if m is not None else 3, n_max)
-    if preset == "hermite":
-        return gould_hopper_table(2, n_max)
-    if preset == "laguerre":
-        phi = Laguerre(m if m is not None else 1)
-    else:
-        phi = TruncatedExp(m if m is not None else 2)
+    if preset in ("bernoulli", "euler", "genocchi"):
+        return special_case_oracle(ClassicalFamily(f"apostol-{preset}"), 1, 1, n_max)
+    phi = PRESETS[preset].phi
+    if m is not None:
+        phi = Phi(phi.kind, m)
+    if phi.kind == "gould-hopper":
+        return gould_hopper_table(phi.step, n_max)
     members = general_members(phi, n_max)
     return PolyTable(label=f"{phi_label(phi)} two-variable polynomials",
                      entries=tuple(enumerate(members)))
@@ -347,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="print a classical family table")
-    p_table.add_argument("--preset", required=True, choices=TABLE_PRESETS)
+    p_table.add_argument("--preset", required=True, choices=sorted(PRESETS))
     p_table.add_argument("--n", type=int, required=True, help="largest index n")
     p_table.add_argument("--m", type=int,
                          help="order parameter for gould-hopper/laguerre/truncated-exp "

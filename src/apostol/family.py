@@ -30,7 +30,7 @@ Lb - La, which is not invertible in a polynomial ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -73,89 +73,85 @@ class LogBase(Enum):
 # -- phi choices -------------------------------------------------------------
 #
 # phi(y, t) selects which two-variable general polynomial family rides on
-# top of the Apostol prefactor.  Every variant has phi(y, 0) = 1, so the
-# general polynomials always start at p_0 = 1.
+# top of the Apostol prefactor.  Every non-unit kind is a weighted power
+# series sum_j w_j (y t^step)^j with w_0 = 1, so the general polynomials
+# always start at p_0 = 1.
+
+# kind -> (name of the step parameter, default step, weight w_j); unit has none.
+PHI_KINDS = {
+    "unit": (None, None, None),
+    # exp(y t^m): Gould-Hopper polynomials; m = 2 is the Hermite case.
+    "gould-hopper": ("m", 2, lambda j: Fraction(1, factorial(j))),
+    # C0(-y t^m), with C0 the 0-th order Tricomi function sum (-1)^j u^j/(j!)^2.
+    "laguerre": ("m", 1, lambda j: Fraction(1, factorial(j) ** 2)),
+    # 1 / (1 - y t^beta): truncated exponential polynomials of order beta.
+    "truncated-exp": ("beta", 2, lambda j: Fraction(1)),
+}
 
 
 @dataclass(frozen=True)
-class Unit:
-    """phi = 1: the one-variable polynomials in x alone."""
+class Phi:
+    """One phi(y, t): a kind from PHI_KINDS and its step (the power of t).
 
-    label = "unit"
+    An omitted step takes the kind's default; unit takes no step.
+    """
 
-
-@dataclass(frozen=True)
-class GouldHopper:
-    """phi = exp(y t^m): Gould-Hopper polynomials; m = 2 is the Hermite case."""
-
-    m: int = 2
-    label = "gould-hopper"
+    kind: str
+    step: int | None = None
 
     def __post_init__(self):
-        if self.m < 1:
-            raise InvalidFamilySpecError(f"gould-hopper needs m >= 1, got {self.m}")
+        if self.kind not in PHI_KINDS:
+            raise InvalidFamilySpecError(f"unknown phi kind: {self.kind!r}")
+        param, default, _ = PHI_KINDS[self.kind]
+        if param is None:
+            if self.step is not None:
+                raise InvalidFamilySpecError(f"phi {self.kind} takes no step, got {self.step}")
+        elif self.step is None:
+            object.__setattr__(self, "step", default)
+        elif self.step < 1:
+            raise InvalidFamilySpecError(f"{self.kind} needs {param} >= 1, got {self.step}")
 
 
-@dataclass(frozen=True)
-class Laguerre:
-    """phi = C0(-y t^m) with C0 the 0-th order Tricomi function sum (-1)^j u^j/(j!)^2."""
-
-    m: int = 1
-    label = "laguerre"
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise InvalidFamilySpecError(f"laguerre needs m >= 1, got {self.m}")
+# One constructor per kind, for callers that name the kind in code.
 
 
-@dataclass(frozen=True)
-class TruncatedExp:
-    """phi = 1 / (1 - y t^beta): truncated exponential polynomials of order beta."""
-
-    beta: int = 2
-    label = "truncated-exp"
-
-    def __post_init__(self):
-        if self.beta < 1:
-            raise InvalidFamilySpecError(f"truncated-exp needs beta >= 1, got {self.beta}")
+def Unit() -> Phi:
+    return Phi("unit")
 
 
-Phi = Unit | GouldHopper | Laguerre | TruncatedExp
+def GouldHopper(m: int | None = None) -> Phi:
+    return Phi("gould-hopper", m)
+
+
+def Laguerre(m: int | None = None) -> Phi:
+    return Phi("laguerre", m)
+
+
+def TruncatedExp(beta: int | None = None) -> Phi:
+    return Phi("truncated-exp", beta)
 
 
 def phi_series(phi: Phi, order: int) -> PowerSeries:
     """Expand the chosen phi(y, t) as a truncated series in t."""
     if order < 1:
         raise ValueError("a power series needs order >= 1")
+    weight = PHI_KINDS[phi.kind][2]
+    if weight is None:
+        return PowerSeries.one(order)
     y = MultiPoly.var(VarId.Y)
     coeffs = [MultiPoly.zero()] * order
-    if isinstance(phi, Unit):
-        return PowerSeries.one(order)
-    if isinstance(phi, GouldHopper):
-        step, weight = phi.m, lambda j: Fraction(1, factorial(j))
-    elif isinstance(phi, Laguerre):
-        step, weight = phi.m, lambda j: Fraction(1, factorial(j) ** 2)
-    elif isinstance(phi, TruncatedExp):
-        step, weight = phi.beta, lambda j: Fraction(1)
-    else:
-        raise TypeError(f"unknown phi kind: {phi!r}")
     j = 0
     ypow = MultiPoly.one()
-    while j * step < order:
-        coeffs[j * step] = ypow * weight(j)
+    while j * phi.step < order:
+        coeffs[j * phi.step] = ypow * weight(j)
         ypow = ypow * y
         j += 1
     return PowerSeries(coeffs)
 
 
 def phi_label(phi: Phi) -> str:
-    if isinstance(phi, Unit):
-        return "unit"
-    if isinstance(phi, GouldHopper):
-        return f"gould-hopper(m={phi.m})"
-    if isinstance(phi, Laguerre):
-        return f"laguerre(m={phi.m})"
-    return f"truncated-exp(beta={phi.beta})"
+    param = PHI_KINDS[phi.kind][0]
+    return phi.kind if param is None else f"{phi.kind}({param}={phi.step})"
 
 
 # -- the parameter bundle -----------------------------------------------------
@@ -170,7 +166,7 @@ class FamilySpec:
     a: LogBase
     b: LogBase
     alphas: tuple[Fraction, ...]
-    phi: Phi = field(default_factory=Unit)
+    phi: Phi = Phi("unit")
 
     def __post_init__(self):
         if self.r < 1:
@@ -184,7 +180,7 @@ class FamilySpec:
             )
         if self.a is self.b:
             raise InvalidFamilySpecError("the bases a and b must differ")
-        if not isinstance(self.phi, (Unit, GouldHopper, Laguerre, TruncatedExp)):
+        if not isinstance(self.phi, Phi):
             raise InvalidFamilySpecError(f"unknown phi kind: {self.phi!r}")
         if self.unit_alpha_count and (self.a, self.b) != (LogBase.ONE, LogBase.E):
             raise InvalidFamilySpecError(
@@ -282,7 +278,7 @@ def unified_series(spec: FamilySpec, include_x: bool, order: int, *,
     if include_x:
         arg = exp_argument if exp_argument is not None else MultiPoly.var(VarId.X)
         result = result * PowerSeries.exp_linear(arg, order)
-    if include_phi and not isinstance(spec.phi, Unit):
+    if include_phi and spec.phi.kind != "unit":
         result = result * phi_series(spec.phi, order)
     return result
 
@@ -308,7 +304,7 @@ def general_series(phi: Phi, order: int, *,
     """e^(xt) phi(y,t): the two-variable general polynomials, no prefactor."""
     arg = exp_argument if exp_argument is not None else MultiPoly.var(VarId.X)
     result = PowerSeries.exp_linear(arg, order)
-    if not isinstance(phi, Unit):
+    if phi.kind != "unit":
         result = result * phi_series(phi, order)
     return result
 
@@ -358,8 +354,6 @@ def extract_table(spec: FamilySpec, n_max: int) -> PolyTable:
 
 def gould_hopper_table(m: int, n_max: int) -> PolyTable:
     """The plain Gould-Hopper polynomials H_n(x, y) of order m (no prefactor)."""
-    if m < 1:
-        raise ValueError(f"gould-hopper needs m >= 1, got {m}")
     members = general_members(GouldHopper(m), n_max)
     entries = tuple((n, p) for n, p in enumerate(members))
     return PolyTable(label=f"gould-hopper(m={m})", entries=entries)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .family import (
     FamilySpec,
@@ -73,41 +73,46 @@ def _verdict(identity: IdentityId, spec: FamilySpec, max_n: int,
     return Verdict(identity, spec, max_n, True)
 
 
+def binomial_convolution(a: Sequence[MultiPoly | int], b: Sequence[MultiPoly],
+                         n: int) -> MultiPoly:
+    """sum_j C(n,j) * a[n-j] * b[j], built by plain ring + and *."""
+    acc = MultiPoly.zero()
+    for j in range(n + 1):
+        acc = acc + comb(n, j) * a[n - j] * b[j]
+    return acc
+
+
+def _convolution_verdict(identity: IdentityId, spec: FamilySpec, n_max: int,
+                         lhs: Sequence[MultiPoly], a: Sequence[MultiPoly | int],
+                         b: Sequence[MultiPoly]) -> Verdict:
+    """Check lhs[n] == binomial_convolution(a, b, n) for n = 0 .. n_max."""
+    return _verdict(identity, spec, n_max, (
+        ((n,), lhs[n], binomial_convolution(a, b, n)) for n in range(n_max + 1)
+    ))
+
+
 def verify_series_def(spec: FamilySpec, n_max: int) -> Verdict:
     """P_n(x,y) = sum_j C(n,j) * M_(n-j) * p_j(x,y).
 
     M are the family's numbers (no x, no phi) and p_j the plain
     two-variable general polynomials of the family's phi.
     """
-    direct = unified_members(spec, n_max)
-    numbers = unified_members(spec, n_max, include_x=False, include_phi=False)
-    general = general_members(spec.phi, n_max)
-
-    def pairs():
-        for n in range(n_max + 1):
-            rhs = MultiPoly.zero()
-            for j in range(n + 1):
-                rhs = rhs + comb(n, j) * numbers[n - j] * general[j]
-            yield (n,), direct[n], rhs
-
-    return _verdict(IdentityId.SERIES_DEF, spec, n_max, pairs())
+    return _convolution_verdict(
+        IdentityId.SERIES_DEF, spec, n_max,
+        unified_members(spec, n_max),
+        unified_members(spec, n_max, include_x=False, include_phi=False),
+        general_members(spec.phi, n_max),
+    )
 
 
 def verify_shift(spec: FamilySpec, n_max: int) -> Verdict:
     """P_n(x+z, y) = sum_m C(n,m) * P_m(x,y) * z^(n-m)."""
-    x_plus_z = MultiPoly.var(VarId.X) + MultiPoly.var(VarId.Z)
-    shifted = unified_members(spec, n_max, exp_argument=x_plus_z)
-    base = unified_members(spec, n_max)
-    z_pow = _powers(MultiPoly.var(VarId.Z), n_max)
-
-    def pairs():
-        for n in range(n_max + 1):
-            rhs = MultiPoly.zero()
-            for m in range(n + 1):
-                rhs = rhs + comb(n, m) * base[m] * z_pow[n - m]
-            yield (n,), shifted[n], rhs
-
-    return _verdict(IdentityId.SHIFT, spec, n_max, pairs())
+    return _convolution_verdict(
+        IdentityId.SHIFT, spec, n_max,
+        unified_members(spec, n_max, exp_argument=_x_plus_z()),
+        _powers(MultiPoly.var(VarId.Z), n_max),
+        unified_members(spec, n_max),
+    )
 
 
 def verify_shift_mixed(spec: FamilySpec, n_max: int) -> Verdict:
@@ -116,19 +121,12 @@ def verify_shift_mixed(spec: FamilySpec, n_max: int) -> Verdict:
     M_j(x) are the phi-free family polynomials in x; p are the general
     polynomials taken at the shift variable z.
     """
-    x_plus_z = MultiPoly.var(VarId.X) + MultiPoly.var(VarId.Z)
-    shifted = unified_members(spec, n_max, exp_argument=x_plus_z)
-    numbers_x = unified_members(spec, n_max, include_phi=False)
-    general_z = general_members(spec.phi, n_max, exp_argument=MultiPoly.var(VarId.Z))
-
-    def pairs():
-        for n in range(n_max + 1):
-            rhs = MultiPoly.zero()
-            for j in range(n + 1):
-                rhs = rhs + comb(n, j) * numbers_x[j] * general_z[n - j]
-            yield (n,), shifted[n], rhs
-
-    return _verdict(IdentityId.SHIFT_MIXED, spec, n_max, pairs())
+    return _convolution_verdict(
+        IdentityId.SHIFT_MIXED, spec, n_max,
+        unified_members(spec, n_max, exp_argument=_x_plus_z()),
+        general_members(spec.phi, n_max, exp_argument=MultiPoly.var(VarId.Z)),
+        unified_members(spec, n_max, include_phi=False),
+    )
 
 
 def verify_double_index(spec: FamilySpec, n_max: int, m_max: int) -> Verdict:
@@ -138,8 +136,7 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int) -> Verdict:
     sum is grouped by s = p + q into weights w_s = sum_p C(n,p) C(m,s-p),
     each computed as stated.  The sum is then fixed by the weight vector
     (w_0 .. w_(n+m)), so right sides are memoized on it: equal weights give
-    equal sums, exactly, whatever the weights turn out to be.  The products
-    (z-x)^s * P_j are cached too.
+    equal sums, exactly, whatever the weights turn out to be.
     """
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
@@ -147,14 +144,7 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int) -> Verdict:
     in_z = unified_members(spec, total, exp_argument=MultiPoly.var(VarId.Z))
     in_x = unified_members(spec, total)
     diff_pow = _powers(MultiPoly.var(VarId.Z) - MultiPoly.var(VarId.X), total)
-    products: dict[tuple[int, int], MultiPoly] = {}
     right_sides: dict[tuple[int, ...], MultiPoly] = {}
-
-    def shifted_member(s: int, j: int) -> MultiPoly:
-        key = (s, j)
-        if key not in products:
-            products[key] = diff_pow[s] * in_x[j]
-        return products[key]
 
     def right_side(weights: tuple[int, ...]) -> MultiPoly:
         if weights not in right_sides:
@@ -162,7 +152,7 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int) -> Verdict:
             rhs = MultiPoly.zero()
             for s, weight in enumerate(weights):
                 if weight:
-                    rhs = rhs + weight * shifted_member(s, top - s)
+                    rhs = rhs + weight * diff_pow[s] * in_x[top - s]
             right_sides[weights] = rhs
         return right_sides[weights]
 
@@ -187,17 +177,12 @@ def verify_shift_one(spec: FamilySpec, n_max: int) -> Verdict:
     """
     order = n_max + spec.r * spec.k + 1
     series = unified_series(spec, True, order) * PowerSeries.exp_linear(MultiPoly.one(), order)
-    shifted = [series.extract(n) for n in range(n_max + 1)]
-    base = unified_members(spec, n_max)
-
-    def pairs():
-        for n in range(n_max + 1):
-            rhs = MultiPoly.zero()
-            for m in range(n + 1):
-                rhs = rhs + comb(n, m) * base[n - m]
-            yield (n,), shifted[n], rhs
-
-    return _verdict(IdentityId.SHIFT_ONE, spec, n_max, pairs())
+    return _convolution_verdict(
+        IdentityId.SHIFT_ONE, spec, n_max,
+        [series.extract(n) for n in range(n_max + 1)],
+        [1] * (n_max + 1),
+        unified_members(spec, n_max),
+    )
 
 
 def verify_shift_general(spec: FamilySpec, n_max: int) -> Verdict:
@@ -206,49 +191,37 @@ def verify_shift_general(spec: FamilySpec, n_max: int) -> Verdict:
     The companion of the mixed shift with the roles of the two variables
     exchanged: phi-free polynomials in z against general polynomials in x.
     """
-    x_plus_z = MultiPoly.var(VarId.X) + MultiPoly.var(VarId.Z)
-    shifted = unified_members(spec, n_max, exp_argument=x_plus_z)
-    numbers_z = unified_members(spec, n_max, include_phi=False,
-                                exp_argument=MultiPoly.var(VarId.Z))
-    general_x = general_members(spec.phi, n_max)
-
-    def pairs():
-        for n in range(n_max + 1):
-            rhs = MultiPoly.zero()
-            for m in range(n + 1):
-                rhs = rhs + comb(n, m) * numbers_z[n - m] * general_x[m]
-            yield (n,), shifted[n], rhs
-
-    return _verdict(IdentityId.SHIFT_GENERAL, spec, n_max, pairs())
+    return _convolution_verdict(
+        IdentityId.SHIFT_GENERAL, spec, n_max,
+        unified_members(spec, n_max, exp_argument=_x_plus_z()),
+        unified_members(spec, n_max, include_phi=False, exp_argument=MultiPoly.var(VarId.Z)),
+        general_members(spec.phi, n_max),
+    )
 
 
 def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int) -> Verdict:
-    """sum_m C(n,m) d^m c^(n-m) P_(n-m)(dx,y) P_m(cx,y) is symmetric in c, d.
+    """sum_m C(n,m) c^(n-m) d^m P_(n-m)(dx,y) P_m(0,y) is symmetric in c, d.
 
-    Both sides are binomial convolutions of the tables at the rescaled
-    arguments cx and dx; the scalars c, d must be nonzero rationals.
+    This is the z = 0 case of F(ct; dx) F(dt; cz) = F(dt; cx) F(ct; dz) for
+    the generating function F(t; x), so the right side is
+    sum_m C(n,m) d^(n-m) c^m P_(n-m)(cx,y) P_m(0,y).  Both sides are binomial
+    convolutions of the tables at the rescaled arguments dx and cx, each
+    against the x-free table P_m(0,y), with every entry pre-scaled by its
+    scalar power; c and d must be nonzero rationals.
     """
     c, d = Fraction(c), Fraction(d)
     if c == 0 or d == 0:
         raise ValueError("symmetry scalars c and d must be nonzero")
     x = MultiPoly.var(VarId.X)
-    at_c = unified_members(spec, n_max, exp_argument=x * c)
-    at_d = unified_members(spec, n_max, exp_argument=x * d)
-
-    def side(first, second, u: Fraction, v: Fraction, n: int) -> MultiPoly:
-        acc = MultiPoly.zero()
-        for m in range(n + 1):
-            scalar = comb(n, m) * v ** m * u ** (n - m)
-            acc = acc + scalar * first[n - m] * second[m]
-        return acc
-
-    def pairs():
-        for n in range(n_max + 1):
-            lhs = side(at_d, at_c, c, d, n)
-            rhs = side(at_c, at_d, d, c, n)
-            yield (n,), lhs, rhs
-
-    return _verdict(IdentityId.SYMMETRY, spec, n_max, pairs())
+    at_zero = unified_members(spec, n_max, include_x=False)
+    at_d = _scaled(unified_members(spec, n_max, exp_argument=x * d), c)
+    zero_d = _scaled(at_zero, d)
+    lhs = [binomial_convolution(at_d, zero_d, n) for n in range(n_max + 1)]
+    return _convolution_verdict(
+        IdentityId.SYMMETRY, spec, n_max, lhs,
+        _scaled(unified_members(spec, n_max, exp_argument=x * c), d),
+        _scaled(at_zero, c),
+    )
 
 
 def verify_all(spec: FamilySpec, n_max: int, *, c: Scalar = 2, d: Scalar = 3,
@@ -265,6 +238,15 @@ def verify_all(spec: FamilySpec, n_max: int, *, c: Scalar = 2, d: Scalar = 3,
         verify_shift_general(spec, n_max),
         verify_symmetry(spec, c, d, n_max),
     ]
+
+
+def _x_plus_z() -> MultiPoly:
+    return MultiPoly.var(VarId.X) + MultiPoly.var(VarId.Z)
+
+
+def _scaled(table: list[MultiPoly], u: Fraction) -> list[MultiPoly]:
+    """Entry i times u^i."""
+    return [p * u ** i for i, p in enumerate(table)]
 
 
 def _powers(p: MultiPoly, max_power: int) -> list[MultiPoly]:

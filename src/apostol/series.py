@@ -108,13 +108,6 @@ class PowerSeries:
                 return n
         return None
 
-    def truncate(self, order: int) -> PowerSeries:
-        if order > len(self._coeffs):
-            raise OrderExceededError(
-                f"cannot extend a series of order {len(self._coeffs)} to order {order}"
-            )
-        return PowerSeries(self._coeffs[:order])
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: PowerSeries) -> PowerSeries:
@@ -139,32 +132,6 @@ class PowerSeries:
     def scale(self, c: MultiPoly | Scalar) -> PowerSeries:
         """Multiply every coefficient by the same ring element."""
         return PowerSeries([co * c for co in self._coeffs])
-
-    def scale_t(self, c: Scalar) -> PowerSeries:
-        """Substitute t -> c*t: the coefficient of t^n picks up c^n."""
-        c = Fraction(c)
-        out = []
-        power = Fraction(1)
-        for co in self._coeffs:
-            out.append(co * power)
-            power *= c
-        return PowerSeries(out)
-
-    def compose_monomial(self, scale: MultiPoly | Scalar, power: int) -> PowerSeries:
-        """Substitute t -> scale * t^power, truncating at the original order."""
-        if power < 1:
-            raise ValueError("monomial substitution needs power >= 1")
-        if not isinstance(scale, MultiPoly):
-            scale = MultiPoly.const(scale)
-        order = len(self._coeffs)
-        out = [MultiPoly.zero()] * order
-        acc = MultiPoly.one()
-        j = 0
-        while j * power < order:
-            out[j * power] = self._coeffs[j] * acc
-            j += 1
-            acc = acc * scale
-        return PowerSeries(out)
 
     def invert(self) -> PowerSeries:
         """The series g with self * g = 1 modulo t^order.

@@ -201,7 +201,7 @@ def test_criterion_5_series_engine_oracles():
                          for _ in range(order - v - 1)]
             g = PowerSeries(g_coeffs)
             f = random_series(rng, order, max_degree=2, max_terms=3)
-            assert (f * g).divide_with_valuation(g, v) == f.truncate(order - v)
+            assert (f * g).divide_with_valuation(g, v) == PowerSeries(f.coeffs[:order - v])
 
 
 def _run_cli(argv: list[str]) -> tuple[int, str]:

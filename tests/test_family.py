@@ -16,6 +16,7 @@ from apostol.family import (
     Laguerre,
     LogBase,
     PRESETS,
+    Phi,
     PolyTable,
     TruncatedExp,
     Unit,
@@ -83,6 +84,13 @@ def test_phi_parameter_validation():
         Laguerre(-1)
     with pytest.raises(InvalidFamilySpecError):
         TruncatedExp(0)
+    with pytest.raises(InvalidFamilySpecError):
+        Phi("bessel")
+    with pytest.raises(InvalidFamilySpecError):
+        Phi("unit", 2)  # a step that does not apply is rejected, not dropped
+    # Factory values are plain Phi values: equal and equally hashed.
+    assert GouldHopper(2) == PRESETS["hermite"].phi == Phi("gould-hopper")
+    assert hash(GouldHopper(2)) == hash(PRESETS["hermite"].phi)
 
 
 # -- denominator -----------------------------------------------------------------

@@ -35,8 +35,12 @@ from apostol.identities import (
     verify_symmetry,
 )
 from apostol.polyring import MultiPoly, VarId
+from apostol.series import PowerSeries
+
+from helpers import random_poly
 
 X = MultiPoly.var(VarId.X)
+Y = MultiPoly.var(VarId.Y)
 Z = MultiPoly.var(VarId.Z)
 
 ONE_E = (LogBase.ONE, LogBase.E)
@@ -95,6 +99,20 @@ def test_symmetry_on_hermite_preset():
 
 def test_symmetry_equal_scalars_trivial():
     assert verify_symmetry(PRESETS["euler"], 2, 2, 4).passed
+
+
+@pytest.mark.parametrize("c, d", [(2, 3), (Fraction(1, 2), -5)])
+def test_symmetry_fails_on_random_tables(monkeypatch, c, d):
+    # Unrelated random tables satisfy no symmetry; a check that passes them
+    # would hold for any tables at all.
+    rng = random.Random(99)
+
+    def random_members(spec, n, **kwargs):
+        return [random_poly(rng, max_degree=3, variables=(VarId.X, VarId.Y)) + 1
+                for _ in range(n + 1)]
+
+    monkeypatch.setattr(identities_mod, "unified_members", random_members)
+    assert not verify_symmetry(PRESETS["hermite"], c, d, 6).passed
 
 
 def test_symmetry_rejects_zero_scalars():
@@ -196,3 +214,82 @@ def test_double_index_memo_reports_the_unmemoized_counterexample(monkeypatch, j)
     assert expected is not None
     assert not verdict.passed
     assert verdict.counterexample == expected
+
+
+
+# (verifier slug, perturbed table, name the verifier calls it by, kwargs of that call)
+FAULTS = [
+    ("series-def", "lhs P(x)", "unified_members", {}),
+    ("series-def", "numbers M", "unified_members", {"include_x": False, "include_phi": False}),
+    ("series-def", "general p(x)", "general_members", {}),
+    ("shift", "lhs P(x+z)", "unified_members", {"exp_argument": X + Z}),
+    ("shift", "P(x)", "unified_members", {}),
+    ("shift-mixed", "lhs P(x+z)", "unified_members", {"exp_argument": X + Z}),
+    ("shift-mixed", "general p(z)", "general_members", {"exp_argument": Z}),
+    ("shift-mixed", "phi-free M(x)", "unified_members", {"include_phi": False}),
+    ("shift-one", "lhs series", "unified_series", None),
+    ("shift-one", "P(x)", "unified_members", {}),
+    ("shift-general", "lhs P(x+z)", "unified_members", {"exp_argument": X + Z}),
+    ("shift-general", "phi-free M(z)", "unified_members",
+     {"include_phi": False, "exp_argument": Z}),
+    ("shift-general", "general p(x)", "general_members", {}),
+    ("symmetry", "lhs P(dx)", "unified_members", {"exp_argument": 3 * X}),
+    ("symmetry", "rhs P(cx)", "unified_members", {"exp_argument": 2 * X}),
+    ("symmetry", "both P(0)", "unified_members", {"include_x": False}),
+]
+
+VERIFIERS = {
+    "series-def": verify_series_def,
+    "shift": verify_shift,
+    "shift-mixed": verify_shift_mixed,
+    "shift-one": verify_shift_one,
+    "shift-general": verify_shift_general,
+    "symmetry": lambda spec, n: verify_symmetry(spec, 2, 3, n),
+}
+
+
+@pytest.mark.parametrize("j0", [1, 4])
+@pytest.mark.parametrize("slug, table, name, match", FAULTS,
+                         ids=[f"{slug}:{table}".replace(" ", "-") for slug, table, *_ in FAULTS])
+def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, table, name,
+                                                         match, j0):
+    """Adding y to entry j0 of one table a verifier reads makes it FAIL at n = j0.
+
+    Every table is perturbed through the name the verifier calls (a series
+    coefficient for shift-one's left side).  Entry 0 of each other table is
+    a nonzero constant (1, or P_0 = -1 for this spec), so the fault cannot
+    cancel at n = j0 and cannot show earlier.
+
+        verifier       left side          right-side tables
+        series-def     P(x)               M, p(x)
+        shift          P(x+z)             P(x)          (z^k: plain powers)
+        shift-mixed    P(x+z)             p(z), M(x)
+        shift-one      series * e^t       P(x)          (ones: a literal)
+        shift-general  P(x+z)             M(z), p(x)
+        symmetry       P(dx)              P(cx), P(0)   (P(0) is read by both sides)
+        double-index   see test_double_index_memo_reports_the_unmemoized_counterexample
+
+    symmetry reads P(0) on both sides with weights d^j and c^j; they differ
+    for j0 >= 1 (c=2, d=3), and agree at j0 = 0, where the fault first
+    shows at n = 1, which is why j0 starts at 1.
+    """
+    spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
+    original = getattr(identities_mod, name)
+    hits = []
+
+    def faulty(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if match is None or kwargs == match:
+            hits.append(kwargs)
+            if isinstance(out, PowerSeries):
+                coeffs = list(out.coeffs)
+                coeffs[j0] = coeffs[j0] + Y
+                return PowerSeries(coeffs)
+            out[j0] = out[j0] + Y
+        return out
+
+    monkeypatch.setattr(identities_mod, name, faulty)
+    verdict = VERIFIERS[slug](spec, 5)
+    assert len(hits) == 1
+    assert not verdict.passed
+    assert verdict.counterexample.indices == (j0,)
