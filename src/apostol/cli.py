@@ -46,6 +46,10 @@ JSON_EXPONENT_KEYS = ("x", "y", "z", "la", "lb")
 
 LATEX_VAR_NAMES = ("x", "y", "z", r"\log a", r"\log b")
 
+# Table presets whose --m replaces the step of their phi: those named after
+# their phi kind ("hermite" is Gould-Hopper at its fixed step m=2).
+TABLE_STEP_PRESETS = [name for name, spec in sorted(PRESETS.items()) if spec.phi.kind == name]
+
 TABLE_PRESET_NOTES = {
     "bernoulli": "classical Bernoulli polynomials; the unified family at k=1, alpha=1 equals (-1)^r times these",
     "euler": "classical Euler polynomials; equal to the unified family at k=0, alpha=-1",
@@ -211,6 +215,12 @@ def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
     )
 
 
+def _steps_help(phis: list[tuple[str, Phi]]) -> str:
+    """The --m defaults, read from the phis: 'defaults: name param=step, ...'."""
+    return "defaults: " + ", ".join(f"{name} {PHI_KINDS[phi.kind][0]}={phi.step}"
+                                    for name, phi in phis)
+
+
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     # Defaults are None so that _spec_from_args can tell a given flag from an
     # absent one; the documented defaults are applied there.
@@ -227,13 +237,12 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--phi",
                         choices=["unit", "gould-hopper", "hermite", "laguerre", "truncated-exp"],
                         help="two-variable polynomial layer (default unit)")
-    parser.add_argument("--m", type=int,
-                        help="parameter of --phi gould-hopper/laguerre/truncated-exp "
-                             "(default 2, 1, 2)")
+    kinds = [(kind, Phi(kind)) for kind, (param, *_) in PHI_KINDS.items() if param]
+    parser.add_argument("--m", type=int, help=f"step parameter of --phi ({_steps_help(kinds)})")
 
 
 def _classical_table(preset: str, n_max: int, m: int | None) -> PolyTable:
-    if preset in ("bernoulli", "euler", "genocchi", "hermite") and m is not None:
+    if m is not None and preset not in TABLE_STEP_PRESETS:
         raise ValueError(f"--m does not apply to --preset {preset}")
     if preset in ("bernoulli", "euler", "genocchi"):
         return special_case_oracle(ClassicalFamily(f"apostol-{preset}"), 1, 1, n_max)
@@ -324,9 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="print a classical family table")
     p_table.add_argument("--preset", required=True, choices=sorted(PRESETS))
     p_table.add_argument("--n", type=int, required=True, help="largest index n")
-    p_table.add_argument("--m", type=int,
-                         help="order parameter for gould-hopper/laguerre/truncated-exp "
-                              "(default 3, 1, 2)")
+    steps = _steps_help([(name, PRESETS[name].phi) for name in TABLE_STEP_PRESETS])
+    p_table.add_argument("--m", type=int, help=f"step parameter of the preset's phi ({steps})")
     p_table.add_argument("--format", default="json", choices=["json", "csv", "latex"])
     p_table.set_defaults(func=cmd_table)
 

@@ -108,6 +108,8 @@ class Phi:
                 raise InvalidFamilySpecError(f"phi {self.kind} takes no step, got {self.step}")
         elif self.step is None:
             object.__setattr__(self, "step", default)
+        elif not isinstance(self.step, int) or isinstance(self.step, bool):
+            raise InvalidFamilySpecError(f"{self.kind} needs an integer {param}, got {self.step!r}")
         elif self.step < 1:
             raise InvalidFamilySpecError(f"{self.kind} needs {param} >= 1, got {self.step}")
 

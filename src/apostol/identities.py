@@ -8,6 +8,14 @@ exponential argument), the right side from a finite binomial convolution of
 previously extracted tables.  A pass is exact equality in the ring; there
 is no numeric tolerance anywhere.
 
+Right sides use only plain ring +, * and the right-side kernels
+polyring.linear_combination and polyring.horner, never the fused
+sum_of_products kernel that builds every left side through the series
+products, so a fault in either shows as a FAIL instead of cancelling out.
+Each right side is normalized once per index: a binomial convolution forms
+its products with * and sums them in one linear_combination, and the
+double-index sum is one horner evaluation in z - x.
+
 On failure the verdict carries the smallest failing index tuple in
 lexicographic order together with both polynomials, so a broken identity
 is reproducible from the report alone.
@@ -27,7 +35,7 @@ from .family import (
     unified_members,
     unified_series,
 )
-from .polyring import MultiPoly, Scalar, VarId
+from .polyring import MultiPoly, Scalar, VarId, horner, linear_combination
 from .series import PowerSeries
 
 
@@ -75,11 +83,8 @@ def _verdict(identity: IdentityId, spec: FamilySpec, max_n: int,
 
 def binomial_convolution(a: Sequence[MultiPoly | int], b: Sequence[MultiPoly],
                          n: int) -> MultiPoly:
-    """sum_j C(n,j) * a[n-j] * b[j], built by plain ring + and *."""
-    acc = MultiPoly.zero()
-    for j in range(n + 1):
-        acc = acc + comb(n, j) * a[n - j] * b[j]
-    return acc
+    """sum_j C(n,j) * a[n-j] * b[j]: plain ring products, one linear combination."""
+    return linear_combination((comb(n, j), a[n - j] * b[j]) for j in range(n + 1))
 
 
 def _convolution_verdict(identity: IdentityId, spec: FamilySpec, n_max: int,
@@ -136,24 +141,26 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int) -> Verdict:
     sum is grouped by s = p + q into weights w_s = sum_p C(n,p) C(m,s-p),
     each computed as stated.  The sum is then fixed by the weight vector
     (w_0 .. w_(n+m)), so right sides are memoized on it: equal weights give
-    equal sums, exactly, whatever the weights turn out to be.
+    equal sums, exactly, whatever the weights turn out to be.  Each right
+    side is a polynomial in z - x, evaluated by Horner's rule: no power of
+    z - x is formed (cf. the Taylor shifts of von zur Gathen & Gerhard,
+    ISSAC 1997).
     """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
     total = n_max + m_max
     in_z = unified_members(spec, total, exp_argument=MultiPoly.var(VarId.Z))
     in_x = unified_members(spec, total)
-    diff_pow = _powers(MultiPoly.var(VarId.Z) - MultiPoly.var(VarId.X), total)
+    z_minus_x = MultiPoly.var(VarId.Z) - MultiPoly.var(VarId.X)
     right_sides: dict[tuple[int, ...], MultiPoly] = {}
 
     def right_side(weights: tuple[int, ...]) -> MultiPoly:
         if weights not in right_sides:
             top = len(weights) - 1
-            rhs = MultiPoly.zero()
-            for s, weight in enumerate(weights):
-                if weight:
-                    rhs = rhs + weight * diff_pow[s] * in_x[top - s]
-            right_sides[weights] = rhs
+            right_sides[weights] = horner(
+                [(w, in_x[top - s]) for s, w in enumerate(weights)], z_minus_x)
         return right_sides[weights]
 
     def pairs():

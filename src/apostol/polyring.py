@@ -31,7 +31,7 @@ from __future__ import annotations
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 # The scalar field: arbitrary-precision exact fractions, always stored
 # reduced with a positive denominator.
@@ -362,6 +362,66 @@ def sum_of_products(triples: Iterable[tuple[Scalar, MultiPoly, MultiPoly]]) -> M
     for p, na, nb, d in items:
         _mul_into(out, na, nb, p * (den // d))
     return MultiPoly._normalized(out, den)
+
+
+def linear_combination(pairs: Iterable[tuple[Scalar, MultiPoly]]) -> MultiPoly:
+    """The sum of c * p over the pairs, normalized once.
+
+    Every polynomial's numerators are scaled into one integer map over the
+    lcm of the scaled denominators.  This shares no code with
+    sum_of_products on purpose: the identity verifiers build their right
+    sides with this kernel and their left sides (through the series
+    products) with that one, so a fault in either shows as a failed identity
+    instead of cancelling out.
+    """
+    items = []
+    for c, p in pairs:
+        if p._nums:
+            num, den = _scalar_parts(c)
+            if num:
+                items.append((num, p._nums, p._den * den))
+    if not items:
+        return MultiPoly._raw({}, 1)
+    den = lcm(*(d for *_, d in items))
+    out: dict[int, int] = {}
+    get = out.get
+    for num, nums, d in items:
+        f = num * (den // d)
+        for k, v in nums.items():
+            out[k] = get(k, 0) + v * f
+    return MultiPoly._normalized(out, den)
+
+
+def horner(pairs: Sequence[tuple[Scalar, MultiPoly]], h: MultiPoly) -> MultiPoly:
+    """The sum of c_s * p_s * h^s over pairs[s] = (c_s, p_s), normalized once.
+
+    Horner's rule, acc = acc * h + c_s * p_s from the last pair down to the
+    first, on one integer map: no power of h is formed and no intermediate
+    value is normalized.  Step s keeps acc over den * h.den^(top - s), where
+    den is the lcm of the scaled denominators.  Like linear_combination, it
+    is a right-side kernel of the identity verifiers and kept apart from
+    sum_of_products.
+    """
+    if not pairs:
+        return MultiPoly._raw({}, 1)
+    parts = [(*_scalar_parts(c), p) for c, p in pairs]
+    den = lcm(*(q * p._den for num, q, p in parts if num and p._nums))
+    hn, e = h._nums, h._den
+    top = len(parts) - 1
+    acc: dict[int, int] = {}
+    for s in range(top, -1, -1):
+        if acc:
+            product: dict[int, int] = {}
+            if hn:
+                _mul_into(product, acc, hn, 1)
+            acc = product
+        num, q, p = parts[s]
+        if num and p._nums:
+            f = num * (den // (q * p._den)) * e ** (top - s)
+            get = acc.get
+            for k, v in p._nums.items():
+                acc[k] = get(k, 0) + v * f
+    return MultiPoly._normalized(acc, den * e ** top)
 
 
 def format_poly(p: MultiPoly) -> str:

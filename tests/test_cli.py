@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from apostol.cli import main, render_verdict
-from apostol.family import PRESETS, extract_table
+from apostol.family import PHI_KINDS, PRESETS, Phi, extract_table
 from apostol.identities import Counterexample, IdentityId, Verdict
 from apostol.polyring import MultiPoly, VarId, format_poly
 
@@ -115,6 +115,7 @@ def test_exit_code_2_on_spec_errors(capsys):
         ["verify", "--identity", "shift", "--preset", "euler", "--c", "5", "--n", "2"],
         ["verify", "--identity", "double-index", "--preset", "euler", "--d", "5", "--n", "2"],
         ["verify", "--identity", "symmetry", "--preset", "euler", "--m-max", "1", "--n", "2"],
+        ["verify", "--identity", "double-index", "--preset", "euler", "--n", "-1", "--m-max", "3"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
@@ -185,3 +186,25 @@ def test_explicit_default_flags_change_nothing(capsys):
         first = capsys.readouterr().out
         assert main(explicit) == 0
         assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("command", ["expand", "verify", "table"])
+def test_help_names_each_step_default_from_the_tables(command, monkeypatch, capsys):
+    if command == "table":
+        # The presets whose table takes --m, found by asking the CLI.
+        named = []
+        for name in sorted(PRESETS):
+            if main(["table", "--preset", name, "--m", "1", "--n", "0"]) == 0:
+                named.append((name, PRESETS[name].phi))
+        capsys.readouterr()
+        assert named
+    else:
+        named = [(kind, Phi(kind)) for kind, (param, *_) in PHI_KINDS.items() if param]
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per option, no wrapping
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    m_help = next(line for line in capsys.readouterr().out.splitlines()
+                  if line.lstrip().startswith("--m M "))
+    for name, phi in named:
+        assert f"{name} {PHI_KINDS[phi.kind][0]}={phi.step}" in m_help, (name, m_help)

@@ -88,6 +88,9 @@ def test_phi_parameter_validation():
         Phi("bessel")
     with pytest.raises(InvalidFamilySpecError):
         Phi("unit", 2)  # a step that does not apply is rejected, not dropped
+    for step in (True, False, 2.0, "2"):
+        with pytest.raises(InvalidFamilySpecError):
+            Phi("gould-hopper", step)
     # Factory values are plain Phi values: equal and equally hashed.
     assert GouldHopper(2) == PRESETS["hermite"].phi == Phi("gould-hopper")
     assert hash(GouldHopper(2)) == hash(PRESETS["hermite"].phi)

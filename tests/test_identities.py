@@ -34,7 +34,7 @@ from apostol.identities import (
     verify_shift_one,
     verify_symmetry,
 )
-from apostol.polyring import MultiPoly, VarId
+from apostol.polyring import MultiPoly, VarId, horner
 from apostol.series import PowerSeries
 
 from helpers import random_poly
@@ -293,3 +293,68 @@ def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, ta
     assert len(hits) == 1
     assert not verdict.passed
     assert verdict.counterexample.indices == (j0,)
+
+
+def test_right_sides_fail_when_a_right_side_kernel_drops_a_pair(monkeypatch):
+    """A right-side kernel that drops its last pair breaks every right side.
+
+    Each binomial convolution (linear_combination) loses its j = n term
+    C(n,n) a[0] b[n], so at n = 0 the right side is 0 against the nonzero
+    P_0.  The symmetry identity builds both sides as convolutions: at n = 0
+    both lose P_0^2, and at n = 1 they lose d*P_0*P_1(0,y) and
+    c*P_0*P_1(0,y), which differ.  The double-index right side (horner)
+    loses w_N (z-x)^N P_0, so it first fails at (0, 0).
+    """
+    spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
+    assert unified_members(spec, 1, include_x=False)[1]  # P_1(0,y) != 0
+    calls = []
+
+    def dropping_last(kernel):
+        def faulty(pairs, *args):
+            calls.append(kernel.__name__)
+            return kernel(list(pairs)[:-1], *args)
+        return faulty
+
+    for name in ("linear_combination", "horner"):
+        monkeypatch.setattr(identities_mod, name, dropping_last(getattr(identities_mod, name)))
+    verifiers = {**VERIFIERS, "double-index": lambda spec, n: verify_double_index(spec, n, 2)}
+    for slug, verifier in verifiers.items():
+        calls.clear()
+        verdict = verifier(spec, 4)
+        assert set(calls) == {"horner" if slug == "double-index" else "linear_combination"}, slug
+        assert not verdict.passed, slug
+        expected = {"symmetry": (1,), "double-index": (0, 0)}.get(slug, (0,))
+        assert verdict.counterexample.indices == expected, slug
+
+
+def test_horner_right_sides_equal_the_direct_double_index_sum(monkeypatch):
+    # Every right side verify_double_index builds for N = n + m <= 12 must
+    # equal sum_s C(N,s) (z-x)^s P_(N-s), summed term by term; so must
+    # horner on scattered weights with zeros, which the weight memo accepts.
+    spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
+    in_x = unified_members(spec, 12)
+
+    def direct(weights):
+        top = len(weights) - 1
+        total = MultiPoly.zero()
+        for s, w in enumerate(weights):
+            total = total + w * (Z - X) ** s * in_x[top - s]
+        return total
+
+    built = {}
+
+    def recording(pairs, h):
+        built[len(pairs) - 1] = out = horner(pairs, h)
+        return out
+
+    monkeypatch.setattr(identities_mod, "horner", recording)
+    assert verify_double_index(spec, 6, 6).passed
+    assert sorted(built) == list(range(13))
+    for top, rhs in built.items():
+        assert rhs == direct([comb(top, s) for s in range(top + 1)]), top
+
+    rng = random.Random(5)
+    for top in range(13):
+        weights = [rng.choice([0, 0, 1, -2, 7]) for _ in range(top + 1)]
+        pairs = [(w, in_x[top - s]) for s, w in enumerate(weights)]
+        assert horner(pairs, Z - X) == direct(weights), (top, weights)

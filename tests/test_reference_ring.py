@@ -14,7 +14,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apostol.polyring import MAX_DEGREE, NVARS, MultiPoly, VarId, format_poly, sum_of_products
+from apostol.polyring import (MAX_DEGREE, NVARS, MultiPoly, VarId, format_poly, horner,
+                              linear_combination, sum_of_products)
 from apostol.series import PowerSeries
 
 from reference_ring import RefPoly, format_ref
@@ -148,6 +149,60 @@ def test_sum_of_products(triples):
             return
         ref = ref + ra * rb * c
     assert_agrees(sum_of_products((c, MultiPoly(a), MultiPoly(b)) for c, a, b in triples), ref)
+
+
+@st.composite
+def weighted_maps(draw):
+    """(weight, terms) pairs with int, Fraction and zero weights; sometimes a
+    last pair is added that cancels the sum of the others to zero."""
+    pairs = draw(st.lists(st.tuples(st.one_of(scalars, st.just(0)), term_maps), max_size=4))
+    if pairs and draw(st.booleans()):
+        c = draw(st.sampled_from([1, -2, Fraction(2, 3)]))
+        ref = RefPoly()
+        for w, terms in pairs:
+            ref = ref + RefPoly(terms) * w
+        pairs.append((c, (ref * (-1 / Fraction(c))).terms))
+    return pairs
+
+
+@PROPERTY
+@given(weighted_maps())
+def test_linear_combination(pairs):
+    ref = RefPoly()
+    for c, terms in pairs:
+        ref = ref + RefPoly(terms) * c
+    assert_agrees(linear_combination((c, MultiPoly(t)) for c, t in pairs), ref)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.one_of(scalars, st.just(0)),
+                          st.dictionaries(small_exps, coeffs, max_size=4)), max_size=4),
+       st.dictionaries(small_exps, coeffs, max_size=3))
+def test_horner(pairs, ht):
+    ref, h_power = RefPoly(), RefPoly({(0, 0, 0, 0, 0): 1})
+    for c, terms in pairs:
+        ref = ref + RefPoly(terms) * h_power * c
+        h_power = h_power * RefPoly(ht)
+    assert_agrees(horner([(c, MultiPoly(t)) for c, t in pairs], MultiPoly(ht)), ref)
+
+
+def test_horner_edge_cases():
+    x = MultiPoly.var(VarId.X)
+    assert_agrees(horner([], x), RefPoly())
+    assert horner([(3, x), (5, x)], MultiPoly.zero()) == 3 * x
+    assert horner([(1, x), (-1, MultiPoly.one())], x) == MultiPoly.zero()
+    wide = MultiPoly.monomial(1, (0, 0, 0, MAX_DEGREE // 2 + 1, 0))
+    with pytest.raises(ValueError):
+        horner([(1, x), (1, x), (1, x)], wide)
+
+
+def test_linear_combination_edge_cases():
+    x, y = MultiPoly.var(VarId.X), MultiPoly.var(VarId.Y)
+    assert_agrees(linear_combination([]), RefPoly())
+    assert_agrees(linear_combination([(0, x), (5, MultiPoly.zero())]), RefPoly())
+    half_x = x * Fraction(1, 2)
+    assert_agrees(linear_combination([(2, half_x), (-1, x)]), RefPoly())
+    assert linear_combination([(Fraction(2, 3), half_x), (3, y)]) == x * Fraction(1, 3) + 3 * y
 
 
 def test_equality_ignores_construction_path():
