@@ -7,7 +7,7 @@ mechanically verifies the family's summation and symmetry identities as
 exact polynomial equalities.
 """
 
-from .polyring import MultiPoly, Rational, VarId, format_poly
+from .polyring import MultiPoly, VarId, format_poly
 from .series import (
     NotAUnitError,
     OrderExceededError,
@@ -69,7 +69,6 @@ __all__ = [
     "PolyTable",
     "PowerSeries",
     "PRESETS",
-    "Rational",
     "SeriesError",
     "TruncatedExp",
     "Unit",

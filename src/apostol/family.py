@@ -8,8 +8,7 @@ by the generating function
                                 prod_{i<r} (alpha_i b^t - a^t)
 
 parameterized by a positive integer order r, a non-negative integer k, two
-bases a != b, a vector of r rational alphas, and a choice of phi.  Setting
-x = 0 and phi = 1 gives the number sequence of the family.  Classical
+bases a != b, a vector of r rational alphas, and a choice of phi.  Classical
 families drop out for specific parameters:
 
     k=1, alpha=lambda,  (a,b)=(1,e)   ->  (-1)^r  * Apostol-Bernoulli order r
@@ -26,11 +25,18 @@ Bernoulli-type (alpha = 1) cases exist at all; they are only admitted for
 (a, b) = (1, e), where the vanishing factor e^t - 1 has the rational
 leading coefficient 1.  For symbolic bases the leading coefficient would be
 Lb - La, which is not invertible in a polynomial ring.
+
+A table is named by a spec and an exponential argument, nothing else:
+unified_members(spec, n, exp_argument=arg) reads the members of
+core * e^(arg t) * phi(y, t), where arg defaults to x.  A zero arg drops
+e^(xt), and replace(spec, phi=Unit()) drops phi; both together give the
+number sequence of the family.  The core quotient is cached on the phi-free
+spec, so every such table of one spec shares it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -171,6 +177,10 @@ class FamilySpec:
     phi: Phi = Phi("unit")
 
     def __post_init__(self):
+        if type(self.r) is not int or type(self.k) is not int:  # bools excluded
+            raise InvalidFamilySpecError(f"r and k must be ints, got {self.r!r} and {self.k!r}")
+        if not (isinstance(self.a, LogBase) and isinstance(self.b, LogBase)):
+            raise InvalidFamilySpecError(f"a and b must be LogBase, got {self.a!r} and {self.b!r}")
         if self.r < 1:
             raise InvalidFamilySpecError(f"order r must be a positive integer, got {self.r}")
         if self.k < 0:
@@ -219,85 +229,77 @@ PRESETS: dict[str, FamilySpec] = {
 # -- series construction -------------------------------------------------------
 
 
-def _bases_product(alphas: tuple[Fraction, ...], a: LogBase, b: LogBase,
-                   order: int) -> PowerSeries:
-    bt = PowerSeries.exp_linear(b.log_poly(), order)
-    at = PowerSeries.exp_linear(a.log_poly(), order)
-    prod = PowerSeries.one(order)
-    for alpha in alphas:
-        prod = prod * (bt.scale(alpha) - at)
-    return prod
-
-
 def denominator_series(spec: FamilySpec, order: int) -> PowerSeries:
     """The product prod_i (alpha_i b^t - a^t), truncated at the given order."""
     if order < 1:
         raise ValueError("a power series needs order >= 1")
-    return _bases_product(spec.alphas, spec.a, spec.b, order)
+    bt = PowerSeries.exp_linear(spec.b.log_poly(), order)
+    at = PowerSeries.exp_linear(spec.a.log_poly(), order)
+    prod = PowerSeries.one(order)
+    for alpha in spec.alphas:
+        prod = prod * (bt.scale(alpha) - at)
+    return prod
 
 
 @lru_cache(maxsize=512)
-def _core_quotient(alphas: tuple[Fraction, ...], a: LogBase, b: LogBase,
-                   k: int, order: int) -> PowerSeries:
+def _core_quotient(spec: FamilySpec, order: int) -> PowerSeries:
     """(-1)^r 2^(r(1-k)) t^(rk) over the denominator product.
 
-    Shared by every exponential/phi variant of the same parameter core, so
-    it is cached.  The result order is the requested order minus the number
-    of unit alphas (the denominator valuation eaten by the division).
+    Callers key it on the phi-free spec, so every exponential/phi variant of
+    the same parameter core shares one cached entry.  The result order is
+    the requested order minus the number of unit alphas (the denominator
+    valuation eaten by the division).
     """
-    r = len(alphas)
-    rk = r * k
-    unit_count = sum(1 for x in alphas if x == 1)
+    rk = spec.r * spec.k
+    unit_count = spec.unit_alpha_count
     if unit_count > rk:
         raise ValuationExceedsNumeratorError(
             f"the denominator vanishes to order {unit_count} (one per unit alpha) "
             f"but the numerator only carries t^{rk}"
         )
-    scalar = Fraction((-1) ** r) * Fraction(2) ** (r * (1 - k))
+    scalar = Fraction((-1) ** spec.r) * Fraction(2) ** (spec.r * (1 - spec.k))
     num_coeffs = [MultiPoly.zero()] * order
     num_coeffs[rk] = MultiPoly.const(scalar)
     num = PowerSeries(num_coeffs)
-    den = _bases_product(alphas, a, b, order)
-    return num.divide_with_valuation(den, unit_count)
+    return num.divide_with_valuation(denominator_series(spec, order), unit_count)
 
 
-def unified_series(spec: FamilySpec, include_x: bool, order: int, *,
-                   exp_argument: MultiPoly | None = None,
-                   include_phi: bool = True) -> PowerSeries:
-    """The generating series of the family, truncated.
+def unified_series(spec: FamilySpec, order: int, *,
+                   exp_argument: MultiPoly | None = None) -> PowerSeries:
+    """The generating series core * e^(arg t) * phi(y, t), truncated.
 
     The order must be at least r*k + 1 so the numerator power of t is
     representable; the returned series has order reduced by the number of
-    unit alphas.  exp_argument replaces the default variable x in the
-    exponential factor (the identity verifiers pass x+z, c*x, or z);
-    include_phi=False drops phi, which together with include_x=False yields
-    the generating series of the family's numbers.
+    unit alphas.  exp_argument replaces the default x in the exponential
+    (the identity verifiers pass x+z, c*x, z or x+1); a zero argument drops
+    e^(xt), and a spec whose phi is Unit() drops phi, so
+    replace(spec, phi=Unit()) with a zero argument gives the family's numbers.
     """
     rk = spec.r * spec.k
     if order < rk + 1:
         raise ValueError(f"order must be at least r*k + 1 = {rk + 1}, got {order}")
-    result = _core_quotient(spec.alphas, spec.a, spec.b, spec.k, order)
-    if include_x:
-        arg = exp_argument if exp_argument is not None else MultiPoly.var(VarId.X)
+    result = _core_quotient(replace(spec, phi=Unit()), order)
+    arg = exp_argument if exp_argument is not None else MultiPoly.var(VarId.X)
+    if arg:
         result = result * PowerSeries.exp_linear(arg, order)
-    if include_phi and spec.phi.kind != "unit":
+    if spec.phi.kind != "unit":
         result = result * phi_series(spec.phi, order)
     return result
 
 
-def unified_members(spec: FamilySpec, n_max: int, *, include_x: bool = True,
-                    exp_argument: MultiPoly | None = None,
-                    include_phi: bool = True) -> list[MultiPoly]:
+def unified_members(spec: FamilySpec, n_max: int, *,
+                    exp_argument: MultiPoly | None = None) -> list[MultiPoly]:
     """Family members P_0 .. P_n_max, each read off as n! times [t^n].
 
-    Expands internally at order n_max + r*k + 1 so that the valuation lost
-    to unit alphas still leaves n_max + 1 valid coefficients.
+    The table is named by the spec and exp_argument alone, as in
+    unified_series.  Expands internally at order n_max + r*k + 1 so that
+    the valuation lost to unit alphas still leaves n_max + 1 valid
+    coefficients.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     order = n_max + spec.r * spec.k + 1
-    series = unified_series(spec, include_x, order,
-                            exp_argument=exp_argument, include_phi=include_phi)
+    series = unified_series(spec, order, exp_argument=exp_argument)
     return [series.extract(n) for n in range(n_max + 1)]
 
 

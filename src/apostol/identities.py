@@ -8,6 +8,11 @@ exponential argument), the right side from a finite binomial convolution of
 previously extracted tables.  A pass is exact equality in the ring; there
 is no numeric tolerance anywhere.
 
+Every table comes from family.unified_members or family.general_members,
+named by a spec and an exponential argument alone: P(x+z) passes
+exp_argument=x+z, P(0,y) a zero argument, which drops e^(xt), and the
+phi-free tables M(x), M(z) and the numbers M pass replace(spec, phi=Unit()).
+
 Right sides use only plain ring +, * and the right-side kernels
 polyring.linear_combination and polyring.horner, never the fused
 sum_of_products kernel that builds every left side through the series
@@ -23,20 +28,14 @@ is reproducible from the report alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .family import (
-    FamilySpec,
-    general_members,
-    unified_members,
-    unified_series,
-)
+from .family import FamilySpec, Unit, general_members, unified_members
 from .polyring import MultiPoly, Scalar, VarId, horner, linear_combination
-from .series import PowerSeries
 
 
 class IdentityId(Enum):
@@ -99,13 +98,13 @@ def _convolution_verdict(identity: IdentityId, spec: FamilySpec, n_max: int,
 def verify_series_def(spec: FamilySpec, n_max: int) -> Verdict:
     """P_n(x,y) = sum_j C(n,j) * M_(n-j) * p_j(x,y).
 
-    M are the family's numbers (no x, no phi) and p_j the plain
-    two-variable general polynomials of the family's phi.
+    M are the family's numbers (zero exponential argument, phi-free spec)
+    and p_j the plain two-variable general polynomials of the family's phi.
     """
     return _convolution_verdict(
         IdentityId.SERIES_DEF, spec, n_max,
         unified_members(spec, n_max),
-        unified_members(spec, n_max, include_x=False, include_phi=False),
+        unified_members(replace(spec, phi=Unit()), n_max, exp_argument=MultiPoly.zero()),
         general_members(spec.phi, n_max),
     )
 
@@ -130,7 +129,7 @@ def verify_shift_mixed(spec: FamilySpec, n_max: int) -> Verdict:
         IdentityId.SHIFT_MIXED, spec, n_max,
         unified_members(spec, n_max, exp_argument=_x_plus_z()),
         general_members(spec.phi, n_max, exp_argument=MultiPoly.var(VarId.Z)),
-        unified_members(spec, n_max, include_phi=False),
+        unified_members(replace(spec, phi=Unit()), n_max),
     )
 
 
@@ -179,14 +178,12 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int) -> Verdict:
 def verify_shift_one(spec: FamilySpec, n_max: int) -> Verdict:
     """P_n(x+1, y) = sum_m C(n,m) * P_(n-m)(x,y).
 
-    The left side multiplies the generating series by e^t rather than
+    The left side re-expands with the exponential argument x + 1 rather than
     substituting z = 1 into the general shift, keeping the code paths apart.
     """
-    order = n_max + spec.r * spec.k + 1
-    series = unified_series(spec, True, order) * PowerSeries.exp_linear(MultiPoly.one(), order)
     return _convolution_verdict(
         IdentityId.SHIFT_ONE, spec, n_max,
-        [series.extract(n) for n in range(n_max + 1)],
+        unified_members(spec, n_max, exp_argument=MultiPoly.var(VarId.X) + 1),
         [1] * (n_max + 1),
         unified_members(spec, n_max),
     )
@@ -201,7 +198,7 @@ def verify_shift_general(spec: FamilySpec, n_max: int) -> Verdict:
     return _convolution_verdict(
         IdentityId.SHIFT_GENERAL, spec, n_max,
         unified_members(spec, n_max, exp_argument=_x_plus_z()),
-        unified_members(spec, n_max, include_phi=False, exp_argument=MultiPoly.var(VarId.Z)),
+        unified_members(replace(spec, phi=Unit()), n_max, exp_argument=MultiPoly.var(VarId.Z)),
         general_members(spec.phi, n_max),
     )
 
@@ -220,7 +217,7 @@ def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int) -> Verdi
     if c == 0 or d == 0:
         raise ValueError("symmetry scalars c and d must be nonzero")
     x = MultiPoly.var(VarId.X)
-    at_zero = unified_members(spec, n_max, include_x=False)
+    at_zero = unified_members(spec, n_max, exp_argument=MultiPoly.zero())
     at_d = _scaled(unified_members(spec, n_max, exp_argument=x * d), c)
     zero_d = _scaled(at_zero, d)
     lhs = [binomial_convolution(at_d, zero_d, n) for n in range(n_max + 1)]

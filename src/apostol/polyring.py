@@ -22,8 +22,8 @@ Every value is kept in canonical form: no zero numerators, and
 gcd(den, *numerators) == 1, with den == 1 for the zero polynomial (the empty
 mapping).  Two polynomials are therefore equal exactly when their numerator
 maps and denominators are equal; there is no normalization step to forget.
-Fractions are built only at the edges (terms, sorted_terms, constant_value
-and substitute); rendering reads reduced integer pairs from reduced_terms.
+Fractions are built only at the edges (terms, constant_value and
+substitute); rendering reads reduced integer pairs from reduced_terms.
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ from __future__ import annotations
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Union
-
-# The scalar field: arbitrary-precision exact fractions, always stored
-# reduced with a positive denominator.
-Rational = Fraction
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -230,10 +226,6 @@ class MultiPoly:
             out.append((_unpack(k), v // g, den // g))
         return out
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        """Terms in graded-lexicographic order, leading term first."""
-        return [(e, Fraction(n, d)) for e, n, d in self.reduced_terms()]
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: MultiPoly | Scalar) -> MultiPoly:
@@ -331,9 +323,6 @@ class MultiPoly:
         return NotImplemented
 
     __hash__ = None  # numerator map is a plain dict; values are compared, not hashed
-
-    def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
-        return iter(self.sorted_terms())
 
     def __str__(self) -> str:
         return format_poly(self)

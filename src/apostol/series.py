@@ -55,10 +55,6 @@ class PowerSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> PowerSeries:
-        return cls([MultiPoly.zero()] * order)
-
-    @classmethod
     def one(cls, order: int) -> PowerSeries:
         return cls([MultiPoly.one()] + [MultiPoly.zero()] * (order - 1))
 

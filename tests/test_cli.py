@@ -123,6 +123,14 @@ def test_exit_code_2_on_spec_errors(capsys):
         assert err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize("identity", [i.value for i in IdentityId] + ["all"])
+def test_negative_n_names_n_max_for_every_verifier(identity, capsys):
+    # A unit alpha makes r*k = 1, so a verifier that expanded at order
+    # n + r*k + 1 before checking n would complain about the order instead.
+    assert main(["verify", "--identity", identity, "--preset", "bernoulli", "--n", "-1"]) == 2
+    assert capsys.readouterr().err == "error: n_max must be non-negative\n"
+
+
 def test_argparse_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["table", "--preset", "nope", "--n", "1"])

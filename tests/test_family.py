@@ -21,6 +21,7 @@ from apostol.family import (
     TruncatedExp,
     Unit,
     ValuationExceedsNumeratorError,
+    _core_quotient,
     denominator_series,
     extract_table,
     general_members,
@@ -129,7 +130,7 @@ def test_denominator_symbolic_product():
 def test_unified_euler_generating_series():
     # r=1, k=0, alpha=-1, bases (1, e): exactly 2 e^(xt) / (e^t + 1)
     spec = PRESETS["euler"]
-    got = unified_series(spec, True, 6)
+    got = unified_series(spec, 6)
     num = PowerSeries.exp_linear(X, 6).scale(2)
     den = PowerSeries.exp_linear(ONE, 6) + PowerSeries.one(6)
     assert got == num.divide_with_valuation(den, 0)
@@ -138,7 +139,7 @@ def test_unified_euler_generating_series():
 def test_unified_bernoulli_generating_series():
     # r=1, k=1, alpha=1: -t e^(xt) / (e^t - 1), one order lost to the valuation
     spec = PRESETS["bernoulli"]
-    got = unified_series(spec, True, 6)
+    got = unified_series(spec, 6)
     assert got.order == 5
     num = PowerSeries.t_power(1, 6) * PowerSeries.exp_linear(X, 6)
     den = PowerSeries.exp_linear(ONE, 6) - PowerSeries.one(6)
@@ -152,7 +153,7 @@ def test_unit_alpha_needs_bases_one_e():
 
 def test_unified_series_order_precondition():
     with pytest.raises(ValueError):
-        unified_series(spec_one_e(2, 1, [1, 1]), True, 2)
+        unified_series(spec_one_e(2, 1, [1, 1]), 2)
 
 
 def test_pole_when_unit_alphas_exceed_numerator():
@@ -299,7 +300,7 @@ def test_symbolic_quotient_times_denominator_is_numerator(r, k):
     # back with plain ring products, no division and no series kernel.
     spec = FamilySpec(r, k, *SYM, tuple(Fraction(a) for a in [2, -3, Fraction(1, 2)][:r]))
     order = r * k + 6
-    q = unified_series(spec, False, order, include_phi=False).coeffs
+    q = unified_series(spec, order, exp_argument=MultiPoly.zero()).coeffs
     den = denominator_series(spec, order).coeffs
     scalar = MultiPoly.const(Fraction((-1) ** r) * Fraction(2) ** (r * (1 - k)))
     for n in range(order):
@@ -325,10 +326,19 @@ def test_vanishing_below_rk():
         assert members[r * k] != MultiPoly.zero()
 
 
+def test_core_quotient_is_shared_by_every_phi_of_one_spec():
+    # Euler and Hermite differ only in phi, so they must share one core.
+    _core_quotient.cache_clear()
+    unified_members(PRESETS["euler"], 6)
+    unified_members(PRESETS["hermite"], 6)
+    info = _core_quotient.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_numbers_are_x_zero_specialization():
     for spec in [PRESETS["euler"], PRESETS["bernoulli"], spec_one_e(2, 1, [3, -2])]:
         table = extract_table(spec, 6)
-        numbers = unified_members(spec, 6, include_x=False, include_phi=False)
+        numbers = unified_members(spec, 6, exp_argument=MultiPoly.zero())
         for n in range(7):
             assert table.poly(n).substitute({VarId.X: 0}) == numbers[n]
 
@@ -351,6 +361,14 @@ def test_family_spec_validation():
         FamilySpec(2, 0, *ONE_E, (Fraction(2),))  # wrong alpha count
     with pytest.raises(InvalidFamilySpecError):
         FamilySpec(1, 0, LogBase.E, LogBase.E, (Fraction(2),))  # a == b
+    # r and k must be ints (bools excluded), a and b LogBase members.
+    for r, k in [(1, Fraction(1, 2)), (Fraction(1), 0), (1.0, 0), (1, 0.0), (True, 0),
+                 (1, False), ("1", 0)]:
+        with pytest.raises(InvalidFamilySpecError):
+            FamilySpec(r, k, *ONE_E, (Fraction(-1),))
+    for a, b in [("1", LogBase.E), (LogBase.ONE, "e"), (None, LogBase.E)]:
+        with pytest.raises(InvalidFamilySpecError):
+            FamilySpec(1, 0, a, b, (Fraction(-1),))
 
 
 def test_presets_are_constructible():

@@ -7,15 +7,18 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import apostol.identities as identities_mod
 
 from apostol.family import (
+    PHI_KINDS,
     FamilySpec,
     GouldHopper,
     Laguerre,
     LogBase,
     PRESETS,
+    Phi,
     TruncatedExp,
     Unit,
     unified_members,
@@ -35,13 +38,13 @@ from apostol.identities import (
     verify_symmetry,
 )
 from apostol.polyring import MultiPoly, VarId, horner
-from apostol.series import PowerSeries
 
 from helpers import random_poly
 
 X = MultiPoly.var(VarId.X)
 Y = MultiPoly.var(VarId.Y)
 Z = MultiPoly.var(VarId.Z)
+ZERO = MultiPoly.zero()
 
 ONE_E = (LogBase.ONE, LogBase.E)
 SYM = (LogBase.SYMBOLIC_A, LogBase.SYMBOLIC_B)
@@ -158,6 +161,34 @@ def test_randomized_specs_small_matrix():
             assert all(v.passed for v in verdicts), (spec, [v for v in verdicts if not v.passed])
 
 
+@st.composite
+def small_specs(draw):
+    """r, k <= 2; (1, e) or sym/sym bases; every phi kind with step <= 3.
+
+    Unit alphas are drawn only on (1, e), and at most r*k of them, the
+    specs whose quotient has no pole.
+    """
+    r = draw(st.integers(1, 2))
+    k = draw(st.integers(0, 2))
+    bases = draw(st.sampled_from([ONE_E, SYM]))
+    units = draw(st.integers(0, min(r, r * k))) if bases == ONE_E else 0
+    others = [Fraction(a) for a in (-1, 2, -3, Fraction(1, 2), Fraction(-5, 7))]
+    alphas = [Fraction(1)] * units + draw(st.lists(st.sampled_from(others),
+                                                   min_size=r - units, max_size=r - units))
+    kind = draw(st.sampled_from(sorted(PHI_KINDS)))
+    step = None if kind == "unit" else draw(st.integers(1, 3))
+    return FamilySpec(r, k, *bases, tuple(alphas), Phi(kind, step))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(small_specs())
+def test_fuzzed_specs_pass_every_identity(spec):
+    verdicts = verify_all(spec, 3)
+    assert [v.identity for v in verdicts if not v.passed] == []
+    at_zero = unified_members(spec, 3, exp_argument=ZERO)
+    assert at_zero == [p.substitute({VarId.X: 0}) for p in unified_members(spec, 3)]
+
+
 def test_unit_alpha_specs_pass():
     for spec in [
         FamilySpec(1, 1, *ONE_E, (Fraction(1),)),
@@ -217,25 +248,27 @@ def test_double_index_memo_reports_the_unmemoized_counterexample(monkeypatch, j)
 
 
 
-# (verifier slug, perturbed table, name the verifier calls it by, kwargs of that call)
+# (verifier slug, perturbed table, name the verifier calls it by, phi kind of
+# the spec or phi passed, kwargs of that call).  The numbers M and P(0) both
+# pass a zero exp_argument and differ only in the phi of the spec.
+GH, UNIT = "gould-hopper", "unit"
 FAULTS = [
-    ("series-def", "lhs P(x)", "unified_members", {}),
-    ("series-def", "numbers M", "unified_members", {"include_x": False, "include_phi": False}),
-    ("series-def", "general p(x)", "general_members", {}),
-    ("shift", "lhs P(x+z)", "unified_members", {"exp_argument": X + Z}),
-    ("shift", "P(x)", "unified_members", {}),
-    ("shift-mixed", "lhs P(x+z)", "unified_members", {"exp_argument": X + Z}),
-    ("shift-mixed", "general p(z)", "general_members", {"exp_argument": Z}),
-    ("shift-mixed", "phi-free M(x)", "unified_members", {"include_phi": False}),
-    ("shift-one", "lhs series", "unified_series", None),
-    ("shift-one", "P(x)", "unified_members", {}),
-    ("shift-general", "lhs P(x+z)", "unified_members", {"exp_argument": X + Z}),
-    ("shift-general", "phi-free M(z)", "unified_members",
-     {"include_phi": False, "exp_argument": Z}),
-    ("shift-general", "general p(x)", "general_members", {}),
-    ("symmetry", "lhs P(dx)", "unified_members", {"exp_argument": 3 * X}),
-    ("symmetry", "rhs P(cx)", "unified_members", {"exp_argument": 2 * X}),
-    ("symmetry", "both P(0)", "unified_members", {"include_x": False}),
+    ("series-def", "lhs P(x)", "unified_members", GH, {}),
+    ("series-def", "numbers M", "unified_members", UNIT, {"exp_argument": ZERO}),
+    ("series-def", "general p(x)", "general_members", GH, {}),
+    ("shift", "lhs P(x+z)", "unified_members", GH, {"exp_argument": X + Z}),
+    ("shift", "P(x)", "unified_members", GH, {}),
+    ("shift-mixed", "lhs P(x+z)", "unified_members", GH, {"exp_argument": X + Z}),
+    ("shift-mixed", "general p(z)", "general_members", GH, {"exp_argument": Z}),
+    ("shift-mixed", "phi-free M(x)", "unified_members", UNIT, {}),
+    ("shift-one", "lhs P(x+1)", "unified_members", GH, {"exp_argument": X + 1}),
+    ("shift-one", "P(x)", "unified_members", GH, {}),
+    ("shift-general", "lhs P(x+z)", "unified_members", GH, {"exp_argument": X + Z}),
+    ("shift-general", "phi-free M(z)", "unified_members", UNIT, {"exp_argument": Z}),
+    ("shift-general", "general p(x)", "general_members", GH, {}),
+    ("symmetry", "lhs P(dx)", "unified_members", GH, {"exp_argument": 3 * X}),
+    ("symmetry", "rhs P(cx)", "unified_members", GH, {"exp_argument": 2 * X}),
+    ("symmetry", "both P(0)", "unified_members", GH, {"exp_argument": ZERO}),
 ]
 
 VERIFIERS = {
@@ -249,22 +282,21 @@ VERIFIERS = {
 
 
 @pytest.mark.parametrize("j0", [1, 4])
-@pytest.mark.parametrize("slug, table, name, match", FAULTS,
+@pytest.mark.parametrize("slug, table, name, kind, match", FAULTS,
                          ids=[f"{slug}:{table}".replace(" ", "-") for slug, table, *_ in FAULTS])
 def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, table, name,
-                                                         match, j0):
+                                                         kind, match, j0):
     """Adding y to entry j0 of one table a verifier reads makes it FAIL at n = j0.
 
-    Every table is perturbed through the name the verifier calls (a series
-    coefficient for shift-one's left side).  Entry 0 of each other table is
-    a nonzero constant (1, or P_0 = -1 for this spec), so the fault cannot
-    cancel at n = j0 and cannot show earlier.
+    Every table is perturbed through the name the verifier calls.  Entry 0
+    of each other table is a nonzero constant (1, or P_0 = -1 for this
+    spec), so the fault cannot cancel at n = j0 and cannot show earlier.
 
         verifier       left side          right-side tables
         series-def     P(x)               M, p(x)
         shift          P(x+z)             P(x)          (z^k: plain powers)
         shift-mixed    P(x+z)             p(z), M(x)
-        shift-one      series * e^t       P(x)          (ones: a literal)
+        shift-one      P(x+1)             P(x)          (ones: a literal)
         shift-general  P(x+z)             M(z), p(x)
         symmetry       P(dx)              P(cx), P(0)   (P(0) is read by both sides)
         double-index   see test_double_index_memo_reports_the_unmemoized_counterexample
@@ -277,14 +309,10 @@ def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, ta
     original = getattr(identities_mod, name)
     hits = []
 
-    def faulty(*args, **kwargs):
-        out = original(*args, **kwargs)
-        if match is None or kwargs == match:
+    def faulty(spec_or_phi, n, **kwargs):
+        out = original(spec_or_phi, n, **kwargs)
+        if getattr(spec_or_phi, "phi", spec_or_phi).kind == kind and kwargs == match:
             hits.append(kwargs)
-            if isinstance(out, PowerSeries):
-                coeffs = list(out.coeffs)
-                coeffs[j0] = coeffs[j0] + Y
-                return PowerSeries(coeffs)
             out[j0] = out[j0] + Y
         return out
 
@@ -306,7 +334,7 @@ def test_right_sides_fail_when_a_right_side_kernel_drops_a_pair(monkeypatch):
     loses w_N (z-x)^N P_0, so it first fails at (0, 0).
     """
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
-    assert unified_members(spec, 1, include_x=False)[1]  # P_1(0,y) != 0
+    assert unified_members(spec, 1, exp_argument=ZERO)[1]  # P_1(0,y) != 0
     calls = []
 
     def dropping_last(kernel):
