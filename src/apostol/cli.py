@@ -50,6 +50,7 @@ LATEX_VAR_NAMES = ("x", "y", "z", r"\log a", r"\log b")
 # their phi kind ("hermite" is Gould-Hopper at its fixed step m=2).
 TABLE_STEP_PRESETS = [name for name, spec in sorted(PRESETS.items()) if spec.phi.kind == name]
 
+# The classical presets, tabulated from their own generating functions.
 TABLE_PRESET_NOTES = {
     "bernoulli": "classical Bernoulli polynomials; the unified family at k=1, alpha=1 equals (-1)^r times these",
     "euler": "classical Euler polynomials; equal to the unified family at k=0, alpha=-1",
@@ -234,8 +235,7 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
                              "write --alphas=-1,3 when the first is negative")
     parser.add_argument("--a", help="base a: 1, e or sym (default 1)")
     parser.add_argument("--b", help="base b: 1, e or sym (default e)")
-    parser.add_argument("--phi",
-                        choices=["unit", "gould-hopper", "hermite", "laguerre", "truncated-exp"],
+    parser.add_argument("--phi", choices=[*PHI_KINDS, "hermite"],  # hermite: the preset's phi
                         help="two-variable polynomial layer (default unit)")
     kinds = [(kind, Phi(kind)) for kind, (param, *_) in PHI_KINDS.items() if param]
     parser.add_argument("--m", type=int, help=f"step parameter of --phi ({_steps_help(kinds)})")
@@ -244,7 +244,7 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
 def _classical_table(preset: str, n_max: int, m: int | None) -> PolyTable:
     if m is not None and preset not in TABLE_STEP_PRESETS:
         raise ValueError(f"--m does not apply to --preset {preset}")
-    if preset in ("bernoulli", "euler", "genocchi"):
+    if preset in TABLE_PRESET_NOTES:
         return special_case_oracle(ClassicalFamily(f"apostol-{preset}"), 1, 1, n_max)
     phi = PRESETS[preset].phi
     if m is not None:

@@ -185,6 +185,8 @@ class FamilySpec:
             raise InvalidFamilySpecError(f"order r must be a positive integer, got {self.r}")
         if self.k < 0:
             raise InvalidFamilySpecError(f"k must be non-negative, got {self.k}")
+        if not all(type(a) is int or isinstance(a, Fraction) for a in self.alphas):  # no bools
+            raise InvalidFamilySpecError(f"alphas must be ints or Fractions, got {self.alphas!r}")
         object.__setattr__(self, "alphas", tuple(Fraction(a) for a in self.alphas))
         if len(self.alphas) != self.r:
             raise InvalidFamilySpecError(

@@ -13,13 +13,14 @@ named by a spec and an exponential argument alone: P(x+z) passes
 exp_argument=x+z, P(0,y) a zero argument, which drops e^(xt), and the
 phi-free tables M(x), M(z) and the numbers M pass replace(spec, phi=Unit()).
 
-Right sides use only plain ring +, * and the right-side kernels
-polyring.linear_combination and polyring.horner, never the fused
-sum_of_products kernel that builds every left side through the series
-products, so a fault in either shows as a FAIL instead of cancelling out.
-Each right side is normalized once per index: a binomial convolution forms
-its products with * and sums them in one linear_combination, and the
-double-index sum is one horner evaluation in z - x.
+Right sides use only plain ring +, * and the right-side kernel
+polyring.linear_combination, never the fused sum_of_products kernel that
+builds every left side through the series products, so a fault in either
+shows as a FAIL instead of cancelling out.  Each right side forms its
+products with * and sums them in one linear_combination, normalized once
+per index.  The double-index identity is checked after the automorphism
+z -> x + h, where its right side needs only monomial shifts h^s; a
+counterexample is mapped back with h -> z - x by plain ring operations.
 
 On failure the verdict carries the smallest failing index tuple in
 lexicographic order together with both polynomials, so a broken identity
@@ -35,7 +36,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .family import FamilySpec, Unit, general_members, unified_members
-from .polyring import MultiPoly, Scalar, VarId, horner, linear_combination
+from .polyring import MultiPoly, Scalar, VarId, linear_combination
 
 
 class IdentityId(Enum):
@@ -136,30 +137,30 @@ def verify_shift_mixed(spec: FamilySpec, n_max: int) -> Verdict:
 def verify_double_index(spec: FamilySpec, n_max: int, m_max: int) -> Verdict:
     """P_(n+m)(z,y) = sum_{p<=n, q<=m} C(n,p) C(m,q) (z-x)^(p+q) P_(n+m-p-q)(x,y).
 
-    Checked for every pair (n, m) with n <= n_max and m <= m_max.  The double
-    sum is grouped by s = p + q into weights w_s = sum_p C(n,p) C(m,s-p),
-    each computed as stated.  The sum is then fixed by the weight vector
-    (w_0 .. w_(n+m)), so right sides are memoized on it: equal weights give
-    equal sums, exactly, whatever the weights turn out to be.  Each right
-    side is a polynomial in z - x, evaluated by Horner's rule: no power of
-    z - x is formed (cf. the Taylor shifts of von zur Gathen & Gerhard,
-    ISSAC 1997).
+    Checked for every pair (n, m) with n <= n_max and m <= m_max, after the
+    ring automorphism z -> x + h (h in the z slot): the identity holds exactly
+    when P_N(x+h, y) = sum_s w_s h^s P_(N-s)(x,y), N = n + m, holds.  The left
+    side is the x+h table, the right side one linear combination of monomial
+    shifts.  The weights w_s = sum_p C(n,p) C(m,s-p) are each computed as
+    stated.  The sum is then fixed by the weight vector (w_0 .. w_N), so right
+    sides are memoized on it: equal weights give equal sums, exactly, whatever
+    the weights turn out to be.  A counterexample is mapped back to (x, z).
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
     total = n_max + m_max
-    in_z = unified_members(spec, total, exp_argument=MultiPoly.var(VarId.Z))
+    shifted = unified_members(spec, total, exp_argument=_x_plus_z())
     in_x = unified_members(spec, total)
-    z_minus_x = MultiPoly.var(VarId.Z) - MultiPoly.var(VarId.X)
+    h_powers = _powers(MultiPoly.var(VarId.Z), total)
     right_sides: dict[tuple[int, ...], MultiPoly] = {}
 
     def right_side(weights: tuple[int, ...]) -> MultiPoly:
         if weights not in right_sides:
             top = len(weights) - 1
-            right_sides[weights] = horner(
-                [(w, in_x[top - s]) for s, w in enumerate(weights)], z_minus_x)
+            right_sides[weights] = linear_combination(
+                (w, in_x[top - s] * h_powers[s]) for s, w in enumerate(weights))
         return right_sides[weights]
 
     def pairs():
@@ -170,7 +171,10 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int) -> Verdict:
                         for p in range(max(0, s - m), min(n, s) + 1))
                     for s in range(n + m + 1)
                 )
-                yield (n, m), in_z[n + m], right_side(weights)
+                lhs, rhs = shifted[n + m], right_side(weights)
+                if lhs != rhs:  # report the mismatch in (x, z)
+                    lhs, rhs = _unshifted(lhs), _unshifted(rhs)
+                yield (n, m), lhs, rhs
 
     return _verdict(IdentityId.DOUBLE_INDEX, spec, n_max, pairs())
 
@@ -257,4 +261,16 @@ def _powers(p: MultiPoly, max_power: int) -> list[MultiPoly]:
     out = [MultiPoly.one()]
     for _ in range(max_power):
         out.append(out[-1] * p)
+    return out
+
+
+def _unshifted(p: MultiPoly) -> MultiPoly:
+    """p with z replaced by z - x, from the top power of z down, on plain ring + and *."""
+    slices: list[dict] = [{} for _ in range(p.total_degree() + 1)]
+    for (ex, ey, ez, ea, eb), c in p.terms.items():
+        slices[ez][ex, ey, 0, ea, eb] = c
+    z_minus_x = MultiPoly.var(VarId.Z) - MultiPoly.var(VarId.X)
+    out = MultiPoly.zero()
+    for terms in reversed(slices):
+        out = out * z_minus_x + MultiPoly(terms)
     return out

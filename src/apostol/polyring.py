@@ -31,7 +31,7 @@ from __future__ import annotations
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -379,38 +379,6 @@ def linear_combination(pairs: Iterable[tuple[Scalar, MultiPoly]]) -> MultiPoly:
         for k, v in nums.items():
             out[k] = get(k, 0) + v * f
     return MultiPoly._normalized(out, den)
-
-
-def horner(pairs: Sequence[tuple[Scalar, MultiPoly]], h: MultiPoly) -> MultiPoly:
-    """The sum of c_s * p_s * h^s over pairs[s] = (c_s, p_s), normalized once.
-
-    Horner's rule, acc = acc * h + c_s * p_s from the last pair down to the
-    first, on one integer map: no power of h is formed and no intermediate
-    value is normalized.  Step s keeps acc over den * h.den^(top - s), where
-    den is the lcm of the scaled denominators.  Like linear_combination, it
-    is a right-side kernel of the identity verifiers and kept apart from
-    sum_of_products.
-    """
-    if not pairs:
-        return MultiPoly._raw({}, 1)
-    parts = [(*_scalar_parts(c), p) for c, p in pairs]
-    den = lcm(*(q * p._den for num, q, p in parts if num and p._nums))
-    hn, e = h._nums, h._den
-    top = len(parts) - 1
-    acc: dict[int, int] = {}
-    for s in range(top, -1, -1):
-        if acc:
-            product: dict[int, int] = {}
-            if hn:
-                _mul_into(product, acc, hn, 1)
-            acc = product
-        num, q, p = parts[s]
-        if num and p._nums:
-            f = num * (den // (q * p._den)) * e ** (top - s)
-            get = acc.get
-            for k, v in p._nums.items():
-                acc[k] = get(k, 0) + v * f
-    return MultiPoly._normalized(acc, den * e ** top)
 
 
 def format_poly(p: MultiPoly) -> str:

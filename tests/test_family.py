@@ -369,6 +369,11 @@ def test_family_spec_validation():
     for a, b in [("1", LogBase.E), (LogBase.ONE, "e"), (None, LogBase.E)]:
         with pytest.raises(InvalidFamilySpecError):
             FamilySpec(1, 0, a, b, (Fraction(-1),))
+    # alphas must be ints (bools excluded) or Fractions: no floats, no strings.
+    for alpha in (True, 0.1, "x", None):
+        with pytest.raises(InvalidFamilySpecError):
+            FamilySpec(1, 1, *ONE_E, (alpha,))
+    assert FamilySpec(1, 0, *ONE_E, (-1,)) == PRESETS["euler"]
 
 
 def test_presets_are_constructible():

@@ -37,7 +37,7 @@ from apostol.identities import (
     verify_shift_one,
     verify_symmetry,
 )
-from apostol.polyring import MultiPoly, VarId, horner
+from apostol.polyring import MultiPoly, VarId
 
 from helpers import random_poly
 
@@ -299,7 +299,7 @@ def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, ta
         shift-one      P(x+1)             P(x)          (ones: a literal)
         shift-general  P(x+z)             M(z), p(x)
         symmetry       P(dx)              P(cx), P(0)   (P(0) is read by both sides)
-        double-index   see test_double_index_memo_reports_the_unmemoized_counterexample
+        double-index   P(x+z)             P(x)          (see the two double-index tests)
 
     symmetry reads P(0) on both sides with weights d^j and c^j; they differ
     for j0 >= 1 (c=2, d=3), and agree at j0 = 0, where the fault first
@@ -323,6 +323,30 @@ def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, ta
     assert verdict.counterexample.indices == (j0,)
 
 
+@pytest.mark.parametrize("j0, expected", [(0, (0, 0)), (1, (0, 1)), (4, (0, 4)), (6, (2, 4))])
+def test_double_index_fails_at_a_perturbed_left_side(monkeypatch, j0, expected):
+    # Adding y to entry j0 of the x+z table breaks every pair with n + m = j0
+    # and no other; the first in lexicographic order is (0, j0) when
+    # j0 <= m_max, and (j0 - m_max, m_max) beyond it.
+    spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
+    hits = []
+
+    def faulty_members(s, n, **kwargs):
+        members = unified_members(s, n, **kwargs)
+        if kwargs == {"exp_argument": X + Z}:
+            hits.append(kwargs)
+            members[j0] = members[j0] + Y
+        return members
+
+    monkeypatch.setattr(identities_mod, "unified_members", faulty_members)
+    verdict = verify_double_index(spec, 3, 4)
+    assert len(hits) == 1
+    assert not verdict.passed
+    assert verdict.counterexample.indices == expected
+    # Reported in (x, z): the left side is P_j0(z, y) + y.
+    assert verdict.counterexample.lhs == unified_members(spec, j0, exp_argument=Z)[j0] + Y
+
+
 def test_right_sides_fail_when_a_right_side_kernel_drops_a_pair(monkeypatch):
     """A right-side kernel that drops its last pair breaks every right side.
 
@@ -330,59 +354,46 @@ def test_right_sides_fail_when_a_right_side_kernel_drops_a_pair(monkeypatch):
     C(n,n) a[0] b[n], so at n = 0 the right side is 0 against the nonzero
     P_0.  The symmetry identity builds both sides as convolutions: at n = 0
     both lose P_0^2, and at n = 1 they lose d*P_0*P_1(0,y) and
-    c*P_0*P_1(0,y), which differ.  The double-index right side (horner)
-    loses w_N (z-x)^N P_0, so it first fails at (0, 0).
+    c*P_0*P_1(0,y), which differ.  The double-index right side (one
+    linear_combination over s) loses w_N h^N P_0, so it first fails at (0, 0).
     """
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
     assert unified_members(spec, 1, exp_argument=ZERO)[1]  # P_1(0,y) != 0
+    kernel = identities_mod.linear_combination
     calls = []
 
-    def dropping_last(kernel):
-        def faulty(pairs, *args):
-            calls.append(kernel.__name__)
-            return kernel(list(pairs)[:-1], *args)
-        return faulty
+    def dropping_last(pairs):
+        calls.append(1)
+        return kernel(list(pairs)[:-1])
 
-    for name in ("linear_combination", "horner"):
-        monkeypatch.setattr(identities_mod, name, dropping_last(getattr(identities_mod, name)))
+    monkeypatch.setattr(identities_mod, "linear_combination", dropping_last)
     verifiers = {**VERIFIERS, "double-index": lambda spec, n: verify_double_index(spec, n, 2)}
     for slug, verifier in verifiers.items():
         calls.clear()
         verdict = verifier(spec, 4)
-        assert set(calls) == {"horner" if slug == "double-index" else "linear_combination"}, slug
+        assert calls, slug
         assert not verdict.passed, slug
         expected = {"symmetry": (1,), "double-index": (0, 0)}.get(slug, (0,))
         assert verdict.counterexample.indices == expected, slug
 
 
-def test_horner_right_sides_equal_the_direct_double_index_sum(monkeypatch):
-    # Every right side verify_double_index builds for N = n + m <= 12 must
-    # equal sum_s C(N,s) (z-x)^s P_(N-s), summed term by term; so must
-    # horner on scattered weights with zeros, which the weight memo accepts.
-    spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
-    in_x = unified_members(spec, 12)
-
-    def direct(weights):
-        top = len(weights) - 1
-        total = MultiPoly.zero()
-        for s, w in enumerate(weights):
-            total = total + w * (Z - X) ** s * in_x[top - s]
-        return total
-
-    built = {}
-
-    def recording(pairs, h):
-        built[len(pairs) - 1] = out = horner(pairs, h)
-        return out
-
-    monkeypatch.setattr(identities_mod, "horner", recording)
-    assert verify_double_index(spec, 6, 6).passed
-    assert sorted(built) == list(range(13))
-    for top, rhs in built.items():
-        assert rhs == direct([comb(top, s) for s in range(top + 1)]), top
-
-    rng = random.Random(5)
-    for top in range(13):
-        weights = [rng.choice([0, 0, 1, -2, 7]) for _ in range(top + 1)]
-        pairs = [(w, in_x[top - s]) for s, w in enumerate(weights)]
-        assert horner(pairs, Z - X) == direct(weights), (top, weights)
+@pytest.mark.parametrize("spec", [
+    FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2)),
+    FamilySpec(2, 1, *ONE_E, (Fraction(1), Fraction(-3))),
+    PRESETS["truncated-exp"],
+], ids=["sym-sym-gh2", "one-e-unit-alpha", "truncated-exp"])
+def test_double_index_holds_as_the_literal_double_sum(spec):
+    # The identity as stated in (x, z), by plain ring operations: an oracle
+    # that shares neither the shifted coordinates nor linear_combination
+    # with verify_double_index.
+    in_z = unified_members(spec, 8, exp_argument=Z)
+    in_x = unified_members(spec, 8)
+    for n in range(5):
+        for m in range(5):
+            rhs = MultiPoly.zero()
+            for p in range(n + 1):
+                for q in range(m + 1):
+                    rhs = rhs + (comb(n, p) * comb(m, q) * (Z - X) ** (p + q)
+                                 * in_x[n + m - p - q])
+            assert in_z[n + m] == rhs, (n, m)
+    assert verify_double_index(spec, 4, 4).passed

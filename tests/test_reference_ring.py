@@ -14,7 +14,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apostol.polyring import (MAX_DEGREE, NVARS, MultiPoly, VarId, format_poly, horner,
+from apostol.polyring import (MAX_DEGREE, NVARS, MultiPoly, VarId, format_poly,
                               linear_combination, sum_of_products)
 from apostol.series import PowerSeries
 
@@ -172,28 +172,6 @@ def test_linear_combination(pairs):
     for c, terms in pairs:
         ref = ref + RefPoly(terms) * c
     assert_agrees(linear_combination((c, MultiPoly(t)) for c, t in pairs), ref)
-
-
-@PROPERTY
-@given(st.lists(st.tuples(st.one_of(scalars, st.just(0)),
-                          st.dictionaries(small_exps, coeffs, max_size=4)), max_size=4),
-       st.dictionaries(small_exps, coeffs, max_size=3))
-def test_horner(pairs, ht):
-    ref, h_power = RefPoly(), RefPoly({(0, 0, 0, 0, 0): 1})
-    for c, terms in pairs:
-        ref = ref + RefPoly(terms) * h_power * c
-        h_power = h_power * RefPoly(ht)
-    assert_agrees(horner([(c, MultiPoly(t)) for c, t in pairs], MultiPoly(ht)), ref)
-
-
-def test_horner_edge_cases():
-    x = MultiPoly.var(VarId.X)
-    assert_agrees(horner([], x), RefPoly())
-    assert horner([(3, x), (5, x)], MultiPoly.zero()) == 3 * x
-    assert horner([(1, x), (-1, MultiPoly.one())], x) == MultiPoly.zero()
-    wide = MultiPoly.monomial(1, (0, 0, 0, MAX_DEGREE // 2 + 1, 0))
-    with pytest.raises(ValueError):
-        horner([(1, x), (1, x), (1, x)], wide)
 
 
 def test_linear_combination_edge_cases():
