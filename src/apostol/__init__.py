@@ -32,7 +32,6 @@ from .family import (
     extract_table,
     general_members,
     general_series,
-    gould_hopper_table,
     phi_label,
     phi_series,
     special_case_oracle,
@@ -81,7 +80,6 @@ __all__ = [
     "format_poly",
     "general_members",
     "general_series",
-    "gould_hopper_table",
     "phi_label",
     "phi_series",
     "special_case_oracle",

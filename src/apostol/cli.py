@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .family import (
     ClassicalFamily,
@@ -23,14 +24,12 @@ from .family import (
     PRESETS,
     extract_table,
     general_members,
-    gould_hopper_table,
     phi_label,
     special_case_oracle,
 )
 from .identities import (
     IdentityId,
     Verdict,
-    verify_all,
     verify_double_index,
     verify_series_def,
     verify_shift,
@@ -39,12 +38,15 @@ from .identities import (
     verify_shift_one,
     verify_symmetry,
 )
-from .polyring import MultiPoly, format_poly
+from .polyring import MultiPoly, format_poly, render_terms
 from .series import SeriesError
 
 JSON_EXPONENT_KEYS = ("x", "y", "z", "la", "lb")
 
 LATEX_VAR_NAMES = ("x", "y", "z", r"\log a", r"\log b")
+
+# The table formats: the --format choices of expand and table, and render_table's cases.
+FORMATS = JSON, CSV, LATEX = ("json", "csv", "latex")
 
 # Table presets whose --m replaces the step of their phi: those named after
 # their phi kind ("hermite" is Gould-Hopper at its fixed step m=2).
@@ -73,31 +75,7 @@ def poly_to_json_terms(p: MultiPoly) -> list[dict]:
 
 
 def poly_to_latex(p: MultiPoly) -> str:
-    if not p:
-        return "0"
-    pieces = []
-    for i, (exps, num, den) in enumerate(p.reduced_terms()):
-        mono = " ".join(
-            LATEX_VAR_NAMES[v] if e == 1 else f"{LATEX_VAR_NAMES[v]}^{{{e}}}"
-            for v, e in enumerate(exps)
-            if e
-        )
-        mag = abs(num)
-        if den == 1:
-            mag_tex = str(mag)
-        else:
-            mag_tex = rf"\frac{{{mag}}}{{{den}}}"
-        if not mono:
-            body = mag_tex
-        elif mag == 1 and den == 1:
-            body = mono
-        else:
-            body = f"{mag_tex} {mono}"
-        if i == 0:
-            pieces.append(f"-{body}" if num < 0 else body)
-        else:
-            pieces.append(f"- {body}" if num < 0 else f"+ {body}")
-    return " ".join(pieces)
+    return render_terms(p, LATEX_VAR_NAMES, " ", ("^{", "}"), (r"\frac{", "}{", "}"))
 
 
 def spec_to_json(spec: FamilySpec) -> dict:
@@ -117,7 +95,7 @@ def spec_to_json(spec: FamilySpec) -> dict:
 
 def render_table(table: PolyTable, fmt: str, *, preset: str | None = None,
                  note: str | None = None) -> str:
-    if fmt == "json":
+    if fmt == JSON:
         doc: dict = {}
         if table.spec is not None:
             doc["spec"] = spec_to_json(table.spec)
@@ -131,14 +109,14 @@ def render_table(table: PolyTable, fmt: str, *, preset: str | None = None,
             {"n": n, "terms": poly_to_json_terms(p)} for n, p in table
         ]
         return json.dumps(doc, indent=2) + "\n"
-    if fmt == "csv":
+    if fmt == CSV:
         lines = [f"# {table.label}"]
         if note:
             lines.append(f"# {note}")
         lines.append("n,polynomial")
         lines.extend(f"{n},{format_poly(p)}" for n, p in table)
         return "\n".join(lines) + "\n"
-    if fmt == "latex":
+    if fmt == LATEX:
         lines = [f"% {table.label}"]
         if note:
             lines.append(f"% {note}")
@@ -153,8 +131,7 @@ def render_verdict(verdict: Verdict) -> str:
     if verdict.passed:
         return f"{verdict.identity.value}: PASS"
     ce = verdict.counterexample
-    names = ("n", "m")
-    where = ", ".join(f"{names[i]}={v}" for i, v in enumerate(ce.indices))
+    where = ", ".join(f"{name}={v}" for name, v in zip(("n", "m"), ce.indices))
     return (
         f"{verdict.identity.value}: FAIL at {where}\n"
         f"  lhs = {format_poly(ce.lhs)}\n"
@@ -173,13 +150,10 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _parse_base(text: str, symbolic: LogBase) -> LogBase:
-    if text == "1":
-        return LogBase.ONE
-    if text == "e":
-        return LogBase.E
-    if text == "sym":
-        return symbolic
-    raise ValueError(f"base must be one of 1, e, sym; got {text!r}")
+    bases = {"1": LogBase.ONE, "e": LogBase.E, "sym": symbolic}
+    if text not in bases:
+        raise ValueError(f"base must be one of {', '.join(bases)}; got {text!r}")
+    return bases[text]
 
 
 def _parse_phi(kind: str, m: int | None) -> Phi:
@@ -249,11 +223,9 @@ def _classical_table(preset: str, n_max: int, m: int | None) -> PolyTable:
     phi = PRESETS[preset].phi
     if m is not None:
         phi = Phi(phi.kind, m)
-    if phi.kind == "gould-hopper":
-        return gould_hopper_table(phi.step, n_max)
-    members = general_members(phi, n_max)
-    return PolyTable(label=f"{phi_label(phi)} two-variable polynomials",
-                     entries=tuple(enumerate(members)))
+    suffix = "" if phi.kind == "gould-hopper" else " two-variable polynomials"
+    return PolyTable(label=phi_label(phi) + suffix,
+                     entries=tuple(enumerate(general_members(phi, n_max))))
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -276,23 +248,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     c = _parse_rational(args.c if args.c is not None else "2")
     d = _parse_rational(args.d if args.d is not None else "3")
     m_max = args.m_max if args.m_max is not None else args.n
-    if args.identity == "all":
-        verdicts = verify_all(spec, args.n, c=c, d=d, m_max=m_max)
-    else:
-        ident = IdentityId(args.identity)
-        if ident is IdentityId.SYMMETRY:
-            verdicts = [verify_symmetry(spec, c, d, args.n)]
-        elif ident is IdentityId.DOUBLE_INDEX:
-            verdicts = [verify_double_index(spec, args.n, m_max)]
-        else:
-            fn = {
-                IdentityId.SERIES_DEF: verify_series_def,
-                IdentityId.SHIFT: verify_shift,
-                IdentityId.SHIFT_MIXED: verify_shift_mixed,
-                IdentityId.SHIFT_ONE: verify_shift_one,
-                IdentityId.SHIFT_GENERAL: verify_shift_general,
-            }[ident]
-            verdicts = [fn(spec, args.n)]
+    runs = {  # in IdentityId order
+        IdentityId.SERIES_DEF: partial(verify_series_def, spec, args.n),
+        IdentityId.SHIFT: partial(verify_shift, spec, args.n),
+        IdentityId.SHIFT_MIXED: partial(verify_shift_mixed, spec, args.n),
+        IdentityId.DOUBLE_INDEX: partial(verify_double_index, spec, args.n, m_max),
+        IdentityId.SHIFT_ONE: partial(verify_shift_one, spec, args.n),
+        IdentityId.SHIFT_GENERAL: partial(verify_shift_general, spec, args.n),
+        IdentityId.SYMMETRY: partial(verify_symmetry, spec, c, d, args.n),
+    }
+    verdicts = [run() for ident, run in runs.items() if args.identity in ("all", ident.value)]
     for verdict in verdicts:
         print(render_verdict(verdict))
     return 0 if all(v.passed for v in verdicts) else 1
@@ -316,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser("expand", help="expand a family into a polynomial table")
     _add_spec_flags(p_expand)
     p_expand.add_argument("--n", type=int, required=True, help="largest index n")
-    p_expand.add_argument("--format", default="json", choices=["json", "csv", "latex"])
+    p_expand.add_argument("--format", default="json", choices=FORMATS)
     p_expand.set_defaults(func=cmd_expand)
 
     p_verify = sub.add_parser("verify", help="verify identities for a family")
@@ -335,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--n", type=int, required=True, help="largest index n")
     steps = _steps_help([(name, PRESETS[name].phi) for name in TABLE_STEP_PRESETS])
     p_table.add_argument("--m", type=int, help=f"step parameter of the preset's phi ({steps})")
-    p_table.add_argument("--format", default="json", choices=["json", "csv", "latex"])
+    p_table.add_argument("--format", default="json", choices=FORMATS)
     p_table.set_defaults(func=cmd_table)
 
     return parser

@@ -353,16 +353,8 @@ class PolyTable:
 
 def extract_table(spec: FamilySpec, n_max: int) -> PolyTable:
     """The table P_0(x,y) .. P_n_max(x,y) of the unified family."""
-    members = unified_members(spec, n_max)
-    entries = tuple((n, p) for n, p in enumerate(members))
+    entries = tuple(enumerate(unified_members(spec, n_max)))
     return PolyTable(label=f"unified({spec.describe()})", entries=entries, spec=spec)
-
-
-def gould_hopper_table(m: int, n_max: int) -> PolyTable:
-    """The plain Gould-Hopper polynomials H_n(x, y) of order m (no prefactor)."""
-    members = general_members(GouldHopper(m), n_max)
-    entries = tuple((n, p) for n, p in enumerate(members))
-    return PolyTable(label=f"gould-hopper(m={m})", entries=entries)
 
 
 class ClassicalFamily(Enum):
@@ -386,6 +378,8 @@ def special_case_oracle(which: ClassicalFamily, r: int, lam: Scalar,
 
     and serve as the independent cross-check for the family reductions.
     """
+    if type(r) is not int or not (type(lam) is int or isinstance(lam, Fraction)):  # no bools
+        raise ValueError(f"r must be an int and lambda an int or Fraction, got {r!r} and {lam!r}")
     if r < 1:
         raise ValueError(f"order r must be a positive integer, got {r}")
     if n_max < 0:

@@ -215,8 +215,10 @@ def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int) -> Verdi
     sum_m C(n,m) d^(n-m) c^m P_(n-m)(cx,y) P_m(0,y).  Both sides are binomial
     convolutions of the tables at the rescaled arguments dx and cx, each
     against the x-free table P_m(0,y), with every entry pre-scaled by its
-    scalar power; c and d must be nonzero rationals.
+    scalar power; c and d must be nonzero ints or Fractions.
     """
+    if not all(type(s) is int or isinstance(s, Fraction) for s in (c, d)):  # no bools
+        raise ValueError(f"symmetry scalars must be ints or Fractions, got {c!r} and {d!r}")
     c, d = Fraction(c), Fraction(d)
     if c == 0 or d == 0:
         raise ValueError("symmetry scalars c and d must be nonzero")

@@ -381,26 +381,31 @@ def linear_combination(pairs: Iterable[tuple[Scalar, MultiPoly]]) -> MultiPoly:
     return MultiPoly._normalized(out, den)
 
 
-def format_poly(p: MultiPoly) -> str:
-    """Render a polynomial like ``x^2 - x + 1/6`` in graded-lex order."""
+def render_terms(p: MultiPoly, names: tuple[str, ...], times: str,
+                 power: tuple[str, str], fraction: tuple[str, str, str]) -> str:
+    """The one term loop behind every text rendering of a polynomial.
+
+    Graded-lex order, leading term first, unit coefficients dropped.  The
+    caller spells the variable names, the product separator, the exponent
+    brackets (open, close) and the fraction (open, middle, close).
+    """
     if not p:
         return "0"
+    pow_open, pow_close = power
+    frac_open, frac_mid, frac_close = fraction
     pieces: list[str] = []
-    for i, (exps, num, den) in enumerate(p.reduced_terms()):
-        mono = "*".join(
-            VAR_NAMES[v] if e == 1 else f"{VAR_NAMES[v]}^{e}"
-            for v, e in enumerate(exps)
-            if e
-        )
-        mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
-        if not mono:
-            body = mag
-        elif mag == "1":
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if i == 0:
-            pieces.append(f"-{body}" if num < 0 else body)
-        else:
+    for exps, num, den in p.reduced_terms():
+        mono = times.join(names[v] if e == 1 else f"{names[v]}{pow_open}{e}{pow_close}"
+                          for v, e in enumerate(exps) if e)
+        mag = f"{abs(num)}" if den == 1 else f"{frac_open}{abs(num)}{frac_mid}{den}{frac_close}"
+        body = mag if not mono else mono if mag == "1" else f"{mag}{times}{mono}"
+        if pieces:
             pieces.append(f"- {body}" if num < 0 else f"+ {body}")
+        else:
+            pieces.append(f"-{body}" if num < 0 else body)
     return " ".join(pieces)
+
+
+def format_poly(p: MultiPoly) -> str:
+    """Render a polynomial like ``x^2 - x + 1/6`` in graded-lex order."""
+    return render_terms(p, VAR_NAMES, "*", ("^", ""), ("", "/", ""))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 NAMES = ("x", "y", "z", "La", "Lb")
+LATEX_NAMES = ("x", "y", "z", r"\log a", r"\log b")
 ZERO_EXPS = (0, 0, 0, 0, 0)
 
 
@@ -89,6 +90,23 @@ def format_ref(p: RefPoly) -> str:
                         for v, e in enumerate(exps) if e)
         mag = abs(coeff)
         body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        sign = "-" if coeff < 0 else ("" if i == 0 else "+")
+        pieces.append(f"{sign}{body}" if i == 0 else f"{sign} {body}")
+    return " ".join(pieces)
+
+
+def latex_ref(p: RefPoly) -> str:
+    """The CLI's LaTeX rendering: as format_ref, spelled x^{e}, \\frac{p}{q}, a space for *."""
+    if not p.terms:
+        return "0"
+    pieces = []
+    for i, (exps, coeff) in enumerate(p.sorted_terms()):
+        mono = " ".join(LATEX_NAMES[v] if e == 1 else f"{LATEX_NAMES[v]}^{{{e}}}"
+                        for v, e in enumerate(exps) if e)
+        mag = abs(coeff)
+        num, den = mag.numerator, mag.denominator
+        mag_tex = str(num) if den == 1 else rf"\frac{{{num}}}{{{den}}}"
+        body = mag_tex if not mono else mono if mag == 1 else f"{mag_tex} {mono}"
         sign = "-" if coeff < 0 else ("" if i == 0 else "+")
         pieces.append(f"{sign}{body}" if i == 0 else f"{sign} {body}")
     return " ".join(pieces)

@@ -25,7 +25,6 @@ from apostol.family import (
     denominator_series,
     extract_table,
     general_members,
-    gould_hopper_table,
     phi_series,
     special_case_oracle,
     unified_members,
@@ -210,10 +209,21 @@ def test_special_case_oracle_against_long_division(which, oracle_fn, r, lam):
 
 
 def test_gould_hopper_values():
-    table = gould_hopper_table(2, 2)
-    assert table.poly(0) == ONE
-    assert table.poly(2) == X * X + 2 * Y
-    assert gould_hopper_table(3, 2).poly(2) == X * X
+    members = general_members(GouldHopper(2), 2)
+    assert members[0] == ONE
+    assert members[2] == X * X + 2 * Y
+    assert general_members(GouldHopper(3), 2)[2] == X * X
+
+
+def test_special_case_oracle_rejects_inexact_parameters():
+    # r must be an int and lambda an int or Fraction; bools, floats and
+    # strings are refused instead of becoming r=True or a binary fraction.
+    which = ClassicalFamily.APOSTOL_EULER
+    for r, lam in [(True, 1), (1.0, 1), ("1", 1), (1, True), (1, 0.1), (1, "1/2"), (1, None)]:
+        with pytest.raises(ValueError):
+            special_case_oracle(which, r, lam, 2)
+    assert special_case_oracle(which, 1, Fraction(1, 2), 2).label == "apostol-euler(r=1, lambda=1/2)"
+    assert special_case_oracle(which, 2, 3, 1).label == "apostol-euler(r=2, lambda=3)"
 
 
 # -- reduction properties --------------------------------------------------------------

@@ -121,6 +121,11 @@ def test_symmetry_fails_on_random_tables(monkeypatch, c, d):
 def test_symmetry_rejects_zero_scalars():
     with pytest.raises(ValueError):
         verify_symmetry(PRESETS["euler"], 0, 3, 2)
+    # c and d must be ints or Fractions: no bools, floats or strings.
+    for c, d in [(0.1, 3), (2, 0.5), ("2", 3), (2, "3"), (True, 3), (2, False), (None, 3)]:
+        with pytest.raises(ValueError):
+            verify_symmetry(PRESETS["euler"], c, d, 2)
+    assert verify_symmetry(PRESETS["euler"], Fraction(1, 2), -3, 2).passed
 
 
 def test_verify_all_runs_every_identity_once():

@@ -14,11 +14,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from apostol.cli import poly_to_latex
 from apostol.polyring import (MAX_DEGREE, NVARS, MultiPoly, VarId, format_poly,
                               linear_combination, sum_of_products)
 from apostol.series import PowerSeries
 
-from reference_ring import RefPoly, format_ref
+from reference_ring import RefPoly, format_ref, latex_ref
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -133,6 +134,8 @@ def test_ordering_rendering_and_constants(pt):
     p, rp = both(pt)
     assert [(e, Fraction(n, d)) for e, n, d in p.reduced_terms()] == rp.sorted_terms()
     assert format_poly(p) == format_ref(rp)
+    # The LaTeX golden files hold no z, log a, log b or exponent >= 10; this does.
+    assert poly_to_latex(p) == latex_ref(rp)
     assert p.constant_value() == rp.constant_value()
     assert p.total_degree() == rp.total_degree()
 
