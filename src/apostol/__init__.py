@@ -5,92 +5,15 @@ function over exact rational arithmetic, specializes it to the classical
 Apostol-Bernoulli, Apostol-Euler and Apostol-Genocchi families, and
 mechanically verifies the family's summation and symmetry identities as
 exact polynomial equalities.
+
+Each module lists its public names once, in its own __all__; this package
+re-exports exactly those.
 """
 
-from .polyring import MultiPoly, VarId, format_poly
-from .series import (
-    NotAUnitError,
-    OrderExceededError,
-    PowerSeries,
-    SeriesError,
-    ValuationMismatchError,
-)
-from .family import (
-    ClassicalFamily,
-    FamilySpec,
-    GouldHopper,
-    InvalidFamilySpecError,
-    Laguerre,
-    LogBase,
-    Phi,
-    PolyTable,
-    PRESETS,
-    TruncatedExp,
-    Unit,
-    ValuationExceedsNumeratorError,
-    denominator_series,
-    extract_table,
-    general_members,
-    general_series,
-    phi_label,
-    phi_series,
-    special_case_oracle,
-    unified_members,
-    unified_series,
-)
-from .identities import (
-    Counterexample,
-    IdentityId,
-    Verdict,
-    verify_all,
-    verify_double_index,
-    verify_series_def,
-    verify_shift,
-    verify_shift_general,
-    verify_shift_mixed,
-    verify_shift_one,
-    verify_symmetry,
-)
+from . import family, identities, polyring, series
+from .polyring import *  # noqa: F401,F403
+from .series import *  # noqa: F401,F403
+from .family import *  # noqa: F401,F403
+from .identities import *  # noqa: F401,F403
 
-__all__ = [
-    "ClassicalFamily",
-    "Counterexample",
-    "FamilySpec",
-    "GouldHopper",
-    "IdentityId",
-    "InvalidFamilySpecError",
-    "Laguerre",
-    "LogBase",
-    "MultiPoly",
-    "NotAUnitError",
-    "OrderExceededError",
-    "Phi",
-    "PolyTable",
-    "PowerSeries",
-    "PRESETS",
-    "SeriesError",
-    "TruncatedExp",
-    "Unit",
-    "ValuationExceedsNumeratorError",
-    "ValuationMismatchError",
-    "VarId",
-    "Verdict",
-    "denominator_series",
-    "extract_table",
-    "format_poly",
-    "general_members",
-    "general_series",
-    "phi_label",
-    "phi_series",
-    "special_case_oracle",
-    "unified_members",
-    "unified_series",
-    "verify_all",
-    "verify_double_index",
-    "verify_series_def",
-    "verify_shift",
-    "verify_shift_general",
-    "verify_shift_mixed",
-    "verify_shift_one",
-    "verify_symmetry",
-]
+__all__ = [*polyring.__all__, *series.__all__, *family.__all__, *identities.__all__]

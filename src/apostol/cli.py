@@ -93,8 +93,8 @@ def spec_to_json(spec: FamilySpec) -> dict:
     }
 
 
-def render_table(table: PolyTable, fmt: str, *, preset: str | None = None,
-                 note: str | None = None) -> str:
+def render_table(table: PolyTable, fmt: str, *, preset: str | None = None) -> str:
+    note = TABLE_PRESET_NOTES.get(preset)
     if fmt == JSON:
         doc: dict = {}
         if table.spec is not None:
@@ -265,8 +265,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     table = _classical_table(args.preset, args.n, args.m)
-    note = TABLE_PRESET_NOTES.get(args.preset)
-    sys.stdout.write(render_table(table, args.format, preset=args.preset, note=note))
+    sys.stdout.write(render_table(table, args.format, preset=args.preset))
     return 0
 
 

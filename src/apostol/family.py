@@ -45,6 +45,14 @@ from math import factorial
 from .polyring import MultiPoly, Scalar, VarId
 from .series import PowerSeries
 
+__all__ = [
+    "ClassicalFamily", "FamilySpec", "GouldHopper", "InvalidFamilySpecError", "Laguerre",
+    "LogBase", "Phi", "PolyTable", "PRESETS", "TruncatedExp", "Unit",
+    "ValuationExceedsNumeratorError", "denominator_series", "extract_table", "general_members",
+    "general_series", "phi_label", "phi_series", "special_case_oracle", "unified_members",
+    "unified_series",
+]
+
 
 class InvalidFamilySpecError(ValueError):
     """The parameter bundle does not describe a constructible family."""
@@ -141,8 +149,6 @@ def TruncatedExp(beta: int | None = None) -> Phi:
 
 def phi_series(phi: Phi, order: int) -> PowerSeries:
     """Expand the chosen phi(y, t) as a truncated series in t."""
-    if order < 1:
-        raise ValueError("a power series needs order >= 1")
     weight = PHI_KINDS[phi.kind][2]
     if weight is None:
         return PowerSeries.one(order)
@@ -231,10 +237,16 @@ PRESETS: dict[str, FamilySpec] = {
 # -- series construction -------------------------------------------------------
 
 
+def check_index(name: str, value: int) -> None:
+    """ValueError unless a table index bound is a non-negative int (bools excluded)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative")
+
+
 def denominator_series(spec: FamilySpec, order: int) -> PowerSeries:
     """The product prod_i (alpha_i b^t - a^t), truncated at the given order."""
-    if order < 1:
-        raise ValueError("a power series needs order >= 1")
     bt = PowerSeries.exp_linear(spec.b.log_poly(), order)
     at = PowerSeries.exp_linear(spec.a.log_poly(), order)
     prod = PowerSeries.one(order)
@@ -260,9 +272,7 @@ def _core_quotient(spec: FamilySpec, order: int) -> PowerSeries:
             f"but the numerator only carries t^{rk}"
         )
     scalar = Fraction((-1) ** spec.r) * Fraction(2) ** (spec.r * (1 - spec.k))
-    num_coeffs = [MultiPoly.zero()] * order
-    num_coeffs[rk] = MultiPoly.const(scalar)
-    num = PowerSeries(num_coeffs)
+    num = PowerSeries.t_power(rk, order).scale(scalar)
     return num.divide_with_valuation(denominator_series(spec, order), unit_count)
 
 
@@ -298,8 +308,7 @@ def unified_members(spec: FamilySpec, n_max: int, *,
     the valuation lost to unit alphas still leaves n_max + 1 valid
     coefficients.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    check_index("n_max", n_max)
     order = n_max + spec.r * spec.k + 1
     series = unified_series(spec, order, exp_argument=exp_argument)
     return [series.extract(n) for n in range(n_max + 1)]
@@ -318,8 +327,7 @@ def general_series(phi: Phi, order: int, *,
 def general_members(phi: Phi, n_max: int, *,
                     exp_argument: MultiPoly | None = None) -> list[MultiPoly]:
     """The two-variable general polynomials p_0 .. p_n_max for the given phi."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    check_index("n_max", n_max)
     series = general_series(phi, n_max + 1, exp_argument=exp_argument)
     return [series.extract(n) for n in range(n_max + 1)]
 
@@ -382,8 +390,7 @@ def special_case_oracle(which: ClassicalFamily, r: int, lam: Scalar,
         raise ValueError(f"r must be an int and lambda an int or Fraction, got {r!r} and {lam!r}")
     if r < 1:
         raise ValueError(f"order r must be a positive integer, got {r}")
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    check_index("n_max", n_max)
     lam = Fraction(lam)
     if which is ClassicalFamily.APOSTOL_BERNOULLI:
         valuation = r if lam == 1 else 0

@@ -35,8 +35,14 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .family import FamilySpec, Unit, general_members, unified_members
+from .family import FamilySpec, Unit, check_index, general_members, unified_members
 from .polyring import MultiPoly, Scalar, VarId, linear_combination
+
+__all__ = [
+    "Counterexample", "IdentityId", "Verdict", "verify_all", "verify_double_index",
+    "verify_series_def", "verify_shift", "verify_shift_general", "verify_shift_mixed",
+    "verify_shift_one", "verify_symmetry",
+]
 
 
 class IdentityId(Enum):
@@ -146,10 +152,8 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int) -> Verdict:
     sides are memoized on it: equal weights give equal sums, exactly, whatever
     the weights turn out to be.  A counterexample is mapped back to (x, z).
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    if m_max < 0:
-        raise ValueError("m_max must be non-negative")
+    check_index("n_max", n_max)
+    check_index("m_max", m_max)
     total = n_max + m_max
     shifted = unified_members(spec, total, exp_argument=_x_plus_z())
     in_x = unified_members(spec, total)

@@ -24,6 +24,10 @@ mapping).  Two polynomials are therefore equal exactly when their numerator
 maps and denominators are equal; there is no normalization step to forget.
 Fractions are built only at the edges (terms, constant_value and
 substitute); rendering reads reduced integer pairs from reduced_terms.
+
+Scalars are exact: every coefficient, scalar operand and substituted value
+must be an int or a Fraction.  Anything else, including bools, floats and
+strings, raises TypeError, so no binary fraction can enter the ring.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from enum import IntEnum
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
+
+__all__ = ["MultiPoly", "VarId", "format_poly"]
 
 Scalar = Union[int, Fraction]
 
@@ -103,12 +109,12 @@ def _mul_into(out: dict[int, int], na: dict[int, int], nb: dict[int, int], f: in
 
 
 def _scalar_parts(c: Scalar) -> tuple[int, int]:
-    """(numerator, positive denominator) of a rational scalar, reduced."""
-    if isinstance(c, int):
+    """(numerator, positive denominator) of an int or Fraction; TypeError otherwise."""
+    if type(c) is int:  # bools excluded
         return c, 1
-    if not isinstance(c, Fraction):
-        c = Fraction(c)
-    return c.numerator, c.denominator
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
+    raise TypeError(f"ring scalars must be ints or Fractions, got {c!r}")
 
 
 class MultiPoly:
@@ -121,14 +127,14 @@ class MultiPoly:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[Exponents, Scalar] | None = None):
-        fracs = {}
+        parts = {}
         for exps, coeff in (terms or {}).items():
-            c = Fraction(coeff)
-            if c:
-                fracs[_pack(exps)] = c
+            num, den = _scalar_parts(coeff)
+            if num:
+                parts[_pack(exps)] = num, den
         # Over the lcm of reduced denominators the numerators share no factor with it.
-        self._den = lcm(*(c.denominator for c in fracs.values()))
-        self._nums = {k: c.numerator * (self._den // c.denominator) for k, c in fracs.items()}
+        self._den = lcm(*(den for _, den in parts.values()))
+        self._nums = {k: num * (self._den // den) for k, (num, den) in parts.items()}
 
     # -- internal constructors ---------------------------------------------
 
@@ -175,12 +181,6 @@ class MultiPoly:
     @classmethod
     def var(cls, v: VarId) -> MultiPoly:
         return cls._raw({(1 << _DEG_SHIFT) | (1 << _SHIFTS[v]): 1}, 1)
-
-    @classmethod
-    def monomial(cls, coeff: Scalar, exps: Iterable[int]) -> MultiPoly:
-        key = _pack(exps)
-        num, den = _scalar_parts(coeff)
-        return cls._raw({key: num}, den) if num else cls._raw({}, 1)
 
     # -- inspection --------------------------------------------------------
 
@@ -301,7 +301,7 @@ class MultiPoly:
         """
         if not bindings:
             return self
-        values = {VarId(v): Fraction(val) for v, val in bindings.items()}
+        values = {VarId(v): Fraction(*_scalar_parts(val)) for v, val in bindings.items()}
         out: dict[Exponents, Fraction] = {}
         for exps, c in self.terms.items():
             new_exps = list(exps)
@@ -316,7 +316,7 @@ class MultiPoly:
     # -- comparison and display --------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):  # a bool is no scalar
             other = MultiPoly.const(other)
         if isinstance(other, MultiPoly):
             return self._den == other._den and self._nums == other._nums

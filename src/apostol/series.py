@@ -21,6 +21,9 @@ from math import factorial
 
 from .polyring import MultiPoly, Scalar, sum_of_products
 
+__all__ = ["NotAUnitError", "OrderExceededError", "PowerSeries", "SeriesError",
+           "ValuationMismatchError"]
+
 
 class SeriesError(Exception):
     """Base class for series arithmetic errors."""
@@ -56,7 +59,7 @@ class PowerSeries:
 
     @classmethod
     def one(cls, order: int) -> PowerSeries:
-        return cls([MultiPoly.one()] + [MultiPoly.zero()] * (order - 1))
+        return cls.t_power(0, order)
 
     @classmethod
     def t_power(cls, m: int, order: int) -> PowerSeries:
@@ -113,9 +116,6 @@ class PowerSeries:
     def __sub__(self, other: PowerSeries) -> PowerSeries:
         n = min(len(self._coeffs), len(other._coeffs))
         return PowerSeries([self._coeffs[i] - other._coeffs[i] for i in range(n)])
-
-    def __neg__(self) -> PowerSeries:
-        return PowerSeries([-c for c in self._coeffs])
 
     def __mul__(self, other: PowerSeries) -> PowerSeries:
         """Cauchy product, truncated to the smaller operand order."""

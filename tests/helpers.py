@@ -20,7 +20,7 @@ def random_poly(rng: random.Random, max_degree: int = 4, max_terms: int = 6,
         exps = [0] * NVARS
         for _ in range(rng.randint(0, max_degree)):
             exps[rng.choice(variables)] += 1
-        p = p + MultiPoly.monomial(random_rational(rng), exps)
+        p = p + MultiPoly({tuple(exps): random_rational(rng)})
     return p
 
 
@@ -42,5 +42,5 @@ def xpoly_to_multipoly(p) -> MultiPoly:
     out = MultiPoly.zero()
     for i, c in enumerate(p):
         if c:
-            out = out + MultiPoly.monomial(c, (i, 0, 0, 0, 0))
+            out = out + MultiPoly({(i, 0, 0, 0, 0): c})
     return out

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from apostol.cli import main, render_verdict
-from apostol.family import PHI_KINDS, PRESETS, Phi, extract_table
-from apostol.identities import Counterexample, IdentityId, Verdict
+from apostol.cli import TABLE_PRESET_NOTES, main, render_verdict
+from apostol.family import (
+    PHI_KINDS, PRESETS, FamilySpec, GouldHopper, LogBase, Phi, extract_table,
+)
+from apostol.identities import Counterexample, IdentityId, Verdict, verify_all
 from apostol.polyring import MultiPoly, VarId, format_poly
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -216,3 +219,31 @@ def test_help_names_each_step_default_from_the_tables(command, monkeypatch, caps
                   if line.lstrip().startswith("--m M "))
     for name, phi in named:
         assert f"{name} {PHI_KINDS[phi.kind][0]}={phi.step}" in m_help, (name, m_help)
+
+
+def test_table_latex_carries_the_preset_note(capsys):
+    assert main(["table", "--preset", "euler", "--n", "1", "--format", "latex"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "% apostol-euler(r=1, lambda=1)",
+        f"% {TABLE_PRESET_NOTES['euler']}",
+        r"\begin{tabular}{rl}",
+    ]
+
+
+SYM_SYM_FLAGS = ["--r", "2", "--alphas=2,-3", "--a", "sym", "--b", "sym",
+                 "--phi", "gould-hopper", "--m", "2"]
+SYM_SYM_SPEC = FamilySpec(2, 0, LogBase.SYMBOLIC_A, LogBase.SYMBOLIC_B,
+                          (Fraction(2), Fraction(-3)), GouldHopper(2))
+
+
+@pytest.mark.parametrize("flags, spec", [
+    *((["--preset", name], spec) for name, spec in sorted(PRESETS.items())),
+    (SYM_SYM_FLAGS, SYM_SYM_SPEC),
+], ids=[*sorted(PRESETS), "sym-sym"])
+def test_verify_all_prints_what_verify_all_returns(flags, spec, capsys):
+    # cmd_verify keeps its own table of verifiers and defaults; it must agree
+    # with identities.verify_all line for line.
+    main(["verify", "--identity", "all", *flags, "--n", "4"])
+    expected = "".join(render_verdict(v) + "\n" for v in verify_all(spec, 4))
+    assert capsys.readouterr().out == expected

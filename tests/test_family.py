@@ -15,6 +15,7 @@ from apostol.family import (
     InvalidFamilySpecError,
     Laguerre,
     LogBase,
+    PHI_KINDS,
     PRESETS,
     Phi,
     PolyTable,
@@ -383,6 +384,10 @@ def test_family_spec_validation():
     for alpha in (True, 0.1, "x", None):
         with pytest.raises(InvalidFamilySpecError):
             FamilySpec(1, 1, *ONE_E, (alpha,))
+    # phi must be a Phi, not a kind name or a PHI_KINDS row.
+    for phi in ("gould-hopper", None, PHI_KINDS["unit"]):
+        with pytest.raises(InvalidFamilySpecError, match="unknown phi kind"):
+            FamilySpec(1, 0, *ONE_E, (Fraction(-1),), phi)
     assert FamilySpec(1, 0, *ONE_E, (-1,)) == PRESETS["euler"]
 
 
@@ -403,3 +408,40 @@ def test_poly_table_contiguity():
 def test_general_members_start_at_one():
     for phi in [Unit(), GouldHopper(3), Laguerre(2), TruncatedExp(1)]:
         assert general_members(phi, 0)[0] == ONE
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_phi_and_denominator_series_need_order_at_least_one(order):
+    # Neither function checks the order itself: the series constructor does.
+    message = "a power series needs order >= 1"
+    for phi in [Unit(), GouldHopper(2), Laguerre(1), TruncatedExp(2)]:
+        with pytest.raises(ValueError, match=message):
+            phi_series(phi, order)
+    with pytest.raises(ValueError, match=message):
+        denominator_series(spec_one_e(2, 1, [1, -3]), order)
+
+
+def test_index_bounds_must_be_non_negative_ints():
+    euler = ClassicalFamily.APOSTOL_EULER
+    builders = {
+        "unified_members": lambda n: unified_members(PRESETS["euler"], n),
+        "extract_table": lambda n: extract_table(PRESETS["euler"], n),
+        "general_members": lambda n: general_members(GouldHopper(2), n),
+        "special_case_oracle": lambda n: special_case_oracle(euler, 1, 1, n),
+    }
+    for name, build in builders.items():
+        with pytest.raises(ValueError, match="^n_max must be non-negative$"):
+            build(-1)
+        for bad in (True, False, 2.0, "2", None, Fraction(2)):
+            with pytest.raises(ValueError, match="^n_max must be an int"):
+                build(bad)
+        assert len(list(build(2))) == 3, name
+
+
+def test_special_case_oracle_rejects_degenerate_parameters():
+    with pytest.raises(ValueError, match="order r must be a positive integer"):
+        special_case_oracle(ClassicalFamily.APOSTOL_BERNOULLI, 0, 1, 2)
+    with pytest.raises(ValueError, match="Euler denominator vanish"):
+        special_case_oracle(ClassicalFamily.APOSTOL_EULER, 1, -1, 2)
+    with pytest.raises(ValueError, match="Genocchi denominator vanish"):
+        special_case_oracle(ClassicalFamily.APOSTOL_GENOCCHI, 1, Fraction(-1), 2)

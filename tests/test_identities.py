@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import apostol.identities as identities_mod
+import apostol.series as series_mod
 
 from apostol.family import (
     PHI_KINDS,
@@ -21,6 +22,7 @@ from apostol.family import (
     Phi,
     TruncatedExp,
     Unit,
+    _core_quotient,
     unified_members,
 )
 from apostol.identities import (
@@ -402,3 +404,46 @@ def test_double_index_holds_as_the_literal_double_sum(spec):
                                  * in_x[n + m - p - q])
             assert in_z[n + m] == rhs, (n, m)
     assert verify_double_index(spec, 4, 4).passed
+
+
+def test_index_bounds_of_the_verifiers_must_be_non_negative_ints():
+    euler = PRESETS["euler"]
+    with pytest.raises(ValueError, match="^m_max must be non-negative$"):
+        verify_double_index(euler, 2, -1)
+    for bad in (True, 1.0, "1", None):
+        with pytest.raises(ValueError, match="^n_max must be an int"):
+            verify_double_index(euler, bad, 1)
+        with pytest.raises(ValueError, match="^m_max must be an int"):
+            verify_double_index(euler, 1, bad)
+        for slug, verifier in VERIFIERS.items():
+            with pytest.raises(ValueError, match="^n_max must be an int"):
+                verifier(euler, bad)
+
+
+def test_left_sides_fail_when_the_left_side_kernel_drops_a_triple(monkeypatch):
+    """A fused series kernel that drops the last of 3 or more triples breaks every left side.
+
+    A Cauchy product first sums three triples at t^2 (an inversion at t^3),
+    so the t^0 and t^1 coefficients stay intact and every single-index
+    verifier first fails at n = 2; double-index first fails at (0, 2).  The core
+    quotient cache is cleared around the run so that no faulty core leaks
+    into other tests.
+    """
+    spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
+    kernel = series_mod.sum_of_products
+
+    def dropping_last(triples):
+        triples = list(triples)
+        return kernel(triples[:-1] if len(triples) >= 3 else triples)
+
+    monkeypatch.setattr(series_mod, "sum_of_products", dropping_last)
+    verifiers = {**VERIFIERS, "double-index": lambda spec, n: verify_double_index(spec, n, 2)}
+    _core_quotient.cache_clear()
+    try:
+        for slug, verifier in verifiers.items():
+            verdict = verifier(spec, 4)
+            assert not verdict.passed, slug
+            expected = (0, 2) if slug == "double-index" else (2,)
+            assert verdict.counterexample.indices == expected, slug
+    finally:
+        _core_quotient.cache_clear()

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from apostol.polyring import MultiPoly, VarId, format_poly
 
 from helpers import random_poly, random_rational
@@ -123,3 +125,31 @@ def test_constant_value():
     assert MultiPoly.zero().constant_value() == 0
     assert X.constant_value() is None
     assert (X + 1).constant_value() is None
+
+
+def test_inexact_scalars_raise_type_error():
+    # Only ints (bools excluded) and Fractions enter the ring: a float would
+    # store its binary fraction, a string would be parsed, True would be 1.
+    for bad in (0.1, "2", True, None, 1j):
+        with pytest.raises(TypeError):
+            X * bad
+        with pytest.raises(TypeError):
+            bad * X
+        with pytest.raises(TypeError):
+            X + bad
+        with pytest.raises(TypeError):
+            MultiPoly({(1, 0, 0, 0, 0): bad})
+        with pytest.raises(TypeError):
+            MultiPoly.const(bad)
+        with pytest.raises(TypeError):
+            X.substitute({VarId.X: bad})
+    assert X * 2 * Fraction(1, 2) == MultiPoly({(1, 0, 0, 0, 0): 1})
+
+
+def test_equality_with_non_scalars_is_false():
+    one = MultiPoly.one()
+    assert one == 1 and one == Fraction(1)
+    for other in (True, 1.0, 0.5, "1", None):
+        assert (one == other) is False
+        assert (one != other) is True
+    assert (MultiPoly.zero() == False) is False  # noqa: E712

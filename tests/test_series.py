@@ -21,6 +21,7 @@ from helpers import random_invertible_series, random_poly, random_series
 X = MultiPoly.var(VarId.X)
 Z = MultiPoly.var(VarId.Z)
 ONE = MultiPoly.one()
+ZERO = MultiPoly.zero()
 
 
 def exp_t(order: int) -> PowerSeries:
@@ -77,7 +78,7 @@ def test_invert_constant():
 
 def test_invert_minus_exp_minus_one():
     # -(e^t) - 1 = -2 - t - t^2/2; solve (f * g = 1) by hand forward substitution
-    f = (-exp_t(3)) - PowerSeries.one(3)
+    f = exp_t(3).scale(-1) - PowerSeries.one(3)
     g = f.invert()
     f0, f1, f2 = (c.constant_value() for c in f.coeffs)
     g0 = 1 / f0
@@ -201,3 +202,22 @@ def test_exp_derivative_recurrence():
         s = PowerSeries.exp_linear(p, 9)
         for n in range(8):
             assert (n + 1) * s.coeffs[n + 1] == p * s.coeffs[n]
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_every_constructor_needs_order_at_least_one(order):
+    message = "a power series needs order >= 1"
+    with pytest.raises(ValueError, match=message):
+        PowerSeries([ONE] * order)
+    with pytest.raises(ValueError, match=message):
+        PowerSeries.exp_linear(X, order)
+    with pytest.raises(ValueError, match=message):
+        PowerSeries.one(order)
+    with pytest.raises(ValueError, match=message):
+        PowerSeries.t_power(0, order)
+
+
+def test_valuation():
+    assert PowerSeries([ZERO, ZERO]).valuation() is None
+    assert PowerSeries([ZERO, X]).valuation() == 1
+    assert PowerSeries.one(2).valuation() == 0
