@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
 
 from .family import (
     ClassicalFamily,
@@ -27,17 +26,8 @@ from .family import (
     phi_label,
     special_case_oracle,
 )
-from .identities import (
-    IdentityId,
-    Verdict,
-    verify_double_index,
-    verify_series_def,
-    verify_shift,
-    verify_shift_general,
-    verify_shift_mixed,
-    verify_shift_one,
-    verify_symmetry,
-)
+from .identities import IdentityId, Verdict, verify_all, verify_identity
+from .identities import verify_shift  # noqa: F401  (unused; the bench tracer test patches it)
 from .polyring import MultiPoly, format_poly, render_terms
 from .series import SeriesError
 
@@ -247,17 +237,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--m-max: only used by --identity double-index or all")
     c = _parse_rational(args.c if args.c is not None else "2")
     d = _parse_rational(args.d if args.d is not None else "3")
-    m_max = args.m_max if args.m_max is not None else args.n
-    runs = {  # in IdentityId order
-        IdentityId.SERIES_DEF: partial(verify_series_def, spec, args.n),
-        IdentityId.SHIFT: partial(verify_shift, spec, args.n),
-        IdentityId.SHIFT_MIXED: partial(verify_shift_mixed, spec, args.n),
-        IdentityId.DOUBLE_INDEX: partial(verify_double_index, spec, args.n, m_max),
-        IdentityId.SHIFT_ONE: partial(verify_shift_one, spec, args.n),
-        IdentityId.SHIFT_GENERAL: partial(verify_shift_general, spec, args.n),
-        IdentityId.SYMMETRY: partial(verify_symmetry, spec, c, d, args.n),
-    }
-    verdicts = [run() for ident, run in runs.items() if args.identity in ("all", ident.value)]
+    if args.identity == "all":
+        verdicts = verify_all(spec, args.n, c=c, d=d, m_max=args.m_max)
+    else:
+        verdicts = [verify_identity(IdentityId(args.identity), spec, args.n,
+                                    c=c, d=d, m_max=args.m_max)]
     for verdict in verdicts:
         print(render_verdict(verdict))
     return 0 if all(v.passed for v in verdicts) else 1

@@ -386,6 +386,8 @@ def special_case_oracle(which: ClassicalFamily, r: int, lam: Scalar,
 
     and serve as the independent cross-check for the family reductions.
     """
+    if not isinstance(which, ClassicalFamily):
+        raise ValueError(f"which must be a ClassicalFamily, got {which!r}")
     if type(r) is not int or not (type(lam) is int or isinstance(lam, Fraction)):  # no bools
         raise ValueError(f"r must be an int and lambda an int or Fraction, got {r!r} and {lam!r}")
     if r < 1:

@@ -13,6 +13,13 @@ named by a spec and an exponential argument alone: P(x+z) passes
 exp_argument=x+z, P(0,y) a zero argument, which drops e^(xt), and the
 phi-free tables M(x), M(z) and the numbers M pass replace(spec, phi=Unit()).
 
+A verifier run alone builds every table it reads.  verify_all builds each
+table that more than one verifier reads once, at the largest n any of them
+needs, and hands each reader a prefix: P(x) and P(x+z) at n_max + m_max,
+the general polynomials p(x) at n_max, and P(0) at n_max (when phi is unit,
+the phi-free M(x) and numbers M are the tables P(x) and P(0)).  No verifier
+reads one shared table on both of its sides, so the sides stay apart.
+
 Right sides use only plain ring +, * and the right-side kernel
 polyring.linear_combination, never the fused sum_of_products kernel that
 builds every left side through the series products, so a fault in either
@@ -35,7 +42,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .family import FamilySpec, Unit, check_index, general_members, unified_members
+from .family import FamilySpec, Phi, Unit, check_index, general_members, unified_members
 from .polyring import MultiPoly, Scalar, VarId, linear_combination
 
 __all__ = [
@@ -87,6 +94,39 @@ def _verdict(identity: IdentityId, spec: FamilySpec, max_n: int,
     return Verdict(identity, spec, max_n, True)
 
 
+class _Tables:
+    """Where the verifiers get their tables: unified_members and general_members.
+
+    Each shared entry (spec or phi, exp_argument, n_max) is built once, on
+    its first request, at the entry's n_max, and every request for it gets a
+    prefix; any other request is built afresh.  The builders are looked up
+    at call time, so a patched identities.unified_members sees every build.
+    """
+
+    def __init__(self, shared: Iterable[tuple[FamilySpec | Phi, MultiPoly | None, int]] = ()):
+        self._shared = [[of, arg, n_max, None] for of, arg, n_max in shared]
+
+    def unified(self, spec: FamilySpec, n_max: int, **kwargs) -> list[MultiPoly]:
+        return self._get(unified_members, spec, n_max, kwargs)
+
+    def general(self, phi: Phi, n_max: int, **kwargs) -> list[MultiPoly]:
+        return self._get(general_members, phi, n_max, kwargs)
+
+    def _get(self, build, of, n_max: int, kwargs: dict) -> list[MultiPoly]:
+        arg = kwargs.get("exp_argument")
+        for entry in self._shared:
+            shared_of, shared_arg, size, table = entry
+            if shared_of == of and shared_arg == arg and n_max <= size:
+                if table is None:
+                    table = entry[3] = build(of, size, **kwargs)
+                return table[:n_max + 1]
+        return build(of, n_max, **kwargs)
+
+
+# Shares nothing, so it holds nothing: every verifier run alone builds its own tables.
+_UNSHARED = _Tables()
+
+
 def binomial_convolution(a: Sequence[MultiPoly | int], b: Sequence[MultiPoly],
                          n: int) -> MultiPoly:
     """sum_j C(n,j) * a[n-j] * b[j]: plain ring products, one linear combination."""
@@ -102,7 +142,7 @@ def _convolution_verdict(identity: IdentityId, spec: FamilySpec, n_max: int,
     ))
 
 
-def verify_series_def(spec: FamilySpec, n_max: int) -> Verdict:
+def verify_series_def(spec: FamilySpec, n_max: int, *, _tables: _Tables = _UNSHARED) -> Verdict:
     """P_n(x,y) = sum_j C(n,j) * M_(n-j) * p_j(x,y).
 
     M are the family's numbers (zero exponential argument, phi-free spec)
@@ -110,23 +150,24 @@ def verify_series_def(spec: FamilySpec, n_max: int) -> Verdict:
     """
     return _convolution_verdict(
         IdentityId.SERIES_DEF, spec, n_max,
-        unified_members(spec, n_max),
-        unified_members(replace(spec, phi=Unit()), n_max, exp_argument=MultiPoly.zero()),
-        general_members(spec.phi, n_max),
+        _tables.unified(spec, n_max),
+        _tables.unified(replace(spec, phi=Unit()), n_max, exp_argument=MultiPoly.zero()),
+        _tables.general(spec.phi, n_max),
     )
 
 
-def verify_shift(spec: FamilySpec, n_max: int) -> Verdict:
+def verify_shift(spec: FamilySpec, n_max: int, *, _tables: _Tables = _UNSHARED) -> Verdict:
     """P_n(x+z, y) = sum_m C(n,m) * P_m(x,y) * z^(n-m)."""
     return _convolution_verdict(
         IdentityId.SHIFT, spec, n_max,
-        unified_members(spec, n_max, exp_argument=_x_plus_z()),
+        _tables.unified(spec, n_max, exp_argument=_x_plus_z()),
         _powers(MultiPoly.var(VarId.Z), n_max),
-        unified_members(spec, n_max),
+        _tables.unified(spec, n_max),
     )
 
 
-def verify_shift_mixed(spec: FamilySpec, n_max: int) -> Verdict:
+def verify_shift_mixed(spec: FamilySpec, n_max: int, *,
+                       _tables: _Tables = _UNSHARED) -> Verdict:
     """P_n(x+z, y) = sum_j C(n,j) * M_j(x) * p_(n-j)(z, y).
 
     M_j(x) are the phi-free family polynomials in x; p are the general
@@ -134,13 +175,14 @@ def verify_shift_mixed(spec: FamilySpec, n_max: int) -> Verdict:
     """
     return _convolution_verdict(
         IdentityId.SHIFT_MIXED, spec, n_max,
-        unified_members(spec, n_max, exp_argument=_x_plus_z()),
-        general_members(spec.phi, n_max, exp_argument=MultiPoly.var(VarId.Z)),
-        unified_members(replace(spec, phi=Unit()), n_max),
+        _tables.unified(spec, n_max, exp_argument=_x_plus_z()),
+        _tables.general(spec.phi, n_max, exp_argument=MultiPoly.var(VarId.Z)),
+        _tables.unified(replace(spec, phi=Unit()), n_max),
     )
 
 
-def verify_double_index(spec: FamilySpec, n_max: int, m_max: int) -> Verdict:
+def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
+                        _tables: _Tables = _UNSHARED) -> Verdict:
     """P_(n+m)(z,y) = sum_{p<=n, q<=m} C(n,p) C(m,q) (z-x)^(p+q) P_(n+m-p-q)(x,y).
 
     Checked for every pair (n, m) with n <= n_max and m <= m_max, after the
@@ -155,8 +197,8 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int) -> Verdict:
     check_index("n_max", n_max)
     check_index("m_max", m_max)
     total = n_max + m_max
-    shifted = unified_members(spec, total, exp_argument=_x_plus_z())
-    in_x = unified_members(spec, total)
+    shifted = _tables.unified(spec, total, exp_argument=_x_plus_z())
+    in_x = _tables.unified(spec, total)
     h_powers = _powers(MultiPoly.var(VarId.Z), total)
     right_sides: dict[tuple[int, ...], MultiPoly] = {}
 
@@ -183,7 +225,7 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int) -> Verdict:
     return _verdict(IdentityId.DOUBLE_INDEX, spec, n_max, pairs())
 
 
-def verify_shift_one(spec: FamilySpec, n_max: int) -> Verdict:
+def verify_shift_one(spec: FamilySpec, n_max: int, *, _tables: _Tables = _UNSHARED) -> Verdict:
     """P_n(x+1, y) = sum_m C(n,m) * P_(n-m)(x,y).
 
     The left side re-expands with the exponential argument x + 1 rather than
@@ -191,13 +233,14 @@ def verify_shift_one(spec: FamilySpec, n_max: int) -> Verdict:
     """
     return _convolution_verdict(
         IdentityId.SHIFT_ONE, spec, n_max,
-        unified_members(spec, n_max, exp_argument=MultiPoly.var(VarId.X) + 1),
+        _tables.unified(spec, n_max, exp_argument=MultiPoly.var(VarId.X) + 1),
         [1] * (n_max + 1),
-        unified_members(spec, n_max),
+        _tables.unified(spec, n_max),
     )
 
 
-def verify_shift_general(spec: FamilySpec, n_max: int) -> Verdict:
+def verify_shift_general(spec: FamilySpec, n_max: int, *,
+                         _tables: _Tables = _UNSHARED) -> Verdict:
     """P_n(x+z, y) = sum_m C(n,m) * M_(n-m)(z) * p_m(x, y).
 
     The companion of the mixed shift with the roles of the two variables
@@ -205,13 +248,14 @@ def verify_shift_general(spec: FamilySpec, n_max: int) -> Verdict:
     """
     return _convolution_verdict(
         IdentityId.SHIFT_GENERAL, spec, n_max,
-        unified_members(spec, n_max, exp_argument=_x_plus_z()),
-        unified_members(replace(spec, phi=Unit()), n_max, exp_argument=MultiPoly.var(VarId.Z)),
-        general_members(spec.phi, n_max),
+        _tables.unified(spec, n_max, exp_argument=_x_plus_z()),
+        _tables.unified(replace(spec, phi=Unit()), n_max, exp_argument=MultiPoly.var(VarId.Z)),
+        _tables.general(spec.phi, n_max),
     )
 
 
-def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int) -> Verdict:
+def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int, *,
+                    _tables: _Tables = _UNSHARED) -> Verdict:
     """sum_m C(n,m) c^(n-m) d^m P_(n-m)(dx,y) P_m(0,y) is symmetric in c, d.
 
     This is the z = 0 case of F(ct; dx) F(dt; cz) = F(dt; cx) F(ct; dz) for
@@ -227,31 +271,63 @@ def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int) -> Verdi
     if c == 0 or d == 0:
         raise ValueError("symmetry scalars c and d must be nonzero")
     x = MultiPoly.var(VarId.X)
-    at_zero = unified_members(spec, n_max, exp_argument=MultiPoly.zero())
-    at_d = _scaled(unified_members(spec, n_max, exp_argument=x * d), c)
+    at_zero = _tables.unified(spec, n_max, exp_argument=MultiPoly.zero())
+    at_d = _scaled(_tables.unified(spec, n_max, exp_argument=x * d), c)
     zero_d = _scaled(at_zero, d)
     lhs = [binomial_convolution(at_d, zero_d, n) for n in range(n_max + 1)]
     return _convolution_verdict(
         IdentityId.SYMMETRY, spec, n_max, lhs,
-        _scaled(unified_members(spec, n_max, exp_argument=x * c), d),
+        _scaled(_tables.unified(spec, n_max, exp_argument=x * c), d),
         _scaled(at_zero, c),
     )
 
 
 def verify_all(spec: FamilySpec, n_max: int, *, c: Scalar = 2, d: Scalar = 3,
                m_max: int | None = None) -> list[Verdict]:
-    """Run every identity with default auxiliary parameters, one verdict each."""
+    """Run every identity with default auxiliary parameters, one verdict each.
+
+    The verifiers share the tables that more than one of them reads, each
+    built once at the largest n its readers need: P(x) and P(x+z) at
+    n_max + m_max, p(x) and P(0) at n_max.  The tables are dropped when
+    verify_all returns; a verifier run alone builds its own.
+    """
     if m_max is None:
         m_max = n_max
-    return [
-        verify_series_def(spec, n_max),
-        verify_shift(spec, n_max),
-        verify_shift_mixed(spec, n_max),
-        verify_double_index(spec, n_max, m_max),
-        verify_shift_one(spec, n_max),
-        verify_shift_general(spec, n_max),
-        verify_symmetry(spec, c, d, n_max),
-    ]
+    check_index("n_max", n_max)
+    # An unusable m_max is reported by double-index, after the verifiers before it ran.
+    total = n_max + m_max if type(m_max) is int and m_max >= 0 else n_max
+    tables = _Tables([
+        (spec, None, total),  # P(x): series-def, shift, double-index, shift-one
+        (spec, _x_plus_z(), total),  # P(x+z): shift, shift-mixed, double-index, shift-general
+        (spec.phi, None, n_max),  # p(x): series-def, shift-general
+        # P(0): symmetry, and series-def's numbers M when phi is unit; symmetry
+        # runs last, so holding P(0) for it alone costs nothing.
+        (spec, MultiPoly.zero(), n_max),
+    ])
+    return [verify_identity(identity, spec, n_max, c=c, d=d, m_max=m_max, _tables=tables)
+            for identity in IdentityId]
+
+
+def verify_identity(identity: IdentityId, spec: FamilySpec, n_max: int, *, c: Scalar = 2,
+                    d: Scalar = 3, m_max: int | None = None,
+                    _tables: _Tables = _UNSHARED) -> Verdict:
+    """Run one identity with verify_all's auxiliary parameters.
+
+    The one list of the seven verifiers, in IdentityId order: verify_all
+    runs each of them, and the CLI runs the one --identity names.
+    """
+    if m_max is None:
+        m_max = n_max
+    runs = {
+        IdentityId.SERIES_DEF: lambda: verify_series_def(spec, n_max, _tables=_tables),
+        IdentityId.SHIFT: lambda: verify_shift(spec, n_max, _tables=_tables),
+        IdentityId.SHIFT_MIXED: lambda: verify_shift_mixed(spec, n_max, _tables=_tables),
+        IdentityId.DOUBLE_INDEX: lambda: verify_double_index(spec, n_max, m_max, _tables=_tables),
+        IdentityId.SHIFT_ONE: lambda: verify_shift_one(spec, n_max, _tables=_tables),
+        IdentityId.SHIFT_GENERAL: lambda: verify_shift_general(spec, n_max, _tables=_tables),
+        IdentityId.SYMMETRY: lambda: verify_symmetry(spec, c, d, n_max, _tables=_tables),
+    }
+    return runs[identity]()
 
 
 def _x_plus_z() -> MultiPoly:

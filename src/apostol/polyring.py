@@ -281,6 +281,8 @@ class MultiPoly:
         return MultiPoly._raw(nums, den * q)
 
     def __pow__(self, n: int) -> MultiPoly:
+        if type(n) is not int:  # bools excluded
+            raise TypeError(f"polynomial powers must be ints, got {n!r}")
         if n < 0:
             raise ValueError("negative polynomial powers are not defined in this ring")
         result = MultiPoly.one()

@@ -63,9 +63,11 @@ class PowerSeries:
 
     @classmethod
     def t_power(cls, m: int, order: int) -> PowerSeries:
-        """The monomial t^m (the zero series if m >= order)."""
+        """The monomial t^m for an int m >= 0 (the zero series if m >= order)."""
+        if type(m) is not int or m < 0:  # bools excluded
+            raise ValueError(f"t_power needs an int m >= 0, got {m!r}")
         coeffs = [MultiPoly.zero()] * order
-        if 0 <= m < order:
+        if m < order:
             coeffs[m] = MultiPoly.one()
         return cls(coeffs)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import apostol.identities as identities_mod
 from apostol.cli import TABLE_PRESET_NOTES, main, render_verdict
 from apostol.family import (
     PHI_KINDS, PRESETS, FamilySpec, GouldHopper, LogBase, Phi, extract_table,
@@ -147,7 +148,7 @@ def test_exit_code_1_on_identity_failure(monkeypatch, capsys):
     x = MultiPoly.var(VarId.X)
     fake = Verdict(IdentityId.SHIFT, PRESETS["euler"], 3, False,
                    Counterexample((2,), x, x + 1))
-    monkeypatch.setattr("apostol.cli.verify_shift", lambda spec, n: fake)
+    monkeypatch.setattr("apostol.identities.verify_shift", lambda spec, n, **kwargs: fake)
     rc = main(["verify", "--identity", "shift", "--preset", "euler", "--n", "3"])
     out = capsys.readouterr().out
     assert rc == 1
@@ -247,3 +248,23 @@ def test_verify_all_prints_what_verify_all_returns(flags, spec, capsys):
     main(["verify", "--identity", "all", *flags, "--n", "4"])
     expected = "".join(render_verdict(v) + "\n" for v in verify_all(spec, 4))
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("identity", [i.value for i in IdentityId])
+def test_a_single_identity_builds_only_its_own_tables(monkeypatch, capsys, identity):
+    # Only verify_all shares tables; a single --identity builds what its
+    # verifier reads, at n, and only double-index reads up to n + m_max.
+    sizes = []
+    for name in ("unified_members", "general_members"):
+        build = getattr(identities_mod, name)
+
+        def logged(of, n, _build=build, **kwargs):
+            sizes.append(n)
+            return _build(of, n, **kwargs)
+
+        monkeypatch.setattr(identities_mod, name, logged)
+    double = identity == IdentityId.DOUBLE_INDEX.value
+    m_max = ["--m-max", "2"] if double else []
+    assert main(["verify", "--identity", identity, *SYM_SYM_FLAGS, "--n", "3", *m_max]) == 0
+    assert capsys.readouterr().out == f"{identity}: PASS\n"
+    assert sizes and set(sizes) == ({5} if double else {3})

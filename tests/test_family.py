@@ -227,6 +227,14 @@ def test_special_case_oracle_rejects_inexact_parameters():
     assert special_case_oracle(which, 2, 3, 1).label == "apostol-euler(r=2, lambda=3)"
 
 
+def test_special_case_oracle_rejects_a_which_that_is_no_classical_family():
+    # Unchecked, a slug, a preset name or None would build the Genocchi table
+    # and then fail on its label; it is refused before any series is built.
+    for which in ("apostol-bernoulli", "euler", None, PRESETS["euler"]):
+        with pytest.raises(ValueError, match="^which must be a ClassicalFamily"):
+            special_case_oracle(which, 1, 1, 3)
+
+
 # -- reduction properties --------------------------------------------------------------
 
 

@@ -23,6 +23,7 @@ from apostol.family import (
     TruncatedExp,
     Unit,
     _core_quotient,
+    general_members,
     unified_members,
 )
 from apostol.identities import (
@@ -311,6 +312,15 @@ def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, ta
     symmetry reads P(0) on both sides with weights d^j and c^j; they differ
     for j0 >= 1 (c=2, d=3), and agree at j0 = 0, where the fault first
     shows at n = 1, which is why j0 starts at 1.
+
+    Under verify_all a table that several verifiers read is built once and
+    shared, so a fault in it fails every one of them (SHARED_FAULTS below):
+
+        shared table   read by
+        P(x)           series-def (lhs), shift, double-index, shift-one
+        P(x+z)         shift, shift-mixed, double-index, shift-general (lhs each)
+        p(x)           series-def, shift-general
+        P(0)           symmetry; series-def too when phi is unit (as M)
     """
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
     original = getattr(identities_mod, name)
@@ -447,3 +457,105 @@ def test_left_sides_fail_when_the_left_side_kernel_drops_a_triple(monkeypatch):
             assert verdict.counterexample.indices == expected, slug
     finally:
         _core_quotient.cache_clear()
+
+
+# -- tables shared inside verify_all -------------------------------------------------
+
+SYM_GH2 = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(small_specs(), st.integers(0, 3), st.integers(1, 3))
+def test_a_smaller_table_is_a_prefix_of_a_larger_one(spec, n, extra):
+    # verify_all builds each shared table once at the largest n and hands out
+    # prefixes, which is exact only if truncating later changes no entry.
+    for kwargs in ({}, {"exp_argument": X + Z}, {"exp_argument": ZERO}):
+        larger = unified_members(spec, n + extra, **kwargs)
+        assert larger[:n + 1] == unified_members(spec, n, **kwargs)
+    assert general_members(spec.phi, n + extra)[:n + 1] == general_members(spec.phi, n)
+
+
+def _recording_builders(monkeypatch):
+    """Route identities' table builders through a log of (builder, spec or phi, argument, n)."""
+    requests = []
+    for name in ("unified_members", "general_members"):
+        build = getattr(identities_mod, name)
+
+        def logged(of, n, _name=name, _build=build, **kwargs):
+            requests.append((_name, of, kwargs.get("exp_argument"), n))
+            return _build(of, n, **kwargs)
+
+        monkeypatch.setattr(identities_mod, name, logged)
+    return requests
+
+
+def _distinct_tables(requests):
+    """The (builder, spec or phi, argument) triples of a request log, once each, in order."""
+    out = []
+    for name, of, arg, _ in requests:
+        if not any(t == (name, of, arg) for t in out):
+            out.append((name, of, arg))
+    return out
+
+
+@pytest.mark.parametrize("spec", [*PRESETS.values(), SYM_GH2], ids=[*PRESETS, "sym-sym-gh2"])
+def test_verify_all_requests_each_table_once(monkeypatch, spec):
+    n_max, m_max = 3, 2
+    requests = _recording_builders(monkeypatch)
+    for identity in IdentityId:
+        identities_mod.verify_identity(identity, spec, n_max, m_max=m_max)
+    alone = _distinct_tables(requests)
+
+    requests.clear()
+    verify_all(spec, n_max, m_max=m_max)
+    shared = [(name, of, arg) for name, of, arg, _ in requests]
+    assert _distinct_tables(requests) == shared  # no table is built twice
+    assert len(shared) == len(alone) and all(t in shared for t in alone)
+    for name, of, arg, n in requests:
+        # only P(x) and P(x+z) are read beyond n_max, by double-index
+        wide = name == "unified_members" and of == spec and (arg is None or arg == X + Z)
+        assert n == (n_max + m_max if wide else n_max), (name, of, arg)
+
+
+@pytest.mark.parametrize("spec", [*PRESETS.values(), SYM_GH2], ids=[*PRESETS, "sym-sym-gh2"])
+def test_verify_all_returns_the_verdicts_of_the_verifiers_run_alone(spec):
+    alone = [identities_mod.verify_identity(identity, spec, 4, m_max=3) for identity in IdentityId]
+    assert verify_all(spec, 4, m_max=3) == alone
+
+
+# (shared table, builder, phi kind, kwargs, the verifiers that read it under verify_all)
+SHARED_FAULTS = [
+    ("P(x)", "unified_members", GH, {}, {"series-def", "shift", "double-index", "shift-one"}),
+    ("P(x+z)", "unified_members", GH, {"exp_argument": X + Z},
+     {"shift", "shift-mixed", "double-index", "shift-general"}),
+    ("p(x)", "general_members", GH, {}, {"series-def", "shift-general"}),
+    ("P(0)", "unified_members", GH, {"exp_argument": ZERO}, {"symmetry"}),
+]
+
+
+@pytest.mark.parametrize("j0", [1, 4])
+@pytest.mark.parametrize("table, name, kind, match, readers", SHARED_FAULTS,
+                         ids=[table for table, *_ in SHARED_FAULTS])
+def test_a_fault_in_a_shared_table_fails_every_reader(monkeypatch, table, name, kind, match,
+                                                      readers, j0):
+    """The shared table is built once; each reader FAILs as it does alone, the rest PASS."""
+    original = getattr(identities_mod, name)
+    hits = []
+
+    def faulty(spec_or_phi, n, **kwargs):
+        out = original(spec_or_phi, n, **kwargs)
+        if getattr(spec_or_phi, "phi", spec_or_phi).kind == kind and kwargs == match:
+            hits.append(n)
+            out[j0] = out[j0] + Y
+        return out
+
+    monkeypatch.setattr(identities_mod, name, faulty)
+    verdicts = verify_all(SYM_GH2, 5, m_max=2)
+    assert len(hits) == 1
+    assert {v.identity.value for v in verdicts if not v.passed} == readers
+    for v in verdicts:
+        if not v.passed and v.identity is not IdentityId.DOUBLE_INDEX:
+            assert v.counterexample.indices == (j0,), v.identity
+    alone = [identities_mod.verify_identity(identity, SYM_GH2, 5, m_max=2)
+             for identity in IdentityId]
+    assert verdicts == alone

@@ -109,6 +109,15 @@ def test_power():
     assert (X - Y) ** 3 == X**3 - 3 * X**2 * Y + 3 * X * Y**2 - Y**3
 
 
+def test_power_takes_only_non_negative_ints():
+    # Unchecked, True would act as 1 and 2.0 would fail on a bitwise & in the loop.
+    for bad in (True, False, 2.0, Fraction(2), "2", None):
+        with pytest.raises(TypeError, match="^polynomial powers must be ints"):
+            X ** bad
+    with pytest.raises(ValueError, match="negative polynomial powers"):
+        X ** -1
+
+
 def test_format_graded_lex_descending():
     p = X * X - X + Fraction(1, 6)
     assert format_poly(p) == "x^2 - x + 1/6"

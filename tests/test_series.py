@@ -217,6 +217,15 @@ def test_every_constructor_needs_order_at_least_one(order):
         PowerSeries.t_power(0, order)
 
 
+def test_t_power_takes_only_non_negative_int_exponents():
+    # t^-1 is no power series; unchecked, it would come back as the zero series.
+    for bad in (-1, -3, True, 1.0, Fraction(1), "1", None):
+        with pytest.raises(ValueError, match="^t_power needs an int m >= 0"):
+            PowerSeries.t_power(bad, 3)
+    assert PowerSeries.t_power(3, 3) == PowerSeries([ZERO] * 3)
+    assert PowerSeries.t_power(2, 3).valuation() == 2
+
+
 def test_valuation():
     assert PowerSeries([ZERO, ZERO]).valuation() is None
     assert PowerSeries([ZERO, X]).valuation() == 1
