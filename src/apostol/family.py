@@ -43,7 +43,7 @@ from functools import lru_cache
 from math import factorial
 
 from .polyring import MultiPoly, Scalar, VarId
-from .series import PowerSeries
+from .series import PowerSeries, check_order
 
 __all__ = [
     "ClassicalFamily", "FamilySpec", "GouldHopper", "InvalidFamilySpecError", "Laguerre",
@@ -153,7 +153,7 @@ def phi_series(phi: Phi, order: int) -> PowerSeries:
     if weight is None:
         return PowerSeries.one(order)
     y = MultiPoly.var(VarId.Y)
-    coeffs = [MultiPoly.zero()] * order
+    coeffs = [MultiPoly.zero()] * check_order(order)
     j = 0
     ypow = MultiPoly.one()
     while j * phi.step < order:
@@ -288,7 +288,7 @@ def unified_series(spec: FamilySpec, order: int, *,
     replace(spec, phi=Unit()) with a zero argument gives the family's numbers.
     """
     rk = spec.r * spec.k
-    if order < rk + 1:
+    if check_order(order) < rk + 1:
         raise ValueError(f"order must be at least r*k + 1 = {rk + 1}, got {order}")
     result = _core_quotient(replace(spec, phi=Unit()), order)
     arg = exp_argument if exp_argument is not None else MultiPoly.var(VarId.X)

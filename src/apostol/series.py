@@ -41,6 +41,13 @@ class OrderExceededError(SeriesError):
     """A coefficient beyond the truncation order was requested."""
 
 
+def check_order(order: int) -> int:
+    """The order itself, unless it is not an int >= 1 (bools excluded): then ValueError."""
+    if type(order) is not int or order < 1:
+        raise ValueError(f"a power series needs order >= 1 (an int), got {order!r}")
+    return order
+
+
 class PowerSeries:
     """A formal power series in t, truncated at a fixed positive order.
 
@@ -66,7 +73,7 @@ class PowerSeries:
         """The monomial t^m for an int m >= 0 (the zero series if m >= order)."""
         if type(m) is not int or m < 0:  # bools excluded
             raise ValueError(f"t_power needs an int m >= 0, got {m!r}")
-        coeffs = [MultiPoly.zero()] * order
+        coeffs = [MultiPoly.zero()] * check_order(order)
         if m < order:
             coeffs[m] = MultiPoly.one()
         return cls(coeffs)
@@ -74,18 +81,13 @@ class PowerSeries:
     @classmethod
     def exp_linear(cls, coefficient: MultiPoly, order: int) -> PowerSeries:
         """exp(coefficient * t): the coefficient of t^n is coefficient^n / n!."""
-        if order < 1:
-            raise ValueError("a power series needs order >= 1")
+        check_order(order)
         coeffs = [MultiPoly.one()]
         for n in range(1, order):
             coeffs.append(sum_of_products([(Fraction(1, n), coeffs[-1], coefficient)]))
         return cls(coeffs)
 
     # -- inspection --------------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return len(self._coeffs)
 
     @property
     def coeffs(self) -> tuple[MultiPoly, ...]:

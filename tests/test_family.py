@@ -26,6 +26,7 @@ from apostol.family import (
     denominator_series,
     extract_table,
     general_members,
+    general_series,
     phi_series,
     special_case_oracle,
     unified_members,
@@ -140,7 +141,7 @@ def test_unified_bernoulli_generating_series():
     # r=1, k=1, alpha=1: -t e^(xt) / (e^t - 1), one order lost to the valuation
     spec = PRESETS["bernoulli"]
     got = unified_series(spec, 6)
-    assert got.order == 5
+    assert len(got.coeffs) == 5
     num = PowerSeries.t_power(1, 6) * PowerSeries.exp_linear(X, 6)
     den = PowerSeries.exp_linear(ONE, 6) - PowerSeries.one(6)
     assert got == num.divide_with_valuation(den, 1).scale(-1)
@@ -420,13 +421,27 @@ def test_general_members_start_at_one():
 
 @pytest.mark.parametrize("order", [0, -2])
 def test_phi_and_denominator_series_need_order_at_least_one(order):
-    # Neither function checks the order itself: the series constructor does.
+    # Neither function checks the order itself: the series module does.
     message = "a power series needs order >= 1"
     for phi in [Unit(), GouldHopper(2), Laguerre(1), TruncatedExp(2)]:
         with pytest.raises(ValueError, match=message):
             phi_series(phi, order)
     with pytest.raises(ValueError, match=message):
         denominator_series(spec_one_e(2, 1, [1, -3]), order)
+
+
+def test_series_builders_take_only_int_orders():
+    # An order of True used to build an order-1 series, and 2.0 failed with a bare TypeError.
+    builders = {
+        "unified_series": lambda order: unified_series(PRESETS["euler"], order),
+        "general_series": lambda order: general_series(Unit(), order),
+        "phi_series": lambda order: phi_series(GouldHopper(2), order),
+    }
+    for name, build in builders.items():
+        for bad in (True, False, 2.0, "2", None, Fraction(2)):
+            with pytest.raises(ValueError, match=r"^a power series needs order >= 1 \(an int\)"):
+                build(bad)
+        assert len(build(2).coeffs) == 2, name
 
 
 def test_index_bounds_must_be_non_negative_ints():

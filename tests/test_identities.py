@@ -51,6 +51,7 @@ ZERO = MultiPoly.zero()
 
 ONE_E = (LogBase.ONE, LogBase.E)
 SYM = (LogBase.SYMBOLIC_A, LogBase.SYMBOLIC_B)
+SYM_GH2 = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
 
 
 def test_series_def_on_euler_with_gould_hopper():
@@ -253,6 +254,44 @@ def test_double_index_memo_reports_the_unmemoized_counterexample(monkeypatch, j)
     assert expected is not None
     assert not verdict.passed
     assert verdict.counterexample == expected
+
+
+def test_double_index_compares_each_distinct_weight_vector_once(monkeypatch):
+    # The weights of (n, m) are C(n+m, s), so the 20 pairs make one check per N = 0 .. 7.
+    triples = []
+    verdict = identities_mod._verdict
+
+    def counting(identity, spec, max_n, pairs):
+        return verdict(identity, spec, max_n, (triples.append(t) or t for t in pairs))
+
+    monkeypatch.setattr(identities_mod, "_verdict", counting)
+    assert verify_double_index(SYM_GH2, 4, 3).passed
+    assert [indices for indices, _, _ in triples] == [
+        (0, 0), (0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (3, 3), (4, 3)]
+
+
+def test_double_index_checks_a_pair_whose_weights_are_new(monkeypatch):
+    # comb(4, 2) is read only by the pairs (4, m); a wrong value gives (4, 0)
+    # the weights (1, 4, 7, 4, 1), which no earlier pair had, although N = 4
+    # was checked at (1, 3).  The pair must be checked, not skipped, and FAIL
+    # as the literal double sum in (x, z) with the same weights does.
+    def wrong_comb(n, k):
+        return 7 if (n, k) == (4, 2) else comb(n, k)
+
+    monkeypatch.setattr(identities_mod, "comb", wrong_comb)
+    verdict = verify_double_index(SYM_GH2, 4, 3)
+    monkeypatch.undo()
+
+    in_z = unified_members(SYM_GH2, 7, exp_argument=Z)
+    in_x = unified_members(SYM_GH2, 7)
+    n, m = 4, 0
+    rhs = MultiPoly.zero()
+    for p in range(n + 1):
+        for q in range(m + 1):
+            rhs = rhs + (wrong_comb(n, p) * wrong_comb(m, q) * (Z - X) ** (p + q)
+                         * in_x[n + m - p - q])
+    assert not verdict.passed
+    assert verdict.counterexample == Counterexample((4, 0), in_z[4], rhs)
 
 
 
@@ -461,8 +500,6 @@ def test_left_sides_fail_when_the_left_side_kernel_drops_a_triple(monkeypatch):
 
 # -- tables shared inside verify_all -------------------------------------------------
 
-SYM_GH2 = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
-
 
 @settings(max_examples=20, deadline=None, database=None)
 @given(small_specs(), st.integers(0, 3), st.integers(1, 3))
@@ -515,6 +552,13 @@ def test_verify_all_requests_each_table_once(monkeypatch, spec):
         # only P(x) and P(x+z) are read beyond n_max, by double-index
         wide = name == "unified_members" and of == spec and (arg is None or arg == X + Z)
         assert n == (n_max + m_max if wide else n_max), (name, of, arg)
+
+
+def test_verify_all_rejects_a_bad_m_max_before_building_any_table(monkeypatch):
+    requests = _recording_builders(monkeypatch)
+    with pytest.raises(ValueError, match="^m_max must be non-negative$"):
+        verify_all(PRESETS["euler"], 2, m_max=-1)
+    assert requests == []
 
 
 @pytest.mark.parametrize("spec", [*PRESETS.values(), SYM_GH2], ids=[*PRESETS, "sym-sym-gh2"])

@@ -49,7 +49,7 @@ def test_mul_truncates_to_min_order():
     one_minus_t = PowerSeries([ONE, -ONE, MultiPoly.zero()])
     prod = one_plus_t * one_minus_t
     assert prod == PowerSeries([ONE, MultiPoly.zero(), -ONE])
-    assert (exp_t(6) * PowerSeries.one(4)).order == 4
+    assert len((exp_t(6) * PowerSeries.one(4)).coeffs) == 4
 
 
 def test_mul_identity():
@@ -215,6 +215,20 @@ def test_every_constructor_needs_order_at_least_one(order):
         PowerSeries.one(order)
     with pytest.raises(ValueError, match=message):
         PowerSeries.t_power(0, order)
+
+
+def test_constructors_take_only_int_orders():
+    # An order of True used to build an order-1 series, and 2.0 failed with a bare TypeError.
+    constructors = {
+        "one": PowerSeries.one,
+        "exp_linear": lambda order: PowerSeries.exp_linear(X, order),
+        "t_power": lambda order: PowerSeries.t_power(0, order),
+    }
+    for name, build in constructors.items():
+        for bad in (True, False, 2.0, "2", None, Fraction(2)):
+            with pytest.raises(ValueError, match=r"^a power series needs order >= 1 \(an int\)"):
+                build(bad)
+        assert len(build(2).coeffs) == 2, name
 
 
 def test_t_power_takes_only_non_negative_int_exponents():
