@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .polyring import MultiPoly, Scalar, VarId
+from .polyring import MultiPoly, Scalar, VarId, is_exact_scalar
 from .series import PowerSeries, check_order
 
 __all__ = [
@@ -191,7 +191,7 @@ class FamilySpec:
             raise InvalidFamilySpecError(f"order r must be a positive integer, got {self.r}")
         if self.k < 0:
             raise InvalidFamilySpecError(f"k must be non-negative, got {self.k}")
-        if not all(type(a) is int or isinstance(a, Fraction) for a in self.alphas):  # no bools
+        if not all(map(is_exact_scalar, self.alphas)):
             raise InvalidFamilySpecError(f"alphas must be ints or Fractions, got {self.alphas!r}")
         object.__setattr__(self, "alphas", tuple(Fraction(a) for a in self.alphas))
         if len(self.alphas) != self.r:
@@ -388,7 +388,7 @@ def special_case_oracle(which: ClassicalFamily, r: int, lam: Scalar,
     """
     if not isinstance(which, ClassicalFamily):
         raise ValueError(f"which must be a ClassicalFamily, got {which!r}")
-    if type(r) is not int or not (type(lam) is int or isinstance(lam, Fraction)):  # no bools
+    if type(r) is not int or not is_exact_scalar(lam):  # no bools
         raise ValueError(f"r must be an int and lambda an int or Fraction, got {r!r} and {lam!r}")
     if r < 1:
         raise ValueError(f"order r must be a positive integer, got {r}")

@@ -27,7 +27,7 @@ shows as a FAIL instead of cancelling out.  Each right side forms its
 products with * and sums them in one linear_combination, normalized once
 per index.  The double-index identity is checked after the automorphism
 z -> x + h, where its right side needs only monomial shifts h^s; a
-counterexample is mapped back with h -> z - x by plain ring operations.
+counterexample is mapped back with MultiPoly.substitute({Z: z - x}).
 
 On failure the verdict carries the smallest failing index tuple in
 lexicographic order together with both polynomials, so a broken identity
@@ -43,7 +43,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .family import FamilySpec, Phi, Unit, check_index, general_members, unified_members
-from .polyring import MultiPoly, Scalar, VarId, linear_combination
+from .polyring import MultiPoly, Scalar, VarId, is_exact_scalar, linear_combination
 
 __all__ = [
     "Counterexample", "IdentityId", "Verdict", "verify_all", "verify_double_index",
@@ -200,6 +200,7 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
     shifted = _tables.unified(spec, total, exp_argument=_x_plus_z())
     in_x = _tables.unified(spec, total)
     h_powers = _powers(MultiPoly.var(VarId.Z), total)
+    unshift = {VarId.Z: MultiPoly.var(VarId.Z) - MultiPoly.var(VarId.X)}
     checked: set[tuple[int, ...]] = set()
 
     def pairs():
@@ -216,7 +217,7 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
                 lhs, rhs = shifted[n + m], linear_combination(
                     (w, in_x[n + m - s] * h_powers[s]) for s, w in enumerate(weights))
                 if lhs != rhs:  # report the mismatch in (x, z)
-                    lhs, rhs = _unshifted(lhs), _unshifted(rhs)
+                    lhs, rhs = lhs.substitute(unshift), rhs.substitute(unshift)
                 yield (n, m), lhs, rhs
 
     return _verdict(IdentityId.DOUBLE_INDEX, spec, n_max, pairs())
@@ -262,7 +263,7 @@ def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int, *,
     against the x-free table P_m(0,y), with every entry pre-scaled by its
     scalar power; c and d must be nonzero ints or Fractions.
     """
-    if not all(type(s) is int or isinstance(s, Fraction) for s in (c, d)):  # no bools
+    if not (is_exact_scalar(c) and is_exact_scalar(d)):
         raise ValueError(f"symmetry scalars must be ints or Fractions, got {c!r} and {d!r}")
     c, d = Fraction(c), Fraction(d)
     if c == 0 or d == 0:
@@ -313,6 +314,8 @@ def verify_identity(identity: IdentityId, spec: FamilySpec, n_max: int, *, c: Sc
     The one list of the seven verifiers, in IdentityId order: verify_all
     runs each of them, and the CLI runs the one --identity names.
     """
+    if not isinstance(identity, IdentityId):
+        raise ValueError(f"identity must be an IdentityId, got {identity!r}")
     if m_max is None:
         m_max = n_max
     runs = {
@@ -342,14 +345,3 @@ def _powers(p: MultiPoly, max_power: int) -> list[MultiPoly]:
         out.append(out[-1] * p)
     return out
 
-
-def _unshifted(p: MultiPoly) -> MultiPoly:
-    """p with z replaced by z - x, from the top power of z down, on plain ring + and *."""
-    slices: list[dict] = [{} for _ in range(p.total_degree() + 1)]
-    for (ex, ey, ez, ea, eb), c in p.terms.items():
-        slices[ez][ex, ey, 0, ea, eb] = c
-    z_minus_x = MultiPoly.var(VarId.Z) - MultiPoly.var(VarId.X)
-    out = MultiPoly.zero()
-    for terms in reversed(slices):
-        out = out * z_minus_x + MultiPoly(terms)
-    return out

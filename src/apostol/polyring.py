@@ -22,11 +22,12 @@ Every value is kept in canonical form: no zero numerators, and
 gcd(den, *numerators) == 1, with den == 1 for the zero polynomial (the empty
 mapping).  Two polynomials are therefore equal exactly when their numerator
 maps and denominators are equal; there is no normalization step to forget.
-Fractions are built only at the edges (terms, constant_value and
-substitute); rendering reads reduced integer pairs from reduced_terms.
+Fractions are built only at the edges (terms and constant_value); rendering
+reads reduced integer pairs from reduced_terms.
 
-Scalars are exact: every coefficient, scalar operand and substituted value
-must be an int or a Fraction.  Anything else, including bools, floats and
+Scalars are exact: every coefficient and scalar operand must be an int or a
+Fraction (is_exact_scalar), and substitute sends each bound variable to such
+a scalar or to a polynomial.  Anything else, including bools, floats and
 strings, raises TypeError, so no binary fraction can enter the ring.
 """
 
@@ -34,7 +35,9 @@ from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import accumulate, repeat
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Mapping, Union
 
 __all__ = ["MultiPoly", "VarId", "format_poly"]
@@ -108,13 +111,16 @@ def _mul_into(out: dict[int, int], na: dict[int, int], nb: dict[int, int], f: in
             out[k] = get(k, 0) + va * vb
 
 
+def is_exact_scalar(c: object) -> bool:
+    """Whether c is a ring scalar: an int that is not a bool, or a Fraction."""
+    return type(c) is int or isinstance(c, Fraction)
+
+
 def _scalar_parts(c: Scalar) -> tuple[int, int]:
     """(numerator, positive denominator) of an int or Fraction; TypeError otherwise."""
-    if type(c) is int:  # bools excluded
-        return c, 1
-    if isinstance(c, Fraction):
-        return c.numerator, c.denominator
-    raise TypeError(f"ring scalars must be ints or Fractions, got {c!r}")
+    if not is_exact_scalar(c):
+        raise TypeError(f"ring scalars must be ints or Fractions, got {c!r}")
+    return c.numerator, c.denominator
 
 
 class MultiPoly:
@@ -204,11 +210,6 @@ class MultiPoly:
             return Fraction(self._nums[0], self._den)
         return None
 
-    def total_degree(self) -> int:
-        if not self._nums:
-            return 0
-        return max(self._nums) >> _DEG_SHIFT
-
     def reduced_terms(self) -> list[tuple[Exponents, int, int]]:
         """(exponents, numerator, denominator) per term, in graded-lex order.
 
@@ -294,31 +295,37 @@ class MultiPoly:
             n >>= 1
         return result
 
-    def substitute(self, bindings: Mapping[VarId, Scalar]) -> MultiPoly:
-        """Replace each bound variable by a rational value; others untouched.
+    def substitute(self, bindings: Mapping[VarId, MultiPoly | Scalar]) -> MultiPoly:
+        """Replace each bound variable by its value, all at once; others untouched.
 
-        substitute commutes with + and *, which the tests rely on: proving an
-        identity for the symbolic La, Lb therefore proves it for every
-        numeric specialization.
+        A value is a polynomial or an exact scalar, and every binding reads
+        the original variables, so {X: z, Z: x} swaps x and z.  substitute is
+        a ring map, commuting with + and *: proving an identity for the
+        symbolic La, Lb therefore proves it for every numeric specialization.
         """
-        if not bindings:
+        values = {VarId(v): val if isinstance(val, MultiPoly) else MultiPoly.const(val)
+                  for v, val in bindings.items()}
+        if not values or not self._nums:
             return self
-        values = {VarId(v): Fraction(*_scalar_parts(val)) for v, val in bindings.items()}
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
-            new_exps = list(exps)
-            for v, val in values.items():
-                if exps[v]:
-                    c *= val ** exps[v]
-                    new_exps[v] = 0
-            key = tuple(new_exps)
-            out[key] = out.get(key, 0) + c
-        return MultiPoly(out)
+        shifts = [_SHIFTS[v] for v in values]
+        # Terms grouped by their bound exponents; each group keeps its free part.
+        groups: dict[tuple[int, ...], dict[int, int]] = {}
+        for k, c in self._nums.items():
+            exps = tuple((k >> s) & _MASK for s in shifts)
+            free = k - (sum(exps) << _DEG_SHIFT) - sum(e << s for e, s in zip(exps, shifts))
+            groups.setdefault(exps, {})[free] = c
+        powers = [list(accumulate(repeat(val, max(e[i] for e in groups)), mul,
+                                  initial=MultiPoly.one()))
+                  for i, val in enumerate(values.values())]
+        return linear_combination(
+            (Fraction(1, self._den),
+             prod((row[e] for row, e in zip(powers, exps)), start=MultiPoly._raw(free, 1)))
+            for exps, free in groups.items())
 
     # -- comparison and display --------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is int or isinstance(other, Fraction):  # a bool is no scalar
+        if is_exact_scalar(other):
             other = MultiPoly.const(other)
         if isinstance(other, MultiPoly):
             return self._den == other._den and self._nums == other._nums

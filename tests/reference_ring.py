@@ -67,13 +67,15 @@ class RefPoly:
         return None
 
     def substitute(self, bindings):
+        """Each bound variable replaced by its value, a RefPoly or a scalar, at once."""
         out = RefPoly()
         for e, c in self.terms.items():
             new = list(e)
+            term = RefPoly({ZERO_EXPS: c})
             for v, val in bindings.items():
-                c *= Fraction(val) ** e[v]
+                term = term * self._coerce(val) ** e[v]
                 new[v] = 0
-            out = out + RefPoly({tuple(new): c})
+            out = out + term * RefPoly({tuple(new): 1})
         return out
 
     def sorted_terms(self):

@@ -77,6 +77,21 @@ def test_shift_z_zero_slice_recovers_base():
         assert shifted[n].substitute({VarId.Z: 0}) == base[n]
 
 
+def test_substitution_agrees_with_re_expansion():
+    """Mapping a table's variables equals re-expanding at the mapped argument.
+
+    P_n(x+z) with z -> z - x is P_n(z), and P_n(x) with x -> 3x is P_n(3x),
+    on symbolic bases with a Gould-Hopper phi.
+    """
+    in_x = unified_members(SYM_GH2, 8)
+    shifted = unified_members(SYM_GH2, 8, exp_argument=X + Z)
+    in_z = unified_members(SYM_GH2, 8, exp_argument=Z)
+    tripled = unified_members(SYM_GH2, 8, exp_argument=3 * X)
+    for n in range(9):
+        assert shifted[n].substitute({VarId.Z: Z - X}) == in_z[n]
+        assert in_x[n].substitute({VarId.X: 3 * X}) == tripled[n]
+
+
 def test_shift_mixed_on_gould_hopper_3():
     spec = FamilySpec(1, 0, *ONE_E, (Fraction(-1),), GouldHopper(3))
     assert verify_shift_mixed(spec, 6).passed
@@ -467,6 +482,12 @@ def test_index_bounds_of_the_verifiers_must_be_non_negative_ints():
         for slug, verifier in VERIFIERS.items():
             with pytest.raises(ValueError, match="^n_max must be an int"):
                 verifier(euler, bad)
+
+
+def test_verify_identity_takes_only_identity_ids():
+    for bad in ("shift", None, 3):
+        with pytest.raises(ValueError, match=f"^identity must be an IdentityId, got {bad!r}$"):
+            identities_mod.verify_identity(bad, PRESETS["euler"], 3)
 
 
 def test_left_sides_fail_when_the_left_side_kernel_drops_a_triple(monkeypatch):

@@ -58,6 +58,18 @@ def test_substitute_empty_binding_is_identity():
     assert p.substitute({}) == p
 
 
+def test_substitute_binds_every_variable_at_once():
+    Z = MultiPoly.var(VarId.Z)
+    assert (X * X + Z).substitute({VarId.X: Z, VarId.Z: X}) == Z * Z + X
+    assert (X * Y).substitute({VarId.X: Y, VarId.Y: X + 1}) == Y * X + Y
+
+
+def test_substitute_rejects_a_key_that_is_no_variable():
+    for bad in (5, -1, "x"):
+        with pytest.raises(ValueError):
+            X.substitute({bad: 1})
+
+
 def test_equality_is_canonical():
     assert (X + 1) * (X + 1) == X * X + 2 * X + 1
     assert X != Y
@@ -85,7 +97,7 @@ def test_substitute_commutes_with_arithmetic():
         p = random_poly(rng, max_degree=3, max_terms=4)
         q = random_poly(rng, max_degree=3, max_terms=4)
         bindings = {
-            v: random_rational(rng)
+            v: random_rational(rng) if rng.random() < 0.5 else random_poly(rng, 2, 3)
             for v in VarId
             if rng.random() < 0.6
         }

@@ -120,12 +120,20 @@ def test_scalar_mul(pt, c):
     assert p * c == p * MultiPoly.const(c)
 
 
+def lifted(bindings, ring):
+    """The bindings with each term-map value made a polynomial of ring."""
+    return {v: ring(b) if isinstance(b, dict) else b for v, b in bindings.items()}
+
+
 @PROPERTY
 @given(st.dictionaries(small_exps, coeffs, max_size=5),
-       st.dictionaries(st.sampled_from(list(VarId)), coeffs))
+       st.dictionaries(st.sampled_from(list(VarId)),
+                       st.one_of(scalars, st.dictionaries(small_exps, coeffs, max_size=2))))
 def test_substitute(pt, bindings):
+    """Scalar and polynomial values, bound together, against the reference."""
     p, rp = both(pt)
-    assert_agrees(p.substitute(bindings), rp.substitute(bindings))
+    assert_agrees(p.substitute(lifted(bindings, MultiPoly)),
+                  rp.substitute(lifted(bindings, RefPoly)))
 
 
 @PROPERTY
@@ -137,7 +145,6 @@ def test_ordering_rendering_and_constants(pt):
     # The LaTeX golden files hold no z, log a, log b or exponent >= 10; this does.
     assert poly_to_latex(p) == latex_ref(rp)
     assert p.constant_value() == rp.constant_value()
-    assert p.total_degree() == rp.total_degree()
 
 
 @PROPERTY
@@ -202,7 +209,6 @@ def test_exponent_field_never_carries(v):
     below[v] = MAX_DEGREE - 1
     product = MultiPoly({tuple(below): 1}) * MultiPoly.var(v)
     assert product.terms == {tuple(top): 1}
-    assert product.total_degree() == MAX_DEGREE
     with pytest.raises(ValueError):
         MultiPoly({tuple(top): 1}) * MultiPoly.var(v)
     with pytest.raises(ValueError):
