@@ -163,8 +163,9 @@ def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
         if given:
             raise ValueError(f"--preset cannot be combined with {', '.join(given)}")
         return PRESETS[args.preset]
+    default = PRESETS["euler"]  # each absent flag takes this family's value
     if args.r is None and args.alphas is None:
-        r, alphas = 1, (Fraction(-1),)  # the Euler specialization
+        r, alphas = default.r, default.alphas
     elif args.r is None or args.alphas is None:
         raise ValueError("need both --r and --alphas (or neither, for the default family)")
     else:
@@ -172,11 +173,11 @@ def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
         alphas = tuple(_parse_rational(s) for s in args.alphas.split(","))
     return FamilySpec(
         r=r,
-        k=args.k if args.k is not None else 0,
-        a=_parse_base(args.a if args.a is not None else "1", LogBase.SYMBOLIC_A),
-        b=_parse_base(args.b if args.b is not None else "e", LogBase.SYMBOLIC_B),
+        k=args.k if args.k is not None else default.k,
+        a=default.a if args.a is None else _parse_base(args.a, LogBase.SYMBOLIC_A),
+        b=default.b if args.b is None else _parse_base(args.b, LogBase.SYMBOLIC_B),
         alphas=alphas,
-        phi=_parse_phi(args.phi if args.phi is not None else "unit", args.m),
+        phi=_parse_phi(args.phi if args.phi is not None else default.phi.kind, args.m),
     )
 
 
@@ -188,7 +189,7 @@ def _steps_help(phis: list[tuple[str, Phi]]) -> str:
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     # Defaults are None so that _spec_from_args can tell a given flag from an
-    # absent one; the documented defaults are applied there.
+    # absent one; the Euler preset's values are filled in there.
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="named family (cannot be combined with the individual flags)")
     parser.add_argument("--r", type=int,
@@ -235,13 +236,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"{' and '.join(scalars)}: only used by --identity symmetry or all")
     if args.m_max is not None and args.identity not in ("all", IdentityId.DOUBLE_INDEX.value):
         raise ValueError("--m-max: only used by --identity double-index or all")
-    c = _parse_rational(args.c if args.c is not None else "2")
-    d = _parse_rational(args.d if args.d is not None else "3")
+    given = {name: _parse_rational(getattr(args, name)) for name in ("c", "d")
+             if getattr(args, name) is not None}  # absent: verify_all's defaults
     if args.identity == "all":
-        verdicts = verify_all(spec, args.n, c=c, d=d, m_max=args.m_max)
+        verdicts = verify_all(spec, args.n, m_max=args.m_max, **given)
     else:
         verdicts = [verify_identity(IdentityId(args.identity), spec, args.n,
-                                    c=c, d=d, m_max=args.m_max)]
+                                    m_max=args.m_max, **given)]
     for verdict in verdicts:
         print(render_verdict(verdict))
     return 0 if all(v.passed for v in verdicts) else 1

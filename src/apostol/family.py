@@ -262,7 +262,7 @@ def _core_quotient(spec: FamilySpec, order: int) -> PowerSeries:
     Callers key it on the phi-free spec, so every exponential/phi variant of
     the same parameter core shares one cached entry.  The result order is
     the requested order minus the number of unit alphas (the denominator
-    valuation eaten by the division).
+    valuation eaten by the division), so the order must exceed that number.
     """
     rk = spec.r * spec.k
     unit_count = spec.unit_alpha_count
@@ -271,6 +271,8 @@ def _core_quotient(spec: FamilySpec, order: int) -> PowerSeries:
             f"the denominator vanishes to order {unit_count} (one per unit alpha) "
             f"but the numerator only carries t^{rk}"
         )
+    if order <= unit_count:
+        raise ValueError(f"order {order} must exceed the unit-alpha count {unit_count}")
     scalar = Fraction((-1) ** spec.r) * Fraction(2) ** (spec.r * (1 - spec.k))
     num = PowerSeries.t_power(rk, order).scale(scalar)
     return num.divide_with_valuation(denominator_series(spec, order), unit_count)
@@ -280,17 +282,14 @@ def unified_series(spec: FamilySpec, order: int, *,
                    exp_argument: MultiPoly | None = None) -> PowerSeries:
     """The generating series core * e^(arg t) * phi(y, t), truncated.
 
-    The order must be at least r*k + 1 so the numerator power of t is
-    representable; the returned series has order reduced by the number of
-    unit alphas.  exp_argument replaces the default x in the exponential
+    The division by the denominator loses one order per unit alpha, so the
+    returned series has the order minus that count, and the order must
+    exceed it.  exp_argument replaces the default x in the exponential
     (the identity verifiers pass x+z, c*x, z or x+1); a zero argument drops
     e^(xt), and a spec whose phi is Unit() drops phi, so
     replace(spec, phi=Unit()) with a zero argument gives the family's numbers.
     """
-    rk = spec.r * spec.k
-    if check_order(order) < rk + 1:
-        raise ValueError(f"order must be at least r*k + 1 = {rk + 1}, got {order}")
-    result = _core_quotient(replace(spec, phi=Unit()), order)
+    result = _core_quotient(replace(spec, phi=Unit()), check_order(order))
     arg = exp_argument if exp_argument is not None else MultiPoly.var(VarId.X)
     if arg:
         result = result * PowerSeries.exp_linear(arg, order)
@@ -304,13 +303,11 @@ def unified_members(spec: FamilySpec, n_max: int, *,
     """Family members P_0 .. P_n_max, each read off as n! times [t^n].
 
     The table is named by the spec and exp_argument alone, as in
-    unified_series.  Expands internally at order n_max + r*k + 1 so that
-    the valuation lost to unit alphas still leaves n_max + 1 valid
-    coefficients.
+    unified_series, which is asked for n_max + 1 orders beyond the one
+    each unit alpha loses.
     """
     check_index("n_max", n_max)
-    order = n_max + spec.r * spec.k + 1
-    series = unified_series(spec, order, exp_argument=exp_argument)
+    series = unified_series(spec, n_max + spec.unit_alpha_count + 1, exp_argument=exp_argument)
     return [series.extract(n) for n in range(n_max + 1)]
 
 

@@ -263,11 +263,7 @@ def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int, *,
     against the x-free table P_m(0,y), with every entry pre-scaled by its
     scalar power; c and d must be nonzero ints or Fractions.
     """
-    if not (is_exact_scalar(c) and is_exact_scalar(d)):
-        raise ValueError(f"symmetry scalars must be ints or Fractions, got {c!r} and {d!r}")
-    c, d = Fraction(c), Fraction(d)
-    if c == 0 or d == 0:
-        raise ValueError("symmetry scalars c and d must be nonzero")
+    c, d = _symmetry_scalars(c, d)
     x = MultiPoly.var(VarId.X)
     at_zero = _tables.unified(spec, n_max, exp_argument=MultiPoly.zero())
     at_d = _scaled(_tables.unified(spec, n_max, exp_argument=x * d), c)
@@ -280,6 +276,15 @@ def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int, *,
     )
 
 
+def _symmetry_scalars(c: Scalar, d: Scalar) -> tuple[Fraction, Fraction]:
+    """c and d as Fractions, unless one is not a nonzero int or Fraction: then ValueError."""
+    if not (is_exact_scalar(c) and is_exact_scalar(d)):
+        raise ValueError(f"symmetry scalars must be ints or Fractions, got {c!r} and {d!r}")
+    if c == 0 or d == 0:
+        raise ValueError("symmetry scalars c and d must be nonzero")
+    return Fraction(c), Fraction(d)
+
+
 def verify_all(spec: FamilySpec, n_max: int, *, c: Scalar = 2, d: Scalar = 3,
                m_max: int | None = None) -> list[Verdict]:
     """Run every identity with default auxiliary parameters, one verdict each.
@@ -287,12 +292,14 @@ def verify_all(spec: FamilySpec, n_max: int, *, c: Scalar = 2, d: Scalar = 3,
     The verifiers share the tables that more than one of them reads, each
     built once at the largest n its readers need: P(x) and P(x+z) at
     n_max + m_max, p(x) and P(0) at n_max.  The tables are dropped when
-    verify_all returns; a verifier run alone builds its own.
+    verify_all returns; a verifier run alone builds its own.  Every bound
+    and scalar is checked before the first table is built.
     """
     if m_max is None:
         m_max = n_max
     check_index("n_max", n_max)
     check_index("m_max", m_max)
+    _symmetry_scalars(c, d)
     total = n_max + m_max
     tables = _Tables([
         (spec, None, total),  # P(x): series-def, shift, double-index, shift-one

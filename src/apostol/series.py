@@ -94,6 +94,8 @@ class PowerSeries:
         return self._coeffs
 
     def coefficient(self, n: int) -> MultiPoly:
+        if type(n) is not int or n < 0:  # bools excluded
+            raise ValueError(f"a coefficient index must be an int >= 0, got {n!r}")
         if n >= len(self._coeffs):
             raise OrderExceededError(
                 f"coefficient of t^{n} requested from a series of order {len(self._coeffs)}"

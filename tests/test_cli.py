@@ -129,8 +129,8 @@ def test_exit_code_2_on_spec_errors(capsys):
 
 @pytest.mark.parametrize("identity", [i.value for i in IdentityId] + ["all"])
 def test_negative_n_names_n_max_for_every_verifier(identity, capsys):
-    # A unit alpha makes r*k = 1, so a verifier that expanded at order
-    # n + r*k + 1 before checking n would complain about the order instead.
+    # A unit alpha costs one order, so a verifier that expanded at order
+    # n + 2 before checking n would complain about the order instead.
     assert main(["verify", "--identity", identity, "--preset", "bernoulli", "--n", "-1"]) == 2
     assert capsys.readouterr().err == "error: n_max must be non-negative\n"
 

@@ -152,9 +152,36 @@ def test_unit_alpha_needs_bases_one_e():
         FamilySpec(1, 1, LogBase.SYMBOLIC_A, LogBase.SYMBOLIC_B, (Fraction(1),))
 
 
-def test_unified_series_order_precondition():
-    with pytest.raises(ValueError):
-        unified_series(spec_one_e(2, 1, [1, 1]), 2)
+@pytest.mark.parametrize("order", [1, 2])
+def test_unified_series_order_precondition(order):
+    # Two unit alphas cost the division two orders; no order up to 2 leaves one.
+    with pytest.raises(ValueError, match=f"^order {order} must exceed the unit-alpha count 2$"):
+        unified_series(spec_one_e(2, 1, [1, 1]), order)
+    assert len(unified_series(spec_one_e(2, 1, [1, 1]), 3).coeffs) == 1
+
+
+@pytest.mark.parametrize("alphas, extra", [([2, -3], 0), ([1, -3], 1), ([1, 1], 2)])
+def test_unified_members_expands_one_order_past_each_unit_alpha(monkeypatch, alphas, extra):
+    # The numerator t^(rk) costs no order; only the division by unit-alpha factors does.
+    orders = []
+    series = unified_series
+
+    def logged(spec, order, **kwargs):
+        orders.append(order)
+        return series(spec, order, **kwargs)
+
+    monkeypatch.setattr("apostol.family.unified_series", logged)
+    for n_max in (0, 4):
+        members = unified_members(spec_one_e(2, 1, alphas), n_max)
+        assert len(members) == n_max + 1
+    assert orders == [1 + extra, 5 + extra]
+
+
+def test_genocchi_series_below_the_numerator_power_is_zero():
+    # t^(rk) = t is zero at order 1, and so is P_0 of the Genocchi type.
+    got = unified_series(PRESETS["genocchi"], 1)
+    assert got == PowerSeries.t_power(1, 1)
+    assert unified_members(PRESETS["genocchi"], 0) == [MultiPoly.zero()]
 
 
 def test_pole_when_unit_alphas_exceed_numerator():
@@ -162,6 +189,9 @@ def test_pole_when_unit_alphas_exceed_numerator():
         unified_members(spec_one_e(1, 0, [1]), 3)
     with pytest.raises(ValuationExceedsNumeratorError):
         unified_members(spec_one_e(2, 0, [1, 2]), 3)
+    # The pole is named even at an order the division could not serve anyway.
+    with pytest.raises(ValuationExceedsNumeratorError):
+        unified_series(spec_one_e(1, 0, [1]), 1)
 
 
 def test_extract_table_euler_matches_oracle():

@@ -582,6 +582,21 @@ def test_verify_all_rejects_a_bad_m_max_before_building_any_table(monkeypatch):
     assert requests == []
 
 
+@pytest.mark.parametrize("c, d, match", [
+    (0, 3, "^symmetry scalars c and d must be nonzero$"),
+    (2, 0, "^symmetry scalars c and d must be nonzero$"),
+    (True, 3, "^symmetry scalars must be ints or Fractions"),
+    (0.5, 3, "^symmetry scalars must be ints or Fractions"),
+])
+def test_verify_all_rejects_a_bad_symmetry_scalar_before_building_any_table(
+        monkeypatch, c, d, match):
+    # Symmetry runs last, so a late check would first build every other verifier's tables.
+    requests = _recording_builders(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        verify_all(SYM_GH2, 12, c=c, d=d)
+    assert requests == []
+
+
 @pytest.mark.parametrize("spec", [*PRESETS.values(), SYM_GH2], ids=[*PRESETS, "sym-sym-gh2"])
 def test_verify_all_returns_the_verdicts_of_the_verifiers_run_alone(spec):
     alone = [identities_mod.verify_identity(identity, spec, 4, m_max=3) for identity in IdentityId]

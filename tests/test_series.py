@@ -240,6 +240,18 @@ def test_t_power_takes_only_non_negative_int_exponents():
     assert PowerSeries.t_power(2, 3).valuation() == 2
 
 
+def test_coefficient_takes_only_non_negative_int_indices():
+    # Unchecked, -1 would read the last known coefficient and True the one of t^1.
+    series = PowerSeries.exp_linear(X, 3)
+    for bad in (-1, True, False, 1.0, Fraction(1), "1", None):
+        for read in (series.coefficient, series.extract):
+            with pytest.raises(ValueError, match="^a coefficient index must be an int >= 0"):
+                read(bad)
+    assert series.coefficient(2) == X * X * Fraction(1, 2)
+    with pytest.raises(OrderExceededError):
+        series.coefficient(3)
+
+
 def test_valuation():
     assert PowerSeries([ZERO, ZERO]).valuation() is None
     assert PowerSeries([ZERO, X]).valuation() == 1
