@@ -190,18 +190,20 @@ def _steps_help(phis: list[tuple[str, Phi]]) -> str:
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     # Defaults are None so that _spec_from_args can tell a given flag from an
     # absent one; the Euler preset's values are filled in there.
+    default = PRESETS["euler"]
+    alphas = ",".join(map(str, default.alphas))
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="named family (cannot be combined with the individual flags)")
-    parser.add_argument("--r", type=int,
-                        help="order r (number of alphas); default family is r=1, alphas=-1")
-    parser.add_argument("--k", type=int, help="power-of-t twist k (default 0)")
+    parser.add_argument("--r", type=int, help="order r (number of alphas); "
+                        f"default family is r={default.r}, alphas={alphas}")
+    parser.add_argument("--k", type=int, help=f"power-of-t twist k (default {default.k})")
     parser.add_argument("--alphas",
                         help="comma-separated rationals, one per factor; "
                              "write --alphas=-1,3 when the first is negative")
-    parser.add_argument("--a", help="base a: 1, e or sym (default 1)")
-    parser.add_argument("--b", help="base b: 1, e or sym (default e)")
+    parser.add_argument("--a", help=f"base a: 1, e or sym (default {default.a.value})")
+    parser.add_argument("--b", help=f"base b: 1, e or sym (default {default.b.value})")
     parser.add_argument("--phi", choices=[*PHI_KINDS, "hermite"],  # hermite: the preset's phi
-                        help="two-variable polynomial layer (default unit)")
+                        help=f"two-variable polynomial layer (default {default.phi.kind})")
     kinds = [(kind, Phi(kind)) for kind, (param, *_) in PHI_KINDS.items() if param]
     parser.add_argument("--m", type=int, help=f"step parameter of --phi ({_steps_help(kinds)})")
 
@@ -273,8 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--identity", default="all",
                           choices=[i.value for i in IdentityId] + ["all"])
     p_verify.add_argument("--n", type=int, required=True, help="largest index n")
-    p_verify.add_argument("--c", help="first symmetry scalar (default 2)")
-    p_verify.add_argument("--d", help="second symmetry scalar (default 3)")
+    scalars = verify_all.__kwdefaults__
+    p_verify.add_argument("--c", help=f"first symmetry scalar (default {scalars['c']})")
+    p_verify.add_argument("--d", help=f"second symmetry scalar (default {scalars['d']})")
     p_verify.add_argument("--m-max", type=int, dest="m_max",
                           help="second index bound for double-index (default --n)")
     p_verify.set_defaults(func=cmd_verify)

@@ -42,8 +42,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .polyring import MultiPoly, Scalar, VarId, is_exact_scalar
-from .series import PowerSeries, check_order
+from .polyring import MultiPoly, Scalar, VarId, check_int, is_exact_scalar
+from .series import PowerSeries
 
 __all__ = [
     "ClassicalFamily", "FamilySpec", "GouldHopper", "InvalidFamilySpecError", "Laguerre",
@@ -122,10 +122,8 @@ class Phi:
                 raise InvalidFamilySpecError(f"phi {self.kind} takes no step, got {self.step}")
         elif self.step is None:
             object.__setattr__(self, "step", default)
-        elif not isinstance(self.step, int) or isinstance(self.step, bool):
-            raise InvalidFamilySpecError(f"{self.kind} needs an integer {param}, got {self.step!r}")
-        elif self.step < 1:
-            raise InvalidFamilySpecError(f"{self.kind} needs {param} >= 1, got {self.step}")
+        else:
+            check_int(f"{self.kind} {param}", self.step, 1, InvalidFamilySpecError)
 
 
 # One constructor per kind, for callers that name the kind in code.
@@ -153,7 +151,7 @@ def phi_series(phi: Phi, order: int) -> PowerSeries:
     if weight is None:
         return PowerSeries.one(order)
     y = MultiPoly.var(VarId.Y)
-    coeffs = [MultiPoly.zero()] * check_order(order)
+    coeffs = [MultiPoly.zero()] * check_int("order", order, 1)
     j = 0
     ypow = MultiPoly.one()
     while j * phi.step < order:
@@ -183,14 +181,10 @@ class FamilySpec:
     phi: Phi = Phi("unit")
 
     def __post_init__(self):
-        if type(self.r) is not int or type(self.k) is not int:  # bools excluded
-            raise InvalidFamilySpecError(f"r and k must be ints, got {self.r!r} and {self.k!r}")
+        check_int("r", self.r, 1, InvalidFamilySpecError)
+        check_int("k", self.k, 0, InvalidFamilySpecError)
         if not (isinstance(self.a, LogBase) and isinstance(self.b, LogBase)):
             raise InvalidFamilySpecError(f"a and b must be LogBase, got {self.a!r} and {self.b!r}")
-        if self.r < 1:
-            raise InvalidFamilySpecError(f"order r must be a positive integer, got {self.r}")
-        if self.k < 0:
-            raise InvalidFamilySpecError(f"k must be non-negative, got {self.k}")
         if not all(map(is_exact_scalar, self.alphas)):
             raise InvalidFamilySpecError(f"alphas must be ints or Fractions, got {self.alphas!r}")
         object.__setattr__(self, "alphas", tuple(Fraction(a) for a in self.alphas))
@@ -237,14 +231,6 @@ PRESETS: dict[str, FamilySpec] = {
 # -- series construction -------------------------------------------------------
 
 
-def check_index(name: str, value: int) -> None:
-    """ValueError unless a table index bound is a non-negative int (bools excluded)."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative")
-
-
 def denominator_series(spec: FamilySpec, order: int) -> PowerSeries:
     """The product prod_i (alpha_i b^t - a^t), truncated at the given order."""
     bt = PowerSeries.exp_linear(spec.b.log_poly(), order)
@@ -278,19 +264,27 @@ def _core_quotient(spec: FamilySpec, order: int) -> PowerSeries:
     return num.divide_with_valuation(denominator_series(spec, order), unit_count)
 
 
+def _exp_argument_poly(exp_argument: MultiPoly | Scalar | None) -> MultiPoly:
+    """The exponential's argument as a ring element: x when omitted."""
+    if exp_argument is None:
+        return MultiPoly.var(VarId.X)
+    return exp_argument if isinstance(exp_argument, MultiPoly) else MultiPoly.const(exp_argument)
+
+
 def unified_series(spec: FamilySpec, order: int, *,
-                   exp_argument: MultiPoly | None = None) -> PowerSeries:
+                   exp_argument: MultiPoly | Scalar | None = None) -> PowerSeries:
     """The generating series core * e^(arg t) * phi(y, t), truncated.
 
     The division by the denominator loses one order per unit alpha, so the
     returned series has the order minus that count, and the order must
     exceed it.  exp_argument replaces the default x in the exponential
-    (the identity verifiers pass x+z, c*x, z or x+1); a zero argument drops
-    e^(xt), and a spec whose phi is Unit() drops phi, so
-    replace(spec, phi=Unit()) with a zero argument gives the family's numbers.
+    (the identity verifiers pass x+z, c*x, z or x+1); it may be a polynomial
+    or an exact scalar.  A zero argument drops e^(xt), and a spec whose phi
+    is Unit() drops phi, so replace(spec, phi=Unit()) with a zero argument
+    gives the family's numbers.
     """
-    result = _core_quotient(replace(spec, phi=Unit()), check_order(order))
-    arg = exp_argument if exp_argument is not None else MultiPoly.var(VarId.X)
+    arg = _exp_argument_poly(exp_argument)
+    result = _core_quotient(replace(spec, phi=Unit()), check_int("order", order, 1))
     if arg:
         result = result * PowerSeries.exp_linear(arg, order)
     if spec.phi.kind != "unit":
@@ -299,32 +293,31 @@ def unified_series(spec: FamilySpec, order: int, *,
 
 
 def unified_members(spec: FamilySpec, n_max: int, *,
-                    exp_argument: MultiPoly | None = None) -> list[MultiPoly]:
+                    exp_argument: MultiPoly | Scalar | None = None) -> list[MultiPoly]:
     """Family members P_0 .. P_n_max, each read off as n! times [t^n].
 
     The table is named by the spec and exp_argument alone, as in
     unified_series, which is asked for n_max + 1 orders beyond the one
     each unit alpha loses.
     """
-    check_index("n_max", n_max)
+    check_int("n_max", n_max, 0)
     series = unified_series(spec, n_max + spec.unit_alpha_count + 1, exp_argument=exp_argument)
     return [series.extract(n) for n in range(n_max + 1)]
 
 
 def general_series(phi: Phi, order: int, *,
-                   exp_argument: MultiPoly | None = None) -> PowerSeries:
+                   exp_argument: MultiPoly | Scalar | None = None) -> PowerSeries:
     """e^(xt) phi(y,t): the two-variable general polynomials, no prefactor."""
-    arg = exp_argument if exp_argument is not None else MultiPoly.var(VarId.X)
-    result = PowerSeries.exp_linear(arg, order)
+    result = PowerSeries.exp_linear(_exp_argument_poly(exp_argument), order)
     if phi.kind != "unit":
         result = result * phi_series(phi, order)
     return result
 
 
 def general_members(phi: Phi, n_max: int, *,
-                    exp_argument: MultiPoly | None = None) -> list[MultiPoly]:
+                    exp_argument: MultiPoly | Scalar | None = None) -> list[MultiPoly]:
     """The two-variable general polynomials p_0 .. p_n_max for the given phi."""
-    check_index("n_max", n_max)
+    check_int("n_max", n_max, 0)
     series = general_series(phi, n_max + 1, exp_argument=exp_argument)
     return [series.extract(n) for n in range(n_max + 1)]
 
@@ -385,11 +378,10 @@ def special_case_oracle(which: ClassicalFamily, r: int, lam: Scalar,
     """
     if not isinstance(which, ClassicalFamily):
         raise ValueError(f"which must be a ClassicalFamily, got {which!r}")
-    if type(r) is not int or not is_exact_scalar(lam):  # no bools
-        raise ValueError(f"r must be an int and lambda an int or Fraction, got {r!r} and {lam!r}")
-    if r < 1:
-        raise ValueError(f"order r must be a positive integer, got {r}")
-    check_index("n_max", n_max)
+    check_int("r", r, 1)
+    if not is_exact_scalar(lam):
+        raise ValueError(f"lambda must be an int or Fraction, got {lam!r}")
+    check_int("n_max", n_max, 0)
     lam = Fraction(lam)
     if which is ClassicalFamily.APOSTOL_BERNOULLI:
         valuation = r if lam == 1 else 0

@@ -42,8 +42,8 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .family import FamilySpec, Phi, Unit, check_index, general_members, unified_members
-from .polyring import MultiPoly, Scalar, VarId, is_exact_scalar, linear_combination
+from .family import FamilySpec, Phi, Unit, general_members, unified_members
+from .polyring import MultiPoly, Scalar, VarId, check_int, is_exact_scalar, linear_combination
 
 __all__ = [
     "Counterexample", "IdentityId", "Verdict", "verify_all", "verify_double_index",
@@ -194,8 +194,8 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
     pair is skipped: that pair made the same comparison and it passed, or the
     verdict would have stopped there.  A counterexample is mapped back to (x, z).
     """
-    check_index("n_max", n_max)
-    check_index("m_max", m_max)
+    check_int("n_max", n_max, 0)
+    check_int("m_max", m_max, 0)
     total = n_max + m_max
     shifted = _tables.unified(spec, total, exp_argument=_x_plus_z())
     in_x = _tables.unified(spec, total)
@@ -297,8 +297,8 @@ def verify_all(spec: FamilySpec, n_max: int, *, c: Scalar = 2, d: Scalar = 3,
     """
     if m_max is None:
         m_max = n_max
-    check_index("n_max", n_max)
-    check_index("m_max", m_max)
+    check_int("n_max", n_max, 0)
+    check_int("m_max", m_max, 0)
     _symmetry_scalars(c, d)
     total = n_max + m_max
     tables = _Tables([

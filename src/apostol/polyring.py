@@ -29,6 +29,9 @@ Scalars are exact: every coefficient and scalar operand must be an int or a
 Fraction (is_exact_scalar), and substitute sends each bound variable to such
 a scalar or to a polynomial.  Anything else, including bools, floats and
 strings, raises TypeError, so no binary fraction can enter the ring.
+Integers are exact too: every exponent, order, index and family parameter
+passes check_int, an int (bools excluded) at or above a stated minimum, and
+anything else raises ValueError or the error type the caller names.
 """
 
 from __future__ import annotations
@@ -77,9 +80,9 @@ _SX, _SY, _SZ, _SLA, _ = _SHIFTS
 def _pack(exps: Iterable[int]) -> int:
     """The packed key of an exponent vector; ValueError if it cannot be one."""
     e = tuple(exps)
-    if len(e) != NVARS or any(x < 0 for x in e):
-        raise ValueError(f"exponent vector must be {NVARS} non-negative integers, got {e}")
-    deg = sum(e)
+    if len(e) != NVARS:
+        raise ValueError(f"exponent vector must have {NVARS} entries, got {e}")
+    deg = sum(check_int("exponent", x, 0) for x in e)
     if deg > MAX_DEGREE:
         raise ValueError(f"total degree {deg} exceeds the ring's limit {MAX_DEGREE}")
     key = deg
@@ -114,6 +117,14 @@ def _mul_into(out: dict[int, int], na: dict[int, int], nb: dict[int, int], f: in
 def is_exact_scalar(c: object) -> bool:
     """Whether c is a ring scalar: an int that is not a bool, or a Fraction."""
     return type(c) is int or isinstance(c, Fraction)
+
+
+def check_int(name: str, value: object, minimum: int,
+              error: type[Exception] = ValueError) -> int:
+    """value itself if it is an int >= minimum (bools excluded); error otherwise."""
+    if type(value) is not int or value < minimum:
+        raise error(f"{name} must be an int >= {minimum}, got {value!r}")
+    return value
 
 
 def _scalar_parts(c: Scalar) -> tuple[int, int]:

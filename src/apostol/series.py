@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .polyring import MultiPoly, Scalar, sum_of_products
+from .polyring import MultiPoly, Scalar, check_int, sum_of_products
 
 __all__ = ["NotAUnitError", "OrderExceededError", "PowerSeries", "SeriesError",
            "ValuationMismatchError"]
@@ -41,13 +41,6 @@ class OrderExceededError(SeriesError):
     """A coefficient beyond the truncation order was requested."""
 
 
-def check_order(order: int) -> int:
-    """The order itself, unless it is not an int >= 1 (bools excluded): then ValueError."""
-    if type(order) is not int or order < 1:
-        raise ValueError(f"a power series needs order >= 1 (an int), got {order!r}")
-    return order
-
-
 class PowerSeries:
     """A formal power series in t, truncated at a fixed positive order.
 
@@ -58,8 +51,7 @@ class PowerSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: list[MultiPoly] | tuple[MultiPoly, ...]):
-        if len(coeffs) < 1:
-            raise ValueError("a power series needs order >= 1")
+        check_int("order", len(coeffs), 1)
         self._coeffs = tuple(coeffs)
 
     # -- constructors ------------------------------------------------------
@@ -71,9 +63,8 @@ class PowerSeries:
     @classmethod
     def t_power(cls, m: int, order: int) -> PowerSeries:
         """The monomial t^m for an int m >= 0 (the zero series if m >= order)."""
-        if type(m) is not int or m < 0:  # bools excluded
-            raise ValueError(f"t_power needs an int m >= 0, got {m!r}")
-        coeffs = [MultiPoly.zero()] * check_order(order)
+        check_int("m", m, 0)
+        coeffs = [MultiPoly.zero()] * check_int("order", order, 1)
         if m < order:
             coeffs[m] = MultiPoly.one()
         return cls(coeffs)
@@ -81,7 +72,7 @@ class PowerSeries:
     @classmethod
     def exp_linear(cls, coefficient: MultiPoly, order: int) -> PowerSeries:
         """exp(coefficient * t): the coefficient of t^n is coefficient^n / n!."""
-        check_order(order)
+        check_int("order", order, 1)
         coeffs = [MultiPoly.one()]
         for n in range(1, order):
             coeffs.append(sum_of_products([(Fraction(1, n), coeffs[-1], coefficient)]))
@@ -94,9 +85,7 @@ class PowerSeries:
         return self._coeffs
 
     def coefficient(self, n: int) -> MultiPoly:
-        if type(n) is not int or n < 0:  # bools excluded
-            raise ValueError(f"a coefficient index must be an int >= 0, got {n!r}")
-        if n >= len(self._coeffs):
+        if check_int("n", n, 0) >= len(self._coeffs):
             raise OrderExceededError(
                 f"coefficient of t^{n} requested from a series of order {len(self._coeffs)}"
             )
@@ -163,9 +152,7 @@ class PowerSeries:
         denominator is inverted.  The result's order shrinks by the
         valuation: that loss is real, not an implementation detail.
         """
-        v = expected_valuation
-        if v < 0:
-            raise ValueError("valuation must be non-negative")
+        v = check_int("expected_valuation", expected_valuation, 0)
         actual = den.valuation()
         if actual != v:
             raise ValuationMismatchError(

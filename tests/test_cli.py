@@ -132,7 +132,7 @@ def test_negative_n_names_n_max_for_every_verifier(identity, capsys):
     # A unit alpha costs one order, so a verifier that expanded at order
     # n + 2 before checking n would complain about the order instead.
     assert main(["verify", "--identity", identity, "--preset", "bernoulli", "--n", "-1"]) == 2
-    assert capsys.readouterr().err == "error: n_max must be non-negative\n"
+    assert capsys.readouterr().err == "error: n_max must be an int >= 0, got -1\n"
 
 
 def test_argparse_usage_errors_exit_2():
@@ -220,6 +220,33 @@ def test_help_names_each_step_default_from_the_tables(command, monkeypatch, caps
                   if line.lstrip().startswith("--m M "))
     for name, phi in named:
         assert f"{name} {PHI_KINDS[phi.kind][0]}={phi.step}" in m_help, (name, m_help)
+
+
+@pytest.mark.parametrize("command", ["expand", "verify"])
+def test_help_names_each_spec_default_from_the_euler_preset(command, monkeypatch, capsys):
+    # Absent spec flags take the Euler preset's values, and --c/--d take
+    # verify_all's defaults; the help must follow both when they change.
+    other = FamilySpec(2, 1, LogBase.E, LogBase.ONE, (Fraction(-1), Fraction(1, 2)),
+                       Phi("laguerre"))
+    monkeypatch.setitem(PRESETS, "euler", other)
+    monkeypatch.setitem(verify_all.__kwdefaults__, "c", Fraction(5, 7))
+    monkeypatch.setitem(verify_all.__kwdefaults__, "d", -4)
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per option, no wrapping
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    expected = [
+        "order r (number of alphas); default family is r=2, alphas=-1,1/2",
+        "power-of-t twist k (default 1)",
+        "base a: 1, e or sym (default e)",
+        "base b: 1, e or sym (default 1)",
+        "two-variable polynomial layer (default laguerre)",
+    ]
+    if command == "verify":
+        expected += ["first symmetry scalar (default 5/7)", "second symmetry scalar (default -4)"]
+    for text in expected:
+        assert text in out, (text, out)
 
 
 def test_table_latex_carries_the_preset_note(capsys):

@@ -90,8 +90,9 @@ def test_phi_parameter_validation():
         Phi("bessel")
     with pytest.raises(InvalidFamilySpecError):
         Phi("unit", 2)  # a step that does not apply is rejected, not dropped
-    for step in (True, False, 2.0, "2"):
-        with pytest.raises(InvalidFamilySpecError):
+    # An IntEnum member is no int step: VarId.Z used to pass as m=2.
+    for step in (True, False, 2.0, "2", Fraction(2), VarId.Z):
+        with pytest.raises(InvalidFamilySpecError, match="^gould-hopper m must be an int >= 1, got "):
             Phi("gould-hopper", step)
     # Factory values are plain Phi values: equal and equally hashed.
     assert GouldHopper(2) == PRESETS["hermite"].phi == Phi("gould-hopper")
@@ -444,6 +445,23 @@ def test_poly_table_contiguity():
         PolyTable(label="bad", entries=((0, ONE), (2, ONE)))
 
 
+def test_exp_argument_is_a_ring_element():
+    # An exact scalar is a constant argument (1 gives e^t); anything else is
+    # refused.  0.0 and "" used to build the zero-argument table silently, and
+    # 1, 2.5 and "x" failed with a bare AttributeError.
+    builders = {
+        "unified_members": lambda arg: unified_members(PRESETS["euler"], 3, exp_argument=arg),
+        "general_members": lambda arg: general_members(Unit(), 3, exp_argument=arg),
+    }
+    for name, build in builders.items():
+        assert build(1) == build(MultiPoly.one()), name
+        assert build(Fraction(-1, 2)) == build(MultiPoly.const(Fraction(-1, 2))), name
+        assert build(0) == build(MultiPoly.zero()), name
+        for bad in (0.0, "", 2.5, "x", True):
+            with pytest.raises(TypeError):
+                build(bad)
+
+
 def test_general_members_start_at_one():
     for phi in [Unit(), GouldHopper(3), Laguerre(2), TruncatedExp(1)]:
         assert general_members(phi, 0)[0] == ONE
@@ -452,7 +470,7 @@ def test_general_members_start_at_one():
 @pytest.mark.parametrize("order", [0, -2])
 def test_phi_and_denominator_series_need_order_at_least_one(order):
     # Neither function checks the order itself: the series module does.
-    message = "a power series needs order >= 1"
+    message = "^order must be an int >= 1, got "
     for phi in [Unit(), GouldHopper(2), Laguerre(1), TruncatedExp(2)]:
         with pytest.raises(ValueError, match=message):
             phi_series(phi, order)
@@ -469,7 +487,7 @@ def test_series_builders_take_only_int_orders():
     }
     for name, build in builders.items():
         for bad in (True, False, 2.0, "2", None, Fraction(2)):
-            with pytest.raises(ValueError, match=r"^a power series needs order >= 1 \(an int\)"):
+            with pytest.raises(ValueError, match="^order must be an int >= 1, got "):
                 build(bad)
         assert len(build(2).coeffs) == 2, name
 
@@ -483,16 +501,16 @@ def test_index_bounds_must_be_non_negative_ints():
         "special_case_oracle": lambda n: special_case_oracle(euler, 1, 1, n),
     }
     for name, build in builders.items():
-        with pytest.raises(ValueError, match="^n_max must be non-negative$"):
+        with pytest.raises(ValueError, match="^n_max must be an int >= 0, got -1$"):
             build(-1)
         for bad in (True, False, 2.0, "2", None, Fraction(2)):
-            with pytest.raises(ValueError, match="^n_max must be an int"):
+            with pytest.raises(ValueError, match="^n_max must be an int >= 0, got "):
                 build(bad)
         assert len(list(build(2))) == 3, name
 
 
 def test_special_case_oracle_rejects_degenerate_parameters():
-    with pytest.raises(ValueError, match="order r must be a positive integer"):
+    with pytest.raises(ValueError, match="^r must be an int >= 1, got 0$"):
         special_case_oracle(ClassicalFamily.APOSTOL_BERNOULLI, 0, 1, 2)
     with pytest.raises(ValueError, match="Euler denominator vanish"):
         special_case_oracle(ClassicalFamily.APOSTOL_EULER, 1, -1, 2)

@@ -472,15 +472,15 @@ def test_double_index_holds_as_the_literal_double_sum(spec):
 
 def test_index_bounds_of_the_verifiers_must_be_non_negative_ints():
     euler = PRESETS["euler"]
-    with pytest.raises(ValueError, match="^m_max must be non-negative$"):
+    with pytest.raises(ValueError, match="^m_max must be an int >= 0, got -1$"):
         verify_double_index(euler, 2, -1)
     for bad in (True, 1.0, "1", None):
-        with pytest.raises(ValueError, match="^n_max must be an int"):
+        with pytest.raises(ValueError, match="^n_max must be an int >= 0, got "):
             verify_double_index(euler, bad, 1)
-        with pytest.raises(ValueError, match="^m_max must be an int"):
+        with pytest.raises(ValueError, match="^m_max must be an int >= 0, got "):
             verify_double_index(euler, 1, bad)
         for slug, verifier in VERIFIERS.items():
-            with pytest.raises(ValueError, match="^n_max must be an int"):
+            with pytest.raises(ValueError, match="^n_max must be an int >= 0, got "):
                 verifier(euler, bad)
 
 
@@ -577,7 +577,7 @@ def test_verify_all_requests_each_table_once(monkeypatch, spec):
 
 def test_verify_all_rejects_a_bad_m_max_before_building_any_table(monkeypatch):
     requests = _recording_builders(monkeypatch)
-    with pytest.raises(ValueError, match="^m_max must be non-negative$"):
+    with pytest.raises(ValueError, match="^m_max must be an int >= 0, got -1$"):
         verify_all(PRESETS["euler"], 2, m_max=-1)
     assert requests == []
 

@@ -115,6 +115,16 @@ def test_no_stored_zeros_or_bad_fractions():
             assert all(e >= 0 for e in exps)
 
 
+def test_exponents_must_be_non_negative_ints():
+    # Unchecked, True acted as exponent 1 and 1.0 failed with a bare TypeError.
+    for bad in (-1, True, False, 1.0, Fraction(1), "1", None):
+        with pytest.raises(ValueError, match="^exponent must be an int >= 0, got "):
+            MultiPoly({(bad, 0, 0, 0, 0): 1})
+    with pytest.raises(ValueError, match="^exponent vector must have 5 entries"):
+        MultiPoly({(1, 0, 0, 0): 1})
+    assert MultiPoly({(1, 0, 0, 0, 0): 1}) == X
+
+
 def test_power():
     assert X ** 0 == MultiPoly.one()
     assert (X + 1) ** 2 == X * X + 2 * X + 1

@@ -126,6 +126,16 @@ def test_divide_valuation_mismatch():
         num.divide_with_valuation(den, 1)
 
 
+def test_divide_takes_only_non_negative_int_valuations():
+    # Unchecked, True acted as valuation 1 and 0.0 failed with a bare TypeError.
+    num = PowerSeries.t_power(1, 5)
+    den = exp_t(5) - PowerSeries.one(5)  # valuation 1
+    for bad in (-1, True, 0.0, 1.0, Fraction(1), "1", None):
+        with pytest.raises(ValueError, match="^expected_valuation must be an int >= 0, got "):
+            num.divide_with_valuation(den, bad)
+    assert num.divide_with_valuation(den, 1).valuation() == 0
+
+
 def test_divide_checks_numerator_valuation():
     num = PowerSeries.one(5)
     den = exp_t(5) - PowerSeries.one(5)
@@ -206,7 +216,7 @@ def test_exp_derivative_recurrence():
 
 @pytest.mark.parametrize("order", [0, -2])
 def test_every_constructor_needs_order_at_least_one(order):
-    message = "a power series needs order >= 1"
+    message = "^order must be an int >= 1, got "
     with pytest.raises(ValueError, match=message):
         PowerSeries([ONE] * order)
     with pytest.raises(ValueError, match=message):
@@ -226,7 +236,7 @@ def test_constructors_take_only_int_orders():
     }
     for name, build in constructors.items():
         for bad in (True, False, 2.0, "2", None, Fraction(2)):
-            with pytest.raises(ValueError, match=r"^a power series needs order >= 1 \(an int\)"):
+            with pytest.raises(ValueError, match="^order must be an int >= 1, got "):
                 build(bad)
         assert len(build(2).coeffs) == 2, name
 
@@ -234,7 +244,7 @@ def test_constructors_take_only_int_orders():
 def test_t_power_takes_only_non_negative_int_exponents():
     # t^-1 is no power series; unchecked, it would come back as the zero series.
     for bad in (-1, -3, True, 1.0, Fraction(1), "1", None):
-        with pytest.raises(ValueError, match="^t_power needs an int m >= 0"):
+        with pytest.raises(ValueError, match="^m must be an int >= 0, got "):
             PowerSeries.t_power(bad, 3)
     assert PowerSeries.t_power(3, 3) == PowerSeries([ZERO] * 3)
     assert PowerSeries.t_power(2, 3).valuation() == 2
@@ -245,7 +255,7 @@ def test_coefficient_takes_only_non_negative_int_indices():
     series = PowerSeries.exp_linear(X, 3)
     for bad in (-1, True, False, 1.0, Fraction(1), "1", None):
         for read in (series.coefficient, series.extract):
-            with pytest.raises(ValueError, match="^a coefficient index must be an int >= 0"):
+            with pytest.raises(ValueError, match="^n must be an int >= 0, got "):
                 read(bad)
     assert series.coefficient(2) == X * X * Fraction(1, 2)
     with pytest.raises(OrderExceededError):
