@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from .family import (
     ClassicalFamily,
@@ -64,8 +65,12 @@ def poly_to_json_terms(p: MultiPoly) -> list[dict]:
     return terms
 
 
+def _latex_rows(polys: Iterable[MultiPoly]) -> list[str]:
+    return render_terms(polys, LATEX_VAR_NAMES, " ", ("^{", "}"), (r"\frac{", "}{", "}"))
+
+
 def poly_to_latex(p: MultiPoly) -> str:
-    return render_terms(p, LATEX_VAR_NAMES, " ", ("^{", "}"), (r"\frac{", "}{", "}"))
+    return _latex_rows([p])[0]
 
 
 def spec_to_json(spec: FamilySpec) -> dict:
@@ -104,14 +109,14 @@ def render_table(table: PolyTable, fmt: str, *, preset: str | None = None) -> st
         if note:
             lines.append(f"# {note}")
         lines.append("n,polynomial")
-        lines.extend(f"{n},{format_poly(p)}" for n, p in table)
+        lines.extend(f"{n},{row}" for n, row in enumerate(render_terms(p for _, p in table)))
         return "\n".join(lines) + "\n"
     if fmt == LATEX:
         lines = [f"% {table.label}"]
         if note:
             lines.append(f"% {note}")
         lines += [r"\begin{tabular}{rl}", r"\hline", r"$n$ & $P_n$ \\", r"\hline"]
-        lines.extend(rf"{n} & ${poly_to_latex(p)}$ \\" for n, p in table)
+        lines.extend(rf"{n} & ${row}$ \\" for n, row in enumerate(_latex_rows(p for _, p in table)))
         lines += [r"\hline", r"\end{tabular}"]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format: {fmt}")

@@ -22,8 +22,10 @@ Every value is kept in canonical form: no zero numerators, and
 gcd(den, *numerators) == 1, with den == 1 for the zero polynomial (the empty
 mapping).  Two polynomials are therefore equal exactly when their numerator
 maps and denominators are equal; there is no normalization step to forget.
-Fractions are built only at the edges (terms and constant_value); rendering
-reads reduced integer pairs from reduced_terms.
+Fractions are built only at the edges (terms and constant_value).
+render_terms renders a run of polynomials, reducing each coefficient with one
+gcd and spelling each distinct monomial once per call from its packed key;
+only the CLI's JSON output reads reduced integer pairs from reduced_terms.
 
 Scalars are exact: every coefficient and scalar operand must be an int or a
 Fraction (is_exact_scalar), and substitute sends each bound variable to such
@@ -401,31 +403,44 @@ def linear_combination(pairs: Iterable[tuple[Scalar, MultiPoly]]) -> MultiPoly:
     return MultiPoly._normalized(out, den)
 
 
-def render_terms(p: MultiPoly, names: tuple[str, ...], times: str,
-                 power: tuple[str, str], fraction: tuple[str, str, str]) -> str:
-    """The one term loop behind every text rendering of a polynomial.
+def render_terms(polys: Iterable[MultiPoly], names: tuple[str, ...] = VAR_NAMES,
+                 times: str = "*", power: tuple[str, str] = ("^", ""),
+                 fraction: tuple[str, str, str] = ("", "/", "")) -> list[str]:
+    """The one term loop behind every text rendering: one string per polynomial.
 
-    Graded-lex order, leading term first, unit coefficients dropped.  The
-    caller spells the variable names, the product separator, the exponent
-    brackets (open, close) and the fraction (open, middle, close).
+    Graded-lex order (descending packed keys), leading term first, unit
+    coefficients dropped, and "0" for the zero polynomial.  The caller spells
+    the variable names, the product separator, the exponent brackets (open,
+    close) and the fraction (open, middle, close); the defaults are the plain
+    spelling of format_poly.  Each distinct monomial is spelled once per call,
+    from its packed key, so the rows of a table share that work.
     """
-    if not p:
-        return "0"
     pow_open, pow_close = power
     frac_open, frac_mid, frac_close = fraction
-    pieces: list[str] = []
-    for exps, num, den in p.reduced_terms():
-        mono = times.join(names[v] if e == 1 else f"{names[v]}{pow_open}{e}{pow_close}"
-                          for v, e in enumerate(exps) if e)
-        mag = f"{abs(num)}" if den == 1 else f"{frac_open}{abs(num)}{frac_mid}{den}{frac_close}"
-        body = mag if not mono else mono if mag == "1" else f"{mag}{times}{mono}"
-        if pieces:
-            pieces.append(f"- {body}" if num < 0 else f"+ {body}")
-        else:
-            pieces.append(f"-{body}" if num < 0 else body)
-    return " ".join(pieces)
+    monos: dict[int, str] = {}
+    rows = []
+    for p in polys:
+        nums, den = p._nums, p._den
+        pieces = []
+        for k in sorted(nums, reverse=True):
+            mono = monos.get(k)
+            if mono is None:
+                mono = monos[k] = times.join(
+                    names[v] if e == 1 else f"{names[v]}{pow_open}{e}{pow_close}"
+                    for v, e in enumerate(_unpack(k)) if e)
+            num = nums[k]
+            g = gcd(num, den)
+            mag, d = abs(num) // g, den // g
+            coeff = f"{mag}" if d == 1 else f"{frac_open}{mag}{frac_mid}{d}{frac_close}"
+            body = coeff if not mono else mono if coeff == "1" else f"{coeff}{times}{mono}"
+            if pieces:
+                pieces.append(f"- {body}" if num < 0 else f"+ {body}")
+            else:
+                pieces.append(f"-{body}" if num < 0 else body)
+        rows.append(" ".join(pieces) if pieces else "0")
+    return rows
 
 
 def format_poly(p: MultiPoly) -> str:
     """Render a polynomial like ``x^2 - x + 1/6`` in graded-lex order."""
-    return render_terms(p, VAR_NAMES, "*", ("^", ""), ("", "/", ""))
+    return render_terms([p])[0]

@@ -52,6 +52,9 @@ class PowerSeries:
 
     def __init__(self, coeffs: list[MultiPoly] | tuple[MultiPoly, ...]):
         check_int("order", len(coeffs), 1)
+        for c in coeffs:
+            if not isinstance(c, MultiPoly):
+                raise TypeError(f"series coefficients must be MultiPoly values, got {c!r}")
         self._coeffs = tuple(coeffs)
 
     # -- constructors ------------------------------------------------------

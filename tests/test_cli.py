@@ -11,10 +11,13 @@ import pytest
 import apostol.identities as identities_mod
 from apostol.cli import TABLE_PRESET_NOTES, main, render_verdict
 from apostol.family import (
-    PHI_KINDS, PRESETS, FamilySpec, GouldHopper, LogBase, Phi, extract_table,
+    PHI_KINDS, PRESETS, ClassicalFamily, FamilySpec, GouldHopper, LogBase, Phi, TruncatedExp,
+    extract_table, special_case_oracle,
 )
 from apostol.identities import Counterexample, IdentityId, Verdict, verify_all
-from apostol.polyring import MultiPoly, VarId, format_poly
+from apostol.polyring import MultiPoly, VarId
+
+from reference_ring import RefPoly, format_ref, latex_ref
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -60,17 +63,39 @@ def test_emitted_json_round_trips_for_every_preset(capsys):
         assert json.dumps(json.loads(text), indent=2) + "\n" == text
 
 
-def test_csv_and_latex_agree_with_table_order(capsys):
-    table = extract_table(PRESETS["hermite"], 4)
-    assert main(["expand", "--preset", "hermite", "--n", "4", "--format", "csv"]) == 0
-    csv_lines = capsys.readouterr().out.splitlines()
-    rows = [line for line in csv_lines if line and not line.startswith("#")][1:]
-    assert rows == [f"{n},{format_poly(p)}" for n, p in table]
+# Tables whose rows share many monomials, one with a symbolic-base spelling and one
+# with a zero row; each is built through the library to check the CLI's rows against.
+ROW_CASES = [
+    (["expand", "--preset", "hermite", "--n", "4"],
+     lambda: extract_table(PRESETS["hermite"], 4)),
+    (["expand", "--r", "2", "--alphas", "5/7,5/7", "--a", "1", "--b", "e",
+      "--phi", "gould-hopper", "--m", "2", "--n", "16"],
+     lambda: extract_table(FamilySpec(2, 0, LogBase.ONE, LogBase.E, (Fraction(5, 7),) * 2,
+                                      GouldHopper(2)), 16)),
+    (["expand", "--r", "2", "--alphas", "2,-3", "--a", "sym", "--b", "sym",
+      "--phi", "truncated-exp", "--m", "2", "--n", "8"],
+     lambda: extract_table(FamilySpec(2, 0, LogBase.SYMBOLIC_A, LogBase.SYMBOLIC_B, (2, -3),
+                                      TruncatedExp(2)), 8)),
+    (["table", "--preset", "genocchi", "--n", "5"],
+     lambda: special_case_oracle(ClassicalFamily.APOSTOL_GENOCCHI, 1, 1, 5)),
+]
 
-    assert main(["expand", "--preset", "hermite", "--n", "4", "--format", "latex"]) == 0
-    tex_lines = capsys.readouterr().out.splitlines()
-    poly_rows = [line for line in tex_lines if line.endswith(r"\\") and line[0].isdigit()]
-    assert len(poly_rows) == len(rows)
+
+def test_csv_and_latex_agree_with_table_order(capsys):
+    def rendered(argv, fmt):
+        assert main([*argv, "--format", fmt]) == 0
+        text = capsys.readouterr().out
+        return text, [line for line in text.splitlines() if line[:1].isdigit()]
+
+    for argv, build in ROW_CASES:
+        refs = [RefPoly(p.terms) for _, p in build()]
+        csv_text, csv_rows = rendered(argv, "csv")
+        assert csv_rows == [f"{n},{format_ref(p)}" for n, p in enumerate(refs)], argv
+        _, tex_rows = rendered(argv, "latex")
+        assert tex_rows == [rf"{n} & ${latex_ref(p)}$ \\" for n, p in enumerate(refs)], argv
+        # Monomial spellings live for one call: a LaTeX run in between changes no csv byte.
+        assert rendered(argv, "csv")[0] == csv_text, argv
+    assert "0,0" in csv_rows  # the Genocchi table starts with the zero polynomial
 
 
 def test_verify_single_identity_line(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -225,6 +226,17 @@ def test_every_constructor_needs_order_at_least_one(order):
         PowerSeries.one(order)
     with pytest.raises(ValueError, match=message):
         PowerSeries.t_power(0, order)
+
+
+@pytest.mark.parametrize("coeffs", [[1, 2.5], ["x"], [Fraction(1)]])
+def test_constructor_takes_only_polynomial_coefficients(coeffs):
+    # Unchecked, [1, 2.5] built a series whose product with one() failed with a bare
+    # AttributeError; the error names the first coefficient that is not a MultiPoly.
+    with pytest.raises(TypeError, match=f"^series coefficients must be MultiPoly values, "
+                                        f"got {re.escape(repr(coeffs[0]))}$"):
+        PowerSeries(coeffs)
+    with pytest.raises(TypeError, match="got 2.5$"):
+        PowerSeries([ONE, 2.5])
 
 
 def test_constructors_take_only_int_orders():
