@@ -27,7 +27,7 @@ from .family import (
     phi_label,
     special_case_oracle,
 )
-from .identities import IdentityId, Verdict, verify_all, verify_identity
+from .identities import AUXILIARY, IdentityId, Verdict, verify_all, verify_identity
 from .identities import verify_shift  # noqa: F401  (unused; the bench tracer test patches it)
 from .polyring import MultiPoly, format_poly, render_terms
 from .series import SeriesError
@@ -159,7 +159,7 @@ def _parse_phi(kind: str, m: int | None) -> Phi:
 
 def _given(args: argparse.Namespace, *names: str) -> list[str]:
     """The flags among names that were set on the command line (parser default None)."""
-    return [f"--{name}" for name in names if getattr(args, name) is not None]
+    return [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
 
 
 def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
@@ -238,13 +238,14 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    scalars = _given(args, "c", "d")
-    if scalars and args.identity not in ("all", IdentityId.SYMMETRY.value):
-        raise ValueError(f"{' and '.join(scalars)}: only used by --identity symmetry or all")
-    if args.m_max is not None and args.identity not in ("all", IdentityId.DOUBLE_INDEX.value):
-        raise ValueError("--m-max: only used by --identity double-index or all")
+    reads = AUXILIARY if args.identity == "all" else IdentityId(args.identity).args
+    misused = [name for name in AUXILIARY if name not in reads and getattr(args, name) is not None]
+    readers = [" or ".join(i.value for i in IdentityId if name in i.args) for name in misused]
+    if misused:  # name the first misused flag, with any other read by the same identities
+        flags = _given(args, *(name for name, r in zip(misused, readers) if r == readers[0]))
+        raise ValueError(f"{' and '.join(flags)}: only used by --identity {readers[0]} or all")
     given = {name: _parse_rational(getattr(args, name)) for name in ("c", "d")
-             if getattr(args, name) is not None}  # absent: verify_all's defaults
+             if getattr(args, name) is not None}  # absent: AUXILIARY's defaults
     if args.identity == "all":
         verdicts = verify_all(spec, args.n, m_max=args.m_max, **given)
     else:
@@ -280,9 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--identity", default="all",
                           choices=[i.value for i in IdentityId] + ["all"])
     p_verify.add_argument("--n", type=int, required=True, help="largest index n")
-    scalars = verify_all.__kwdefaults__
-    p_verify.add_argument("--c", help=f"first symmetry scalar (default {scalars['c']})")
-    p_verify.add_argument("--d", help=f"second symmetry scalar (default {scalars['d']})")
+    p_verify.add_argument("--c", help=f"first symmetry scalar (default {AUXILIARY['c']})")
+    p_verify.add_argument("--d", help=f"second symmetry scalar (default {AUXILIARY['d']})")
     p_verify.add_argument("--m-max", type=int, dest="m_max",
                           help="second index bound for double-index (default --n)")
     p_verify.set_defaults(func=cmd_verify)

@@ -53,15 +53,28 @@ __all__ = [
 
 
 class IdentityId(Enum):
-    """The identities this package can verify; values are the CLI slugs."""
+    """The one list of identities, in verify_all's order: a new one is a verifier and a member.
 
-    SERIES_DEF = "series-def"
-    SHIFT = "shift"
-    SHIFT_MIXED = "shift-mixed"
-    DOUBLE_INDEX = "double-index"
-    SHIFT_ONE = "shift-one"
-    SHIFT_GENERAL = "shift-general"
-    SYMMETRY = "symmetry"
+    A member is its CLI slug, its verifier's name here (looked up at call
+    time, so a patched verifier runs) and the verifier's arguments after spec.
+    """
+
+    SERIES_DEF = "series-def", "verify_series_def"
+    SHIFT = "shift", "verify_shift"
+    SHIFT_MIXED = "shift-mixed", "verify_shift_mixed"
+    DOUBLE_INDEX = "double-index", "verify_double_index", ("n_max", "m_max")
+    SHIFT_ONE = "shift-one", "verify_shift_one"
+    SHIFT_GENERAL = "shift-general", "verify_shift_general"
+    SYMMETRY = "symmetry", "verify_symmetry", ("c", "d", "n_max")
+
+    def __new__(cls, slug: str, verifier: str, args: tuple[str, ...] = ("n_max",)):
+        member = object.__new__(cls)
+        member._value_, member.verifier, member.args = slug, verifier, args
+        return member
+
+
+# The verifier arguments besides n_max, their defaults, in CLI check order; m_max None is n_max.
+AUXILIARY = {"c": 2, "d": 3, "m_max": None}
 
 
 @dataclass(frozen=True)
@@ -285,22 +298,16 @@ def _symmetry_scalars(c: Scalar, d: Scalar) -> tuple[Fraction, Fraction]:
     return Fraction(c), Fraction(d)
 
 
-def verify_all(spec: FamilySpec, n_max: int, *, c: Scalar = 2, d: Scalar = 3,
-               m_max: int | None = None) -> list[Verdict]:
-    """Run every identity with default auxiliary parameters, one verdict each.
+def verify_all(spec: FamilySpec, n_max: int, *, c: Scalar = AUXILIARY["c"],
+               d: Scalar = AUXILIARY["d"], m_max: int | None = None) -> list[Verdict]:
+    """Run every identity with the same auxiliary arguments, one verdict each.
 
-    The verifiers share the tables that more than one of them reads, each
-    built once at the largest n its readers need: P(x) and P(x+z) at
-    n_max + m_max, p(x) and P(0) at n_max.  The tables are dropped when
-    verify_all returns; a verifier run alone builds its own.  Every bound
-    and scalar is checked before the first table is built.
+    The verifiers share the tables below, dropped on return; bounds and scalars are checked first.
     """
-    if m_max is None:
-        m_max = n_max
+    args = _arguments(n_max, c, d, m_max)
     check_int("n_max", n_max, 0)
-    check_int("m_max", m_max, 0)
+    total = n_max + check_int("m_max", args["m_max"], 0)
     _symmetry_scalars(c, d)
-    total = n_max + m_max
     tables = _Tables([
         (spec, None, total),  # P(x): series-def, shift, double-index, shift-one
         (spec, _x_plus_z(), total),  # P(x+z): shift, shift-mixed, double-index, shift-general
@@ -309,32 +316,24 @@ def verify_all(spec: FamilySpec, n_max: int, *, c: Scalar = 2, d: Scalar = 3,
         # runs last, so holding P(0) for it alone costs nothing.
         (spec, MultiPoly.zero(), n_max),
     ])
-    return [verify_identity(identity, spec, n_max, c=c, d=d, m_max=m_max, _tables=tables)
-            for identity in IdentityId]
+    return [_run(identity, spec, args, tables) for identity in IdentityId]
 
 
-def verify_identity(identity: IdentityId, spec: FamilySpec, n_max: int, *, c: Scalar = 2,
-                    d: Scalar = 3, m_max: int | None = None,
-                    _tables: _Tables = _UNSHARED) -> Verdict:
-    """Run one identity with verify_all's auxiliary parameters.
-
-    The one list of the seven verifiers, in IdentityId order: verify_all
-    runs each of them, and the CLI runs the one --identity names.
-    """
+def verify_identity(identity: IdentityId, spec: FamilySpec, n_max: int, *,
+                    c: Scalar = AUXILIARY["c"], d: Scalar = AUXILIARY["d"],
+                    m_max: int | None = None) -> Verdict:
+    """Run one identity alone with verify_all's auxiliary parameters."""
     if not isinstance(identity, IdentityId):
         raise ValueError(f"identity must be an IdentityId, got {identity!r}")
-    if m_max is None:
-        m_max = n_max
-    runs = {
-        IdentityId.SERIES_DEF: lambda: verify_series_def(spec, n_max, _tables=_tables),
-        IdentityId.SHIFT: lambda: verify_shift(spec, n_max, _tables=_tables),
-        IdentityId.SHIFT_MIXED: lambda: verify_shift_mixed(spec, n_max, _tables=_tables),
-        IdentityId.DOUBLE_INDEX: lambda: verify_double_index(spec, n_max, m_max, _tables=_tables),
-        IdentityId.SHIFT_ONE: lambda: verify_shift_one(spec, n_max, _tables=_tables),
-        IdentityId.SHIFT_GENERAL: lambda: verify_shift_general(spec, n_max, _tables=_tables),
-        IdentityId.SYMMETRY: lambda: verify_symmetry(spec, c, d, n_max, _tables=_tables),
-    }
-    return runs[identity]()
+    return _run(identity, spec, _arguments(n_max, c, d, m_max), _UNSHARED)
+
+
+def _arguments(n_max: int, c: Scalar, d: Scalar, m_max: int | None) -> dict:
+    return {"n_max": n_max, "c": c, "d": d, "m_max": n_max if m_max is None else m_max}
+
+
+def _run(identity: IdentityId, spec: FamilySpec, args: dict, tables: _Tables) -> Verdict:
+    return globals()[identity.verifier](spec, *(args[a] for a in identity.args), _tables=tables)
 
 
 def _x_plus_z() -> MultiPoly:

@@ -228,9 +228,8 @@ class MultiPoly:
 
         Each coefficient is reduced on its own, with a positive denominator.
         The ordering (total degree, then exponent vector on the canonical
-        variable order, leading term first) is the single source of
-        deterministic output for rendering and golden files; on packed keys
-        it is integer order.
+        variable order, leading term first) is integer order on packed keys,
+        the order render_terms also walks; the CLI's JSON rendering reads it.
         """
         nums, den = self._nums, self._den
         out = []

@@ -141,15 +141,58 @@ def test_exit_code_2_on_spec_errors(capsys):
         ["table", "--preset", "euler", "--m", "5", "--n", "2"],
         ["table", "--preset", "genocchi", "--m", "5", "--n", "2"],
         ["table", "--preset", "hermite", "--m", "5", "--n", "2"],
-        ["verify", "--identity", "shift", "--preset", "euler", "--c", "5", "--n", "2"],
-        ["verify", "--identity", "double-index", "--preset", "euler", "--d", "5", "--n", "2"],
-        ["verify", "--identity", "symmetry", "--preset", "euler", "--m-max", "1", "--n", "2"],
         ["verify", "--identity", "double-index", "--preset", "euler", "--n", "-1", "--m-max", "3"],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:"), argv
+
+
+C_UNUSED = "error: --c: only used by --identity symmetry or all\n"
+D_UNUSED = "error: --d: only used by --identity symmetry or all\n"
+M_MAX_UNUSED = "error: --m-max: only used by --identity double-index or all\n"
+
+# Each --identity choice against --c 5, --d 5 and --m-max 1: None where the
+# identity reads the flag (exit 0), else the exact error (exit 2).
+AUX_FLAG_TABLE = {
+    "series-def": (C_UNUSED, D_UNUSED, M_MAX_UNUSED),
+    "shift": (C_UNUSED, D_UNUSED, M_MAX_UNUSED),
+    "shift-mixed": (C_UNUSED, D_UNUSED, M_MAX_UNUSED),
+    "double-index": (C_UNUSED, D_UNUSED, None),
+    "shift-one": (C_UNUSED, D_UNUSED, M_MAX_UNUSED),
+    "shift-general": (C_UNUSED, D_UNUSED, M_MAX_UNUSED),
+    "symmetry": (None, None, M_MAX_UNUSED),
+    "all": (None, None, None),
+}
+AUX_FLAGS = (["--c", "5"], ["--d", "5"], ["--m-max", "1"])
+
+
+def test_aux_flag_table_covers_every_identity_choice():
+    assert list(AUX_FLAG_TABLE) == [i.value for i in IdentityId] + ["all"]
+
+
+@pytest.mark.parametrize("identity, flag, error", [
+    (identity, flag, error)
+    for identity, errors in AUX_FLAG_TABLE.items() for flag, error in zip(AUX_FLAGS, errors)
+])
+def test_an_aux_flag_is_taken_only_by_the_identities_that_read_it(identity, flag, error,
+                                                                   capsys):
+    rc = main(["verify", "--identity", identity, "--preset", "euler", *flag, "--n", "1"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == ((0, "") if error is None else (2, error))
+    assert (out == "") == (error is not None)
+
+
+def test_unused_aux_flags_are_named_by_their_first_reader(capsys):
+    # Flags read by the same identities are named together; the first group is reported.
+    assert main(["verify", "--identity", "shift", "--preset", "euler", "--m-max", "1",
+                 "--d", "5", "--c", "5", "--n", "1"]) == 2
+    both = "error: --c and --d: only used by --identity symmetry or all\n"
+    assert capsys.readouterr().err == both
+    assert main(["verify", "--identity", "double-index", "--preset", "euler", "--m-max", "1",
+                 "--d", "5", "--n", "1"]) == 2
+    assert capsys.readouterr().err == D_UNUSED
 
 
 @pytest.mark.parametrize("identity", [i.value for i in IdentityId] + ["all"])
@@ -182,6 +225,23 @@ def test_exit_code_1_on_identity_failure(monkeypatch, capsys):
         "  lhs = x",
         "  rhs = x + 1",
     ]
+
+
+def test_a_patched_verifier_is_run_by_verify_all_and_by_the_cli(monkeypatch, capsys):
+    # The verifiers are looked up when they run, so both paths reach the patch.
+    calls = []
+
+    def fake(spec, c, d, n_max, **kwargs):
+        calls.append((c, d, n_max))
+        return Verdict(IdentityId.SYMMETRY, spec, n_max, True)
+
+    monkeypatch.setattr(identities_mod, "verify_symmetry", fake)
+    assert verify_all(PRESETS["euler"], 2)[-1] == Verdict(IdentityId.SYMMETRY,
+                                                         PRESETS["euler"], 2, True)
+    assert main(["verify", "--identity", "symmetry", "--preset", "euler", "--c", "5",
+                 "--n", "1"]) == 0
+    assert capsys.readouterr().out == "symmetry: PASS\n"
+    assert calls == [(2, 3, 2), (5, 3, 1)]
 
 
 def test_render_verdict_double_index_names_both_indices():
@@ -250,12 +310,12 @@ def test_help_names_each_step_default_from_the_tables(command, monkeypatch, caps
 @pytest.mark.parametrize("command", ["expand", "verify"])
 def test_help_names_each_spec_default_from_the_euler_preset(command, monkeypatch, capsys):
     # Absent spec flags take the Euler preset's values, and --c/--d take
-    # verify_all's defaults; the help must follow both when they change.
+    # identities.AUXILIARY's defaults; the help must follow both when they change.
     other = FamilySpec(2, 1, LogBase.E, LogBase.ONE, (Fraction(-1), Fraction(1, 2)),
                        Phi("laguerre"))
     monkeypatch.setitem(PRESETS, "euler", other)
-    monkeypatch.setitem(verify_all.__kwdefaults__, "c", Fraction(5, 7))
-    monkeypatch.setitem(verify_all.__kwdefaults__, "d", -4)
+    monkeypatch.setitem(identities_mod.AUXILIARY, "c", Fraction(5, 7))
+    monkeypatch.setitem(identities_mod.AUXILIARY, "d", -4)
     monkeypatch.setenv("COLUMNS", "1000")  # one line per option, no wrapping
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
@@ -295,8 +355,7 @@ SYM_SYM_SPEC = FamilySpec(2, 0, LogBase.SYMBOLIC_A, LogBase.SYMBOLIC_B,
     (SYM_SYM_FLAGS, SYM_SYM_SPEC),
 ], ids=[*sorted(PRESETS), "sym-sym"])
 def test_verify_all_prints_what_verify_all_returns(flags, spec, capsys):
-    # cmd_verify keeps its own table of verifiers and defaults; it must agree
-    # with identities.verify_all line for line.
+    # verify --identity all prints what identities.verify_all returns, line for line.
     main(["verify", "--identity", "all", *flags, "--n", "4"])
     expected = "".join(render_verdict(v) + "\n" for v in verify_all(spec, 4))
     assert capsys.readouterr().out == expected

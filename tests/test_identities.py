@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 from fractions import Fraction
 from math import comb
@@ -482,6 +483,23 @@ def test_index_bounds_of_the_verifiers_must_be_non_negative_ints():
         for slug, verifier in VERIFIERS.items():
             with pytest.raises(ValueError, match="^n_max must be an int >= 0, got "):
                 verifier(euler, bad)
+
+
+def test_the_registry_names_each_verifier_once_with_its_arguments():
+    # IdentityId is the one list of identities: every exported verifier is
+    # named by exactly one member, and each member lists its verifier's
+    # positional arguments after spec, n_max and the keys of AUXILIARY.
+    exported = [name for name in identities_mod.__all__
+                if name.startswith("verify_") and name != "verify_all"]
+    assert sorted(member.verifier for member in IdentityId) == sorted(exported)
+    for member in IdentityId:
+        params = inspect.signature(getattr(identities_mod, member.verifier)).parameters
+        positional = [p.name for p in params.values() if p.kind is p.POSITIONAL_OR_KEYWORD]
+        assert positional == ["spec", *member.args], member
+        assert set(member.args) <= {"n_max", *identities_mod.AUXILIARY}, member
+    assert [m.value for m in IdentityId] == [
+        "series-def", "shift", "shift-mixed", "double-index", "shift-one", "shift-general",
+        "symmetry"]
 
 
 def test_verify_identity_takes_only_identity_ids():
