@@ -9,7 +9,6 @@ identity fails, 2 on unusable flags or an unconstructible family.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Iterable
@@ -91,6 +90,7 @@ def spec_to_json(spec: FamilySpec) -> dict:
 def render_table(table: PolyTable, fmt: str, *, preset: str | None = None) -> str:
     note = TABLE_PRESET_NOTES.get(preset)
     if fmt == JSON:
+        import json  # only JSON output needs it, so other commands start without it
         doc: dict = {}
         if table.spec is not None:
             doc["spec"] = spec_to_json(table.spec)

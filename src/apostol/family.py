@@ -29,20 +29,19 @@ Lb - La, which is not invertible in a polynomial ring.
 A table is named by a spec and an exponential argument, nothing else:
 unified_members(spec, n, exp_argument=arg) reads the members of
 core * e^(arg t) * phi(y, t), where arg defaults to x.  A zero arg drops
-e^(xt), and replace(spec, phi=Unit()) drops phi; both together give the
+e^(xt), and spec.replace(phi=Unit()) drops phi; both together give the
 number sequence of the family.  The core quotient is cached on the phi-free
 spec, so every such table of one spec shares it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .polyring import MultiPoly, Scalar, VarId, check_int, is_exact_scalar
+from .polyring import MultiPoly, Record, Scalar, VarId, check_int, is_exact_scalar
 from .series import PowerSeries
 
 __all__ = [
@@ -103,27 +102,26 @@ PHI_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class Phi:
+class Phi(Record):
     """One phi(y, t): a kind from PHI_KINDS and its step (the power of t).
 
     An omitted step takes the kind's default; unit takes no step.
     """
 
-    kind: str
-    step: int | None = None
+    __slots__ = ("kind", "step")
 
-    def __post_init__(self):
-        if self.kind not in PHI_KINDS:
-            raise InvalidFamilySpecError(f"unknown phi kind: {self.kind!r}")
-        param, default, _ = PHI_KINDS[self.kind]
+    def __init__(self, kind: str, step: int | None = None):
+        if kind not in PHI_KINDS:
+            raise InvalidFamilySpecError(f"unknown phi kind: {kind!r}")
+        param, default, _ = PHI_KINDS[kind]
         if param is None:
-            if self.step is not None:
-                raise InvalidFamilySpecError(f"phi {self.kind} takes no step, got {self.step}")
-        elif self.step is None:
-            object.__setattr__(self, "step", default)
+            if step is not None:
+                raise InvalidFamilySpecError(f"phi {kind} takes no step, got {step}")
+        elif step is None:
+            step = default
         else:
-            check_int(f"{self.kind} {param}", self.step, 1, InvalidFamilySpecError)
+            check_int(f"{kind} {param}", step, 1, InvalidFamilySpecError)
+        super().__init__(kind, step)
 
 
 # One constructor per kind, for callers that name the kind in code.
@@ -169,34 +167,29 @@ def phi_label(phi: Phi) -> str:
 # -- the parameter bundle -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Everything that names one unified family: (r, k, a, b, alphas, phi)."""
+class FamilySpec(Record):
+    """Everything that names one unified family: (r, k, a, b, alphas, phi); alphas is any iterable."""
 
-    r: int
-    k: int
-    a: LogBase
-    b: LogBase
-    alphas: tuple[Fraction, ...]
-    phi: Phi = Phi("unit")
+    __slots__ = ("r", "k", "a", "b", "alphas", "phi")
 
-    def __post_init__(self):
-        check_int("r", self.r, 1, InvalidFamilySpecError)
-        check_int("k", self.k, 0, InvalidFamilySpecError)
-        if not (isinstance(self.a, LogBase) and isinstance(self.b, LogBase)):
-            raise InvalidFamilySpecError(f"a and b must be LogBase, got {self.a!r} and {self.b!r}")
-        if not all(map(is_exact_scalar, self.alphas)):
-            raise InvalidFamilySpecError(f"alphas must be ints or Fractions, got {self.alphas!r}")
-        object.__setattr__(self, "alphas", tuple(Fraction(a) for a in self.alphas))
-        if len(self.alphas) != self.r:
-            raise InvalidFamilySpecError(
-                f"need exactly r={self.r} alphas, got {len(self.alphas)}"
-            )
-        if self.a is self.b:
+    def __init__(self, r: int, k: int, a: LogBase, b: LogBase, alphas: tuple[Fraction, ...],
+                 phi: Phi = Phi("unit")):
+        alphas = tuple(alphas) if hasattr(alphas, "__iter__") else alphas
+        check_int("r", r, 1, InvalidFamilySpecError)
+        check_int("k", k, 0, InvalidFamilySpecError)
+        if not (isinstance(a, LogBase) and isinstance(b, LogBase)):
+            raise InvalidFamilySpecError(f"a and b must be LogBase, got {a!r} and {b!r}")
+        if type(alphas) is not tuple or not all(map(is_exact_scalar, alphas)):
+            raise InvalidFamilySpecError(f"alphas must be ints or Fractions, got {alphas!r}")
+        alphas = tuple(map(Fraction, alphas))
+        if len(alphas) != r:
+            raise InvalidFamilySpecError(f"need exactly r={r} alphas, got {len(alphas)}")
+        if a is b:
             raise InvalidFamilySpecError("the bases a and b must differ")
-        if not isinstance(self.phi, Phi):
-            raise InvalidFamilySpecError(f"unknown phi kind: {self.phi!r}")
-        if self.unit_alpha_count and (self.a, self.b) != (LogBase.ONE, LogBase.E):
+        if not isinstance(phi, Phi):
+            raise InvalidFamilySpecError(f"unknown phi kind: {phi!r}")
+        super().__init__(r, k, a, b, alphas, phi)
+        if self.unit_alpha_count and (a, b) != (LogBase.ONE, LogBase.E):
             raise InvalidFamilySpecError(
                 "alpha = 1 (Bernoulli-type factor) is only supported for bases "
                 "a=1, b=e; with other bases the vanishing factor has a "
@@ -280,11 +273,11 @@ def unified_series(spec: FamilySpec, order: int, *,
     exceed it.  exp_argument replaces the default x in the exponential
     (the identity verifiers pass x+z, c*x, z or x+1); it may be a polynomial
     or an exact scalar.  A zero argument drops e^(xt), and a spec whose phi
-    is Unit() drops phi, so replace(spec, phi=Unit()) with a zero argument
+    is Unit() drops phi, so spec.replace(phi=Unit()) with a zero argument
     gives the family's numbers.
     """
     arg = _exp_argument_poly(exp_argument)
-    result = _core_quotient(replace(spec, phi=Unit()), check_int("order", order, 1))
+    result = _core_quotient(spec.replace(phi=Unit()), check_int("order", order, 1))
     if arg:
         result = result * PowerSeries.exp_linear(arg, order)
     if spec.phi.kind != "unit":
@@ -325,18 +318,17 @@ def general_members(phi: Phi, n_max: int, *,
 # -- tables ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyTable:
+class PolyTable(Record):
     """An ordered run of family members n = 0..n_max with provenance."""
 
-    label: str
-    entries: tuple[tuple[int, MultiPoly], ...]
-    spec: FamilySpec | None = None
+    __slots__ = ("label", "entries", "spec")
 
-    def __post_init__(self):
-        for i, (n, _) in enumerate(self.entries):
+    def __init__(self, label: str, entries: tuple[tuple[int, MultiPoly], ...],
+                 spec: FamilySpec | None = None):
+        for i, (n, _) in enumerate(entries):
             if n != i:
                 raise ValueError(f"table entries must be contiguous from 0, found n={n} at slot {i}")
+        super().__init__(label, entries, spec)
 
     @property
     def n_max(self) -> int:

@@ -11,7 +11,7 @@ is no numeric tolerance anywhere.
 Every table comes from family.unified_members or family.general_members,
 named by a spec and an exponential argument alone: P(x+z) passes
 exp_argument=x+z, P(0,y) a zero argument, which drops e^(xt), and the
-phi-free tables M(x), M(z) and the numbers M pass replace(spec, phi=Unit()).
+phi-free tables M(x), M(z) and the numbers M pass spec.replace(phi=Unit()).
 
 A verifier run alone builds every table it reads.  verify_all builds each
 table that more than one verifier reads once, at the largest n any of them
@@ -36,14 +36,14 @@ is reproducible from the report alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
 from .family import FamilySpec, Phi, Unit, general_members, unified_members
-from .polyring import MultiPoly, Scalar, VarId, check_int, is_exact_scalar, linear_combination
+from .polyring import (MultiPoly, Record, Scalar, VarId, check_int, is_exact_scalar,
+                       linear_combination)
 
 __all__ = [
     "Counterexample", "IdentityId", "Verdict", "verify_all", "verify_double_index",
@@ -77,20 +77,19 @@ class IdentityId(Enum):
 AUXILIARY = {"c": 2, "d": 3, "m_max": None}
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    indices: tuple[int, ...]
-    lhs: MultiPoly
-    rhs: MultiPoly
+class Counterexample(Record):
+    __slots__ = ("indices", "lhs", "rhs")
+
+    def __init__(self, indices: tuple[int, ...], lhs: MultiPoly, rhs: MultiPoly):
+        super().__init__(indices, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    identity: IdentityId
-    spec: FamilySpec
-    max_n: int
-    passed: bool
-    counterexample: Counterexample | None = None
+class Verdict(Record):
+    __slots__ = ("identity", "spec", "max_n", "passed", "counterexample")
+
+    def __init__(self, identity: IdentityId, spec: FamilySpec, max_n: int, passed: bool,
+                 counterexample: Counterexample | None = None):
+        super().__init__(identity, spec, max_n, passed, counterexample)
 
 
 def _verdict(identity: IdentityId, spec: FamilySpec, max_n: int,
@@ -164,7 +163,7 @@ def verify_series_def(spec: FamilySpec, n_max: int, *, _tables: _Tables = _UNSHA
     return _convolution_verdict(
         IdentityId.SERIES_DEF, spec, n_max,
         _tables.unified(spec, n_max),
-        _tables.unified(replace(spec, phi=Unit()), n_max, exp_argument=MultiPoly.zero()),
+        _tables.unified(spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.zero()),
         _tables.general(spec.phi, n_max),
     )
 
@@ -190,7 +189,7 @@ def verify_shift_mixed(spec: FamilySpec, n_max: int, *,
         IdentityId.SHIFT_MIXED, spec, n_max,
         _tables.unified(spec, n_max, exp_argument=_x_plus_z()),
         _tables.general(spec.phi, n_max, exp_argument=MultiPoly.var(VarId.Z)),
-        _tables.unified(replace(spec, phi=Unit()), n_max),
+        _tables.unified(spec.replace(phi=Unit()), n_max),
     )
 
 
@@ -260,7 +259,7 @@ def verify_shift_general(spec: FamilySpec, n_max: int, *,
     return _convolution_verdict(
         IdentityId.SHIFT_GENERAL, spec, n_max,
         _tables.unified(spec, n_max, exp_argument=_x_plus_z()),
-        _tables.unified(replace(spec, phi=Unit()), n_max, exp_argument=MultiPoly.var(VarId.Z)),
+        _tables.unified(spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.var(VarId.Z)),
         _tables.general(spec.phi, n_max),
     )
 

@@ -42,7 +42,7 @@ from enum import IntEnum
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd, lcm, prod
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Mapping, Union
 
 __all__ = ["MultiPoly", "VarId", "format_poly"]
@@ -127,6 +127,44 @@ def check_int(name: str, value: object, minimum: int,
     if type(value) is not int or value < minimum:
         raise error(f"{name} must be an int >= {minimum}, got {value!r}")
     return value
+
+
+class Record:
+    """An immutable value whose fields are its __slots__, set once in __init__.
+
+    Equality, hash and repr read the fields in slot order; copy, pickle and
+    replace(**changes) rebuild a value through __init__, so each is validated.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = property(attrgetter(*cls.__slots__))  # a tuple: every record has 2+ fields
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self._fields == other._fields if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable value")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._fields
+
+    def replace(self, **changes):
+        return type(self)(**{**dict(zip(self.__slots__, self._fields)), **changes})
 
 
 def _scalar_parts(c: Scalar) -> tuple[int, int]:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from apostol.polyring import MultiPoly, VarId
 from reference_ring import RefPoly, format_ref, latex_ref
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 GOLDEN_MANIFEST = [
     ("expand_euler_n4.json", ["expand", "--preset", "euler", "--n", "4"]),
@@ -61,6 +65,25 @@ def test_emitted_json_round_trips_for_every_preset(capsys):
         assert main(["expand", "--preset", preset, "--n", "3"]) == 0
         text = capsys.readouterr().out
         assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter with PYTHONPATH=src, as the console script runs."""
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+
+def test_the_cli_starts_without_dataclasses_inspect_or_json():
+    # Compared with a bare interpreter, since site may load modules of its own.
+    probe = "import sys{}; print(*sys.modules, sep=chr(10))"
+    bare, cli = (set(_fresh_python("-c", probe.format(extra)).stdout.decode().split())
+                 for extra in ("", "; import apostol.cli"))
+    assert "apostol.cli" in cli - bare
+    assert not (cli - bare) & {"dataclasses", "inspect", "json"}
+    # The JSON branch imports json itself, in a process where nothing else has.
+    run = _fresh_python("-m", "apostol.cli", "expand", "--preset", "euler", "--n", "4")
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == (GOLDEN_DIR / "expand_euler_n4.json").read_bytes()
 
 
 # Tables whose rows share many monomials, one with a symbolic-base spelling and one

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -438,6 +440,82 @@ def test_presets_are_constructible():
     ]
     for spec in PRESETS.values():
         assert unified_members(spec, 2)[0] is not None
+
+
+def test_alphas_are_read_once_from_any_iterable():
+    # Two valid alphas given as a generator were used up by the scalar check
+    # ("need exactly r=2 alphas, got 0"), and a bare Fraction failed with a
+    # TypeError from iterating it.
+    assert FamilySpec(2, 0, *ONE_E, (a for a in (2, -3))) == FamilySpec(2, 0, *ONE_E, (2, -3))
+    assert FamilySpec(1, 0, *ONE_E, [-1]).alphas == (Fraction(-1),)
+    with pytest.raises(InvalidFamilySpecError, match=r"got Fraction\(2, 1\)"):
+        FamilySpec(1, 0, *ONE_E, Fraction(2))
+
+
+# -- value semantics of Phi, FamilySpec and PolyTable -----------------------------------
+
+
+def test_family_records_compare_and_hash_by_their_fields():
+    spec = FamilySpec(1, 0, *ONE_E, (a for a in [-1]), Phi("gould-hopper", 2))
+    assert spec == PRESETS["hermite"] and hash(spec) == hash(PRESETS["hermite"])
+    assert len({spec, PRESETS["hermite"], PRESETS["euler"]}) == 2
+    assert spec != PRESETS["euler"] and GouldHopper() == GouldHopper(2) != GouldHopper(3)
+    table = extract_table(PRESETS["euler"], 2)
+    assert table == extract_table(PRESETS["euler"], 2) != extract_table(PRESETS["euler"], 3)
+    # Another record type, or a tuple of the same fields, is never equal.
+    assert Unit() != ("unit", None) and Unit() != PolyTable("unit", ())
+    # Equal specs built apart share one cached core quotient.
+    _core_quotient.cache_clear()
+    unified_members(spec, 3)
+    unified_members(FamilySpec(1, 0, *ONE_E, [Fraction(-1)], Laguerre(1)), 3)
+    info = _core_quotient.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_family_records_are_immutable():
+    spec, table = PRESETS["hermite"], extract_table(PRESETS["euler"], 1)
+    for record, field in [(spec, "r"), (spec, "alphas"), (spec.phi, "step"),
+                          (table, "entries"), (spec, "extra")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert spec.r == 1 and spec.phi.step == 2 and table.n_max == 1
+
+
+def test_family_record_repr_is_the_dataclass_text():
+    assert repr(PRESETS["hermite"]) == (
+        "FamilySpec(r=1, k=0, a=<LogBase.ONE: '1'>, b=<LogBase.E: 'e'>, "
+        "alphas=(Fraction(-1, 1),), phi=Phi(kind='gould-hopper', step=2))"
+    )
+    assert repr(Unit()) == "Phi(kind='unit', step=None)"
+    assert repr(PolyTable("t", ((0, ONE),))) == (
+        "PolyTable(label='t', entries=((0, MultiPoly(1)),), spec=None)")
+
+
+def test_family_record_replace_validates_like_the_constructor():
+    spec = PRESETS["hermite"]
+    assert spec.replace(phi=Unit()) == PRESETS["euler"]
+    assert spec.phi.replace(step=3) == GouldHopper(3)
+    assert spec.replace(alphas=[2]).alphas == (Fraction(2),)
+    with pytest.raises(InvalidFamilySpecError, match="need exactly r=2 alphas, got 1"):
+        spec.replace(r=2)
+    with pytest.raises(InvalidFamilySpecError, match="takes no step"):
+        Unit().replace(step=2)
+    with pytest.raises(ValueError, match="contiguous"):
+        extract_table(spec, 2).replace(entries=((1, ONE),))
+    with pytest.raises(TypeError):
+        spec.replace(order=2)
+    assert spec == PRESETS["hermite"]
+
+
+def test_family_records_survive_copy_and_pickle():
+    records = [PRESETS["hermite"], Unit(), TruncatedExp(3), extract_table(PRESETS["hermite"], 3),
+               special_case_oracle(ClassicalFamily.APOSTOL_GENOCCHI, 1, 1, 3)]
+    for record in records:
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record) and twin == record
 
 
 def test_poly_table_contiguity():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import inspect
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -233,6 +235,48 @@ def test_verdict_reports_first_lex_mismatch():
     ok = _verdict(IdentityId.SHIFT, spec, 1, iter([((0,), X, X)]))
     assert ok.passed and ok.counterexample is None
     assert isinstance(ok, Verdict)
+
+
+# -- value semantics of Verdict and Counterexample -------------------------------------
+
+FAILING = Verdict(IdentityId.SHIFT, PRESETS["euler"], 2, False, Counterexample((1,), X, X + 1))
+
+
+def test_verdicts_compare_by_their_fields():
+    assert _verdict(IdentityId.SHIFT, PRESETS["euler"], 2, [((1,), X, X + 1)]) == FAILING
+    assert FAILING != FAILING.replace(max_n=3) and FAILING != FAILING.counterexample
+    assert Counterexample((1,), X, X + 1) != ((1,), X, X + 1)
+    passing = verify_shift(PRESETS["hermite"], 2)
+    assert passing == Verdict(IdentityId.SHIFT, PRESETS["hermite"], 2, True)
+    assert hash(passing) == hash(verify_shift(PRESETS["hermite"], 2))
+    with pytest.raises(TypeError):  # the polynomials of a counterexample are not hashable
+        hash(FAILING)
+
+
+def test_verdicts_are_immutable():
+    for record, field in [(FAILING, "passed"), (FAILING, "counterexample"),
+                          (FAILING.counterexample, "lhs"), (FAILING, "extra")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert not FAILING.passed and FAILING.counterexample.lhs == X
+
+
+def test_failing_verdict_repr_is_the_dataclass_text():
+    assert repr(FAILING) == (
+        "Verdict(identity=<IdentityId.SHIFT: 'shift'>, spec=FamilySpec(r=1, k=0, "
+        "a=<LogBase.ONE: '1'>, b=<LogBase.E: 'e'>, alphas=(Fraction(-1, 1),), "
+        "phi=Phi(kind='unit', step=None)), max_n=2, passed=False, "
+        "counterexample=Counterexample(indices=(1,), lhs=MultiPoly(x), rhs=MultiPoly(x + 1)))"
+    )
+
+
+def test_verdicts_survive_copy_and_pickle():
+    for record in (FAILING, FAILING.counterexample, verify_all(SYM_GH2, 2)[-1]):
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record) and twin == record
 
 
 @pytest.mark.parametrize("j", [0, 3, 5])
