@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .family import (
     ClassicalFamily,

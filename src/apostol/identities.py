@@ -20,12 +20,12 @@ the general polynomials p(x) at n_max, and P(0) at n_max (when phi is unit,
 the phi-free M(x) and numbers M are the tables P(x) and P(0)).  No verifier
 reads one shared table on both of its sides, so the sides stay apart.
 
-Right sides use only plain ring +, * and the right-side kernel
-polyring.linear_combination, never the fused sum_of_products kernel that
-builds every left side through the series products, so a fault in either
-shows as a FAIL instead of cancelling out.  Each right side forms its
-products with * and sums them in one linear_combination, normalized once
-per index.  The double-index identity is checked after the automorphism
+Right sides take their products inside the right-side kernel
+polyring.linear_combination, which multiplies each (c, a, b) triple in its
+own loop and normalizes once per right side.  It shares no product loop
+with sum_of_products, the fused kernel that builds every left side through
+the series products, so a fault in either shows as a FAIL instead of
+cancelling out.  The double-index identity is checked after the automorphism
 z -> x + h, where its right side needs only monomial shifts h^s; a
 counterexample is mapped back with MultiPoly.substitute({Z: z - x}).
 
@@ -36,10 +36,10 @@ is reproducible from the report alone.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
 
 from .family import FamilySpec, Phi, Unit, general_members, unified_members
 from .polyring import (MultiPoly, Record, Scalar, VarId, check_int, is_exact_scalar,
@@ -139,14 +139,13 @@ class _Tables:
 _UNSHARED = _Tables()
 
 
-def binomial_convolution(a: Sequence[MultiPoly | int], b: Sequence[MultiPoly],
-                         n: int) -> MultiPoly:
-    """sum_j C(n,j) * a[n-j] * b[j]: plain ring products, one linear combination."""
-    return linear_combination((comb(n, j), a[n - j] * b[j]) for j in range(n + 1))
+def binomial_convolution(a: Sequence[MultiPoly], b: Sequence[MultiPoly], n: int) -> MultiPoly:
+    """sum_j C(n,j) * a[n-j] * b[j]: one linear_combination takes every product."""
+    return linear_combination((comb(n, j), a[n - j], b[j]) for j in range(n + 1))
 
 
 def _convolution_verdict(identity: IdentityId, spec: FamilySpec, n_max: int,
-                         lhs: Sequence[MultiPoly], a: Sequence[MultiPoly | int],
+                         lhs: Sequence[MultiPoly], a: Sequence[MultiPoly],
                          b: Sequence[MultiPoly]) -> Verdict:
     """Check lhs[n] == binomial_convolution(a, b, n) for n = 0 .. n_max."""
     return _verdict(identity, spec, n_max, (
@@ -227,7 +226,7 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
                     continue
                 checked.add(weights)
                 lhs, rhs = shifted[n + m], linear_combination(
-                    (w, in_x[n + m - s] * h_powers[s]) for s, w in enumerate(weights))
+                    (w, in_x[n + m - s], h_powers[s]) for s, w in enumerate(weights))
                 if lhs != rhs:  # report the mismatch in (x, z)
                     lhs, rhs = lhs.substitute(unshift), rhs.substitute(unshift)
                 yield (n, m), lhs, rhs
@@ -244,7 +243,7 @@ def verify_shift_one(spec: FamilySpec, n_max: int, *, _tables: _Tables = _UNSHAR
     return _convolution_verdict(
         IdentityId.SHIFT_ONE, spec, n_max,
         _tables.unified(spec, n_max, exp_argument=MultiPoly.var(VarId.X) + 1),
-        [1] * (n_max + 1),
+        [MultiPoly.one()] * (n_max + 1),
         _tables.unified(spec, n_max),
     )
 

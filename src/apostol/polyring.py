@@ -38,16 +38,16 @@ anything else raises ValueError or the error type the caller names.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from enum import IntEnum
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd, lcm, prod
 from operator import attrgetter, mul
-from typing import Iterable, Mapping, Union
 
 __all__ = ["MultiPoly", "VarId", "format_poly"]
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class VarId(IntEnum):
@@ -368,8 +368,8 @@ class MultiPoly:
                                   initial=MultiPoly.one()))
                   for i, val in enumerate(values.values())]
         return linear_combination(
-            (Fraction(1, self._den),
-             prod((row[e] for row, e in zip(powers, exps)), start=MultiPoly._raw(free, 1)))
+            (Fraction(1, self._den), MultiPoly._raw(free, 1),
+             prod(row[e] for row, e in zip(powers, exps)))
             for exps, free in groups.items())
 
     # -- comparison and display --------------------------------------------
@@ -412,31 +412,42 @@ def sum_of_products(triples: Iterable[tuple[Scalar, MultiPoly, MultiPoly]]) -> M
     return MultiPoly._normalized(out, den)
 
 
-def linear_combination(pairs: Iterable[tuple[Scalar, MultiPoly]]) -> MultiPoly:
-    """The sum of c * p over the pairs, normalized once.
+def linear_combination(triples: Iterable[tuple[Scalar, MultiPoly, MultiPoly]]) -> MultiPoly:
+    """The sum of c * a * b over the triples, the right-side kernel.
 
-    Every polynomial's numerators are scaled into one integer map over the
-    lcm of the scaled denominators.  This shares no code with
-    sum_of_products on purpose: the identity verifiers build their right
-    sides with this kernel and their left sides (through the series
-    products) with that one, so a fault in either shows as a failed identity
-    instead of cancelling out.
+    Each a * b is multiplied in its own loop straight into one integer map
+    over the lcm of the triples' denominators, so no product is normalized
+    on its own; the total degree is checked once on that map, and the sum is
+    normalized once.  This shares no code with sum_of_products or _mul_into
+    on purpose: the identity verifiers build their right sides with this
+    kernel and their left sides (through the series products) with that one,
+    so a fault in either shows as a failed identity instead of cancelling out.
     """
     items = []
-    for c, p in pairs:
-        if p._nums:
+    for c, a, b in triples:
+        if a._nums and b._nums:
             num, den = _scalar_parts(c)
             if num:
-                items.append((num, p._nums, p._den * den))
+                items.append((num, a._nums, b._nums, a._den * b._den * den))
     if not items:
         return MultiPoly._raw({}, 1)
     den = lcm(*(d for *_, d in items))
     out: dict[int, int] = {}
     get = out.get
-    for num, nums, d in items:
+    for num, na, nb, d in items:
         f = num * (den // d)
-        for k, v in nums.items():
-            out[k] = get(k, 0) + v * f
+        if len(na) > len(nb):
+            na, nb = nb, na
+        nb_items = nb.items()
+        for ka, va in na.items():
+            va *= f
+            for kb, vb in nb_items:
+                k = ka + kb
+                out[k] = get(k, 0) + va * vb
+    # Zeros stay in out until _normalized, so an overflowing term cannot cancel first.
+    if max(out) >= _KEY_LIMIT:
+        deg = max((max(na) >> _DEG_SHIFT) + (max(nb) >> _DEG_SHIFT) for _, na, nb, _ in items)
+        raise ValueError(f"total degree {deg} exceeds the ring's limit {MAX_DEGREE}")
     return MultiPoly._normalized(out, den)
 
 

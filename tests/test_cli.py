@@ -75,11 +75,16 @@ def _fresh_python(*args: str) -> subprocess.CompletedProcess:
 
 def test_the_cli_starts_without_dataclasses_inspect_or_json():
     # Compared with a bare interpreter, since site may load modules of its own.
+    # Under -S nothing does, so there the bare side imports the stdlib modules
+    # apostol needs, and typing (which site often loads) shows if apostol adds it.
     probe = "import sys{}; print(*sys.modules, sep=chr(10))"
-    bare, cli = (set(_fresh_python("-c", probe.format(extra)).stdout.decode().split())
-                 for extra in ("", "; import apostol.cli"))
-    assert "apostol.cli" in cli - bare
-    assert not (cli - bare) & {"dataclasses", "inspect", "json"}
+    stdlib = "; import argparse, fractions, enum, functools, itertools, math, operator"
+    for flags, base, unwanted in (((), "", {"dataclasses", "inspect", "json"}),
+                                  (("-S",), stdlib, {"typing"})):
+        bare, cli = (set(_fresh_python(*flags, "-c", probe.format(extra)).stdout.decode().split())
+                     for extra in (base, base + "; import apostol.cli"))
+        assert "apostol.cli" in cli - bare, flags
+        assert not (cli - bare) & unwanted, flags
     # The JSON branch imports json itself, in a process where nothing else has.
     run = _fresh_python("-m", "apostol.cli", "expand", "--preset", "euler", "--n", "4")
     assert (run.returncode, run.stderr) == (0, b"")

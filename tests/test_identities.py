@@ -464,23 +464,24 @@ def test_double_index_fails_at_a_perturbed_left_side(monkeypatch, j0, expected):
 
 
 def test_right_sides_fail_when_a_right_side_kernel_drops_a_pair(monkeypatch):
-    """A right-side kernel that drops its last pair breaks every right side.
+    """A right-side kernel that drops its last triple breaks every right side.
 
-    Each binomial convolution (linear_combination) loses its j = n term
-    C(n,n) a[0] b[n], so at n = 0 the right side is 0 against the nonzero
-    P_0.  The symmetry identity builds both sides as convolutions: at n = 0
-    both lose P_0^2, and at n = 1 they lose d*P_0*P_1(0,y) and
-    c*P_0*P_1(0,y), which differ.  The double-index right side (one
-    linear_combination over s) loses w_N h^N P_0, so it first fails at (0, 0).
+    Each binomial convolution (one linear_combination of (c, a, b) triples)
+    loses its j = n triple (1, a[0], b[n]), so at n = 0 the right side is 0
+    against the nonzero P_0.  The symmetry identity builds both sides as
+    convolutions: at n = 0 both lose P_0^2, and at n = 1 they lose
+    d*P_0*P_1(0,y) and c*P_0*P_1(0,y), which differ.  The double-index right
+    side (one linear_combination of triples over s) loses (w_N, P_0, h^N), so
+    it first fails at (0, 0).
     """
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
     assert unified_members(spec, 1, exp_argument=ZERO)[1]  # P_1(0,y) != 0
     kernel = identities_mod.linear_combination
     calls = []
 
-    def dropping_last(pairs):
+    def dropping_last(triples):
         calls.append(1)
-        return kernel(list(pairs)[:-1])
+        return kernel(list(triples)[:-1])
 
     monkeypatch.setattr(identities_mod, "linear_combination", dropping_last)
     verifiers = {**VERIFIERS, "double-index": lambda spec, n: verify_double_index(spec, n, 2)}

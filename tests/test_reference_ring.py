@@ -9,17 +9,19 @@ coprime to the denominator as a whole.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from apostol import polyring
 from apostol.cli import poly_to_latex
+from apostol.family import FamilySpec, GouldHopper, LogBase, unified_members
 from apostol.polyring import (MAX_DEGREE, NVARS, MultiPoly, VarId, format_poly,
                               linear_combination, sum_of_products)
 from apostol.series import PowerSeries
 
-from reference_ring import RefPoly, format_ref, latex_ref
+from reference_ring import ZERO_EXPS, RefPoly, format_ref, latex_ref
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -162,35 +164,84 @@ def test_sum_of_products(triples):
 
 
 @st.composite
-def weighted_maps(draw):
-    """(weight, terms) pairs with int, Fraction and zero weights; sometimes a
-    last pair is added that cancels the sum of the others to zero."""
-    pairs = draw(st.lists(st.tuples(st.one_of(scalars, st.just(0)), term_maps), max_size=4))
-    if pairs and draw(st.booleans()):
+def weighted_triples(draw):
+    """(weight, a, b) triples with int, Fraction and zero weights; sometimes one
+    whose b is a single monomial (a pure key shift, as in every double-index
+    right side), and sometimes a last triple that cancels the sum of the
+    others to zero."""
+    triples = draw(st.lists(st.tuples(st.one_of(scalars, st.just(0)), term_maps, term_maps),
+                            max_size=4))
+    if draw(st.booleans()):
+        triples.append((draw(scalars), draw(term_maps), {draw(exponents): 1}))
+    if triples and draw(st.booleans()):
         c = draw(st.sampled_from([1, -2, Fraction(2, 3)]))
         ref = RefPoly()
-        for w, terms in pairs:
-            ref = ref + RefPoly(terms) * w
-        pairs.append((c, (ref * (-1 / Fraction(c))).terms))
-    return pairs
+        for w, at, bt in triples:
+            ref = ref + RefPoly(at) * RefPoly(bt) * w
+        if ref.total_degree() <= MAX_DEGREE:
+            triples.append((c, (ref * (-1 / Fraction(c))).terms, {ZERO_EXPS: 1}))
+    return triples
 
 
 @PROPERTY
-@given(weighted_maps())
-def test_linear_combination(pairs):
+@given(weighted_triples())
+def test_linear_combination(triples):
     ref = RefPoly()
-    for c, terms in pairs:
-        ref = ref + RefPoly(terms) * c
-    assert_agrees(linear_combination((c, MultiPoly(t)) for c, t in pairs), ref)
+    for c, at, bt in triples:
+        ra, rb = RefPoly(at), RefPoly(bt)
+        if c and overflows(ra, rb):
+            # The whole sum raises, naming the largest total degree of any product.
+            top = max(RefPoly(a).total_degree() + RefPoly(b).total_degree()
+                      for w, a, b in triples if w and a and b)
+            with pytest.raises(ValueError, match=f"^total degree {top} exceeds"):
+                linear_combination((c, MultiPoly(a), MultiPoly(b)) for c, a, b in triples)
+            return
+        ref = ref + ra * rb * c
+    assert_agrees(linear_combination((c, MultiPoly(a), MultiPoly(b)) for c, a, b in triples),
+                  ref)
 
 
 def test_linear_combination_edge_cases():
     x, y = MultiPoly.var(VarId.X), MultiPoly.var(VarId.Y)
+    one, zero = MultiPoly.one(), MultiPoly.zero()
     assert_agrees(linear_combination([]), RefPoly())
-    assert_agrees(linear_combination([(0, x), (5, MultiPoly.zero())]), RefPoly())
+    assert_agrees(linear_combination([(0, x, y), (5, zero, x), (5, x, zero)]), RefPoly())
     half_x = x * Fraction(1, 2)
-    assert_agrees(linear_combination([(2, half_x), (-1, x)]), RefPoly())
-    assert linear_combination([(Fraction(2, 3), half_x), (3, y)]) == x * Fraction(1, 3) + 3 * y
+    assert_agrees(linear_combination([(2, half_x, one), (-1, one, x)]), RefPoly())
+    assert linear_combination([(Fraction(2, 3), half_x, y), (3, y, y)]) == (
+        x * y * Fraction(1, 3) + 3 * y * y)
+    # The x fields of x^40000 * x^30000 carry into the degree field; the error
+    # names the true total degree, and raises although the two products cancel.
+    big, small = x ** 40000, x ** 30000
+    for triples in ([(1, big, small)], [(1, big, small), (-1, small, big)]):
+        with pytest.raises(ValueError, match="^total degree 70000 exceeds"):
+            linear_combination(triples)
+
+
+def test_linear_combination_shares_no_product_loop_with_the_left_side(monkeypatch):
+    """Right sides multiply inside linear_combination alone: with the left-side
+    loop _mul_into and ring * both broken, a convolution and a double-index
+    right side over sym/sym tables still equal the reference ring's sums."""
+    spec = FamilySpec(2, 0, LogBase.SYMBOLIC_A, LogBase.SYMBOLIC_B, (2, -3), GouldHopper(2))
+    n = 5
+    in_x = unified_members(spec, n)
+    at_zero = unified_members(spec, n, exp_argument=MultiPoly.zero())
+    h_powers = [MultiPoly({(0, 0, s, 0, 0): 1}) for s in range(n + 1)]
+    cases = [[(comb(n, j), in_x[n - j], at_zero[j]) for j in range(n + 1)],
+             [(comb(n, s), in_x[n - s], h_powers[s]) for s in range(n + 1)]]
+
+    def broken(*args):
+        raise AssertionError("a right side used a left-side product loop")
+
+    monkeypatch.setattr(polyring, "_mul_into", broken)
+    monkeypatch.setattr(MultiPoly, "__mul__", broken)
+    monkeypatch.setattr(MultiPoly, "__rmul__", broken)
+    for triples in cases:
+        ref = RefPoly()
+        for c, a, b in triples:
+            ref = ref + RefPoly(a.terms) * RefPoly(b.terms) * c
+        assert ref.terms
+        assert_agrees(linear_combination(triples), ref)
 
 
 def test_equality_ignores_construction_path():
