@@ -28,18 +28,20 @@ Lb - La, which is not invertible in a polynomial ring.
 
 A table is named by a spec and an exponential argument, nothing else:
 unified_members(spec, n, exp_argument=arg) reads the members of
-core * e^(arg t) * phi(y, t), where arg defaults to x.  A zero arg drops
-e^(xt), and spec.replace(phi=Unit()) drops phi; both together give the
-number sequence of the family.  The core quotient is cached on the phi-free
-spec, so every such table of one spec shares it.
+core * (e^(arg t) * phi(y, t)), where arg defaults to x: the small factor
+holds only x, y and z and is built first, so the large core enters one
+product.  A zero arg drops e^(xt), and spec.replace(phi=Unit()) drops phi;
+both together give the number sequence of the family.  The core quotient
+is cached on the phi-free spec, so every such table of one spec shares it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
+from operator import mul
 
 from .polyring import MultiPoly, Record, Scalar, VarId, check_int, is_exact_scalar
 from .series import PowerSeries
@@ -143,9 +145,16 @@ def TruncatedExp(beta: int | None = None) -> Phi:
     return Phi("truncated-exp", beta)
 
 
+def _checked_phi(phi: object) -> Phi:
+    """phi itself if it is a Phi; InvalidFamilySpecError otherwise."""
+    if not isinstance(phi, Phi):
+        raise InvalidFamilySpecError(f"unknown phi kind: {phi!r}")
+    return phi
+
+
 def phi_series(phi: Phi, order: int) -> PowerSeries:
     """Expand the chosen phi(y, t) as a truncated series in t."""
-    weight = PHI_KINDS[phi.kind][2]
+    weight = PHI_KINDS[_checked_phi(phi).kind][2]
     if weight is None:
         return PowerSeries.one(order)
     y = MultiPoly.var(VarId.Y)
@@ -186,9 +195,7 @@ class FamilySpec(Record):
             raise InvalidFamilySpecError(f"need exactly r={r} alphas, got {len(alphas)}")
         if a is b:
             raise InvalidFamilySpecError("the bases a and b must differ")
-        if not isinstance(phi, Phi):
-            raise InvalidFamilySpecError(f"unknown phi kind: {phi!r}")
-        super().__init__(r, k, a, b, alphas, phi)
+        super().__init__(r, k, a, b, alphas, _checked_phi(phi))
         if self.unit_alpha_count and (a, b) != (LogBase.ONE, LogBase.E):
             raise InvalidFamilySpecError(
                 "alpha = 1 (Bernoulli-type factor) is only supported for bases "
@@ -228,10 +235,7 @@ def denominator_series(spec: FamilySpec, order: int) -> PowerSeries:
     """The product prod_i (alpha_i b^t - a^t), truncated at the given order."""
     bt = PowerSeries.exp_linear(spec.b.log_poly(), order)
     at = PowerSeries.exp_linear(spec.a.log_poly(), order)
-    prod = PowerSeries.one(order)
-    for alpha in spec.alphas:
-        prod = prod * (bt.scale(alpha) - at)
-    return prod
+    return reduce(mul, (bt.scale(alpha) - at for alpha in spec.alphas))
 
 
 @lru_cache(maxsize=512)
@@ -266,7 +270,7 @@ def _exp_argument_poly(exp_argument: MultiPoly | Scalar | None) -> MultiPoly:
 
 def unified_series(spec: FamilySpec, order: int, *,
                    exp_argument: MultiPoly | Scalar | None = None) -> PowerSeries:
-    """The generating series core * e^(arg t) * phi(y, t), truncated.
+    """The generating series core * (e^(arg t) * phi(y, t)), truncated.
 
     The division by the denominator loses one order per unit alpha, so the
     returned series has the order minus that count, and the order must
@@ -274,15 +278,14 @@ def unified_series(spec: FamilySpec, order: int, *,
     (the identity verifiers pass x+z, c*x, z or x+1); it may be a polynomial
     or an exact scalar.  A zero argument drops e^(xt), and a spec whose phi
     is Unit() drops phi, so spec.replace(phi=Unit()) with a zero argument
-    gives the family's numbers.
+    gives the family's numbers.  The small factor e^(arg t) * phi comes first.
     """
     arg = _exp_argument_poly(exp_argument)
-    result = _core_quotient(spec.replace(phi=Unit()), check_int("order", order, 1))
-    if arg:
-        result = result * PowerSeries.exp_linear(arg, order)
+    core = _core_quotient(spec.replace(phi=Unit()), check_int("order", order, 1))
+    factors = [PowerSeries.exp_linear(arg, order)] if arg else []
     if spec.phi.kind != "unit":
-        result = result * phi_series(spec.phi, order)
-    return result
+        factors.append(phi_series(spec.phi, order))
+    return core * reduce(mul, factors) if factors else core
 
 
 def unified_members(spec: FamilySpec, n_max: int, *,
@@ -302,7 +305,7 @@ def general_series(phi: Phi, order: int, *,
                    exp_argument: MultiPoly | Scalar | None = None) -> PowerSeries:
     """e^(xt) phi(y,t): the two-variable general polynomials, no prefactor."""
     result = PowerSeries.exp_linear(_exp_argument_poly(exp_argument), order)
-    if phi.kind != "unit":
+    if _checked_phi(phi).kind != "unit":
         result = result * phi_series(phi, order)
     return result
 

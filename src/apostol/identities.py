@@ -201,9 +201,9 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
     when P_N(x+h, y) = sum_s w_s h^s P_(N-s)(x,y), N = n + m, holds.  The left
     side is the x+h table, the right side one linear combination of monomial
     shifts.  The weights w_s = sum_p C(n,p) C(m,s-p) are each computed as
-    stated, and they fix the check, so a pair with the weights of an earlier
-    pair is skipped: that pair made the same comparison and it passed, or the
-    verdict would have stopped there.  A counterexample is mapped back to (x, z).
+    stated, from binomial rows built once, and they fix the check, so a pair
+    with an earlier pair's weights is skipped: that pair made the same
+    comparison, which passed.  A counterexample is mapped back to (x, z).
     """
     check_int("n_max", n_max, 0)
     check_int("m_max", m_max, 0)
@@ -212,14 +212,14 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
     in_x = _tables.unified(spec, total)
     h_powers = _powers(MultiPoly.var(VarId.Z), total)
     unshift = {VarId.Z: MultiPoly.var(VarId.Z) - MultiPoly.var(VarId.X)}
+    rows = [[comb(k, j) for j in range(k + 1)] for k in range(max(n_max, m_max) + 1)]
     checked: set[tuple[int, ...]] = set()
 
     def pairs():
-        for n in range(n_max + 1):
-            for m in range(m_max + 1):
+        for n, cn in enumerate(rows[:n_max + 1]):
+            for m, cm in enumerate(rows[:m_max + 1]):
                 weights = tuple(
-                    sum(comb(n, p) * comb(m, s - p)
-                        for p in range(max(0, s - m), min(n, s) + 1))
+                    sum(cn[p] * cm[s - p] for p in range(max(0, s - m), min(n, s) + 1))
                     for s in range(n + m + 1)
                 )
                 if weights in checked:

@@ -99,21 +99,27 @@ def _unpack(key: int) -> Exponents:
             (key >> _SLA) & _MASK, key & _MASK)
 
 
-def _mul_into(out: dict[int, int], na: dict[int, int], nb: dict[int, int], f: int) -> None:
-    """out += f * na * nb on packed keys, without normalizing."""
-    if max(na) + max(nb) >= _KEY_LIMIT:
-        deg = (max(na) >> _DEG_SHIFT) + (max(nb) >> _DEG_SHIFT)
-        raise ValueError(f"total degree {deg} exceeds the ring's limit {MAX_DEGREE}")
-    if len(na) > len(nb):
-        na, nb = nb, na
+def _mul_into(out: dict[int, int], items: list[tuple[int, dict, dict]]) -> None:
+    """out += the sum of f * na * nb over the (f, na, nb) items, on packed keys.
+
+    The total degree is checked once, on out: a key reaches _KEY_LIMIT exactly
+    when its total degree overflows, and zeros stay in out until _normalized,
+    so an overflowing key cannot cancel first.
+    """
     get = out.get
-    nb_items = nb.items()
-    for ka, va in na.items():
-        if f != 1:
-            va *= f
-        for kb, vb in nb_items:
-            k = ka + kb
-            out[k] = get(k, 0) + va * vb
+    for f, na, nb in items:
+        if len(na) > len(nb):
+            na, nb = nb, na
+        nb_items = nb.items()
+        for ka, va in na.items():
+            if f != 1:
+                va *= f
+            for kb, vb in nb_items:
+                k = ka + kb
+                out[k] = get(k, 0) + va * vb
+    if max(out) >= _KEY_LIMIT:
+        deg = max((max(na) >> _DEG_SHIFT) + (max(nb) >> _DEG_SHIFT) for _, na, nb in items)
+        raise ValueError(f"total degree {deg} exceeds the ring's limit {MAX_DEGREE}")
 
 
 def is_exact_scalar(c: object) -> bool:
@@ -311,7 +317,7 @@ class MultiPoly:
         if not self._nums or not other._nums:
             return MultiPoly._raw({}, 1)
         out: dict[int, int] = {}
-        _mul_into(out, self._nums, other._nums, 1)
+        _mul_into(out, [(1, self._nums, other._nums)])
         return MultiPoly._normalized(out, self._den * other._den)
 
     __rmul__ = __mul__
@@ -394,8 +400,8 @@ def sum_of_products(triples: Iterable[tuple[Scalar, MultiPoly, MultiPoly]]) -> M
     """The sum of c * a * b over the triples, normalized once.
 
     Every product is accumulated into one integer map over the lcm of the
-    triples' denominators, so a Cauchy-product coefficient costs one
-    canonicalization instead of one per addition.
+    triples' denominators, so a Cauchy-product coefficient costs one degree
+    check and one canonicalization instead of one per addition.
     """
     items = []
     for c, a, b in triples:
@@ -407,8 +413,7 @@ def sum_of_products(triples: Iterable[tuple[Scalar, MultiPoly, MultiPoly]]) -> M
         return MultiPoly._raw({}, 1)
     den = lcm(*(d for *_, d in items))
     out: dict[int, int] = {}
-    for p, na, nb, d in items:
-        _mul_into(out, na, nb, p * (den // d))
+    _mul_into(out, [(p * (den // d), na, nb) for p, na, nb, d in items])
     return MultiPoly._normalized(out, den)
 
 

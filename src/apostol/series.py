@@ -76,6 +76,8 @@ class PowerSeries:
     def exp_linear(cls, coefficient: MultiPoly, order: int) -> PowerSeries:
         """exp(coefficient * t): the coefficient of t^n is coefficient^n / n!."""
         check_int("order", order, 1)
+        if not isinstance(coefficient, MultiPoly):
+            raise TypeError(f"exp_linear needs a MultiPoly coefficient, got {coefficient!r}")
         coeffs = [MultiPoly.one()]
         for n in range(1, order):
             coeffs.append(sum_of_products([(Fraction(1, n), coeffs[-1], coefficient)]))

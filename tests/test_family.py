@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -538,6 +539,17 @@ def test_exp_argument_is_a_ring_element():
         for bad in (0.0, "", 2.5, "x", True):
             with pytest.raises(TypeError):
                 build(bad)
+
+
+def test_public_builders_name_a_value_of_the_wrong_type():
+    # Each of these used to fail with a bare AttributeError.
+    for bad in (2, Fraction(1, 2), "x"):
+        message = f"exp_linear needs a MultiPoly coefficient, got {bad!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            PowerSeries.exp_linear(bad, 5)
+    for build in (phi_series, general_series, general_members):
+        with pytest.raises(InvalidFamilySpecError, match="^unknown phi kind: 'unit'$"):
+            build("unit", 3)
 
 
 def test_general_members_start_at_one():

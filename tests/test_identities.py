@@ -26,8 +26,11 @@ from apostol.family import (
     TruncatedExp,
     Unit,
     _core_quotient,
+    denominator_series,
     general_members,
+    phi_series,
     unified_members,
+    unified_series,
 )
 from apostol.identities import (
     Counterexample,
@@ -44,6 +47,7 @@ from apostol.identities import (
     verify_symmetry,
 )
 from apostol.polyring import MultiPoly, VarId
+from apostol.series import PowerSeries
 
 from helpers import random_poly
 
@@ -214,6 +218,26 @@ def test_fuzzed_specs_pass_every_identity(spec):
     assert [v.identity for v in verdicts if not v.passed] == []
     at_zero = unified_members(spec, 3, exp_argument=ZERO)
     assert at_zero == [p.substitute({VarId.X: 0}) for p in unified_members(spec, 3)]
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(small_specs(), st.sampled_from([None, X + Z, Z, X + 1, 3 * X, ZERO]), st.integers(1, 4))
+def test_tables_reassociate_the_generating_product(spec, arg, extra):
+    # unified_series builds core * (e^(arg t) * phi) for the verifiers'
+    # arguments (None is x); the left-to-right product must equal it.
+    order = spec.unit_alpha_count + extra
+    core = _core_quotient(spec.replace(phi=Unit()), order)
+    exp = PowerSeries.exp_linear(X if arg is None else arg, order)
+    assert unified_series(spec, order, exp_argument=arg) == (
+        (core * exp) * phi_series(spec.phi, order))
+    # The denominator product starts at its first factor, not at the series 1.
+    for r in (1, 2, 3):
+        wider = spec.replace(r=r, alphas=(spec.alphas * 3)[:r])
+        bt, at = (PowerSeries.exp_linear(base.log_poly(), order) for base in (wider.b, wider.a))
+        from_one = PowerSeries.one(order)
+        for alpha in wider.alphas:
+            from_one = from_one * (bt.scale(alpha) - at)
+        assert denominator_series(wider, order) == from_one
 
 
 def test_unit_alpha_specs_pass():
@@ -557,10 +581,14 @@ def test_left_sides_fail_when_the_left_side_kernel_drops_a_triple(monkeypatch):
     """A fused series kernel that drops the last of 3 or more triples breaks every left side.
 
     A Cauchy product first sums three triples at t^2 (an inversion at t^3),
-    so the t^0 and t^1 coefficients stay intact and every single-index
-    verifier first fails at n = 2; double-index first fails at (0, 2).  The core
-    quotient cache is cleared around the run so that no faulty core leaks
-    into other tests.
+    so the t^0 and t^1 coefficients stay intact.  A table is core * E with
+    E = e^(arg t) * phi built first, and the triple dropped at t^2 is
+    core_2 * E_0 (E itself drops arg^2 / 2), so every convolution verifier
+    first fails at n = 2 and double-index at (0, 2).  For the argument a*x
+    and the core g, each table reads g_0 + (g_1 + a x g_0) t + (a x g_1 + g_0 y) t^2
+    through t^2, and products of two such series stay symmetric in c and d
+    there: symmetry first fails at n = 3.  The core quotient cache is
+    cleared around the run so that no faulty core leaks into other tests.
     """
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
     kernel = series_mod.sum_of_products
@@ -576,7 +604,7 @@ def test_left_sides_fail_when_the_left_side_kernel_drops_a_triple(monkeypatch):
         for slug, verifier in verifiers.items():
             verdict = verifier(spec, 4)
             assert not verdict.passed, slug
-            expected = (0, 2) if slug == "double-index" else (2,)
+            expected = {"double-index": (0, 2), "symmetry": (3,)}.get(slug, (2,))
             assert verdict.counterexample.indices == expected, slug
     finally:
         _core_quotient.cache_clear()
