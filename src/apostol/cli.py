@@ -28,12 +28,12 @@ from .family import (
 )
 from .identities import AUXILIARY, IdentityId, Verdict, verify_all, verify_identity
 from .identities import verify_shift  # noqa: F401  (unused; the bench tracer test patches it)
-from .polyring import MultiPoly, format_poly, render_terms
+from .polyring import MultiPoly, VarId, format_poly, render_terms
 from .series import SeriesError
 
-JSON_EXPONENT_KEYS = ("x", "y", "z", "la", "lb")
+JSON_EXPONENT_KEYS = tuple(v.json_key for v in VarId)
 
-LATEX_VAR_NAMES = ("x", "y", "z", r"\log a", r"\log b")
+LATEX_VAR_NAMES = tuple(v.latex for v in VarId)
 
 # The table formats: the --format choices of expand and table, and render_table's cases.
 FORMATS = JSON, CSV, LATEX = ("json", "csv", "latex")

@@ -272,7 +272,9 @@ def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int, *,
     sum_m C(n,m) d^(n-m) c^m P_(n-m)(cx,y) P_m(0,y).  Both sides are binomial
     convolutions of the tables at the rescaled arguments dx and cx, each
     against the x-free table P_m(0,y), with every entry pre-scaled by its
-    scalar power; c and d must be nonzero ints or Fractions.
+    scalar power; c and d must be nonzero ints or Fractions.  The product is
+    symmetric for any core and any phi, so this checks only the exponential
+    arguments and scalar powers: a fault in the core or in phi cannot show.
     """
     c, d = _symmetry_scalars(c, d)
     x = MultiPoly.var(VarId.X)

@@ -1,22 +1,21 @@
 """Sparse multivariate polynomial arithmetic over exact rationals.
 
-This is the coefficient ring for all series work in the package.  The ring
-has a fixed, closed set of five variables:
-
-    x, y   the two polynomial variables of the families,
-    z      an auxiliary shift variable used by the identity verifiers,
-    La, Lb symbolic log-indeterminates standing for log(a) and log(b),
-           so that a**t and b**t expand exactly as exp(La*t), exp(Lb*t).
+This is the coefficient ring for all series work in the package.  Its
+variables are a fixed, closed set, each listed once in VarId with its
+exponent slot and its plain, JSON and LaTeX names: x and y, the two
+polynomial variables of the families; z, an auxiliary shift variable used by
+the identity verifiers; and La, Lb, symbolic log-indeterminates for log(a)
+and log(b), so that a**t and b**t expand exactly as exp(La*t), exp(Lb*t).
 
 Representation.  A polynomial stores integer numerators over one positive
 common denominator.  Each monomial's exponent vector (one non-negative
-integer per variable, in the canonical order x < y < z < La < Lb) is packed
-into a single int key of six FIELD_BITS-wide fields: the total degree in the
-top field, then the exponents of x, y, z, La, Lb.  A monomial product is then
-one integer add, and integer order on keys is graded-lexicographic order on
-monomials (packed exponent vectors, after Monagan & Pearce, CASC 2007).  A
-field can only overflow if the total degree does, so products check the
-degree alone and raise ValueError beyond MAX_DEGREE.
+integer per variable, in VarId order) is packed into a single int key, laid
+out once by _KEY: NVARS + 1 big-endian FIELD_BITS-wide fields, the total
+degree first.  A monomial product is then one integer add, and integer order
+on keys is graded-lexicographic order on monomials (packed exponent vectors,
+after Monagan & Pearce, CASC 2007).  A field can only overflow if the total
+degree does, so products check the degree alone and raise ValueError beyond
+MAX_DEGREE.
 
 Every value is kept in canonical form: no zero numerators, and
 gcd(den, *numerators) == 1, with den == 1 for the zero polynomial (the empty
@@ -44,6 +43,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd, lcm, prod
 from operator import attrgetter, mul
+from struct import Struct
 
 __all__ = ["MultiPoly", "VarId", "format_poly"]
 
@@ -51,32 +51,35 @@ Scalar = int | Fraction
 
 
 class VarId(IntEnum):
-    """The five ring variables; the numeric value is the exponent slot."""
+    """The ring variables: each member is its exponent slot and its plain, JSON and LaTeX names."""
 
-    X = 0
-    Y = 1
-    Z = 2
-    LA = 3
-    LB = 4
+    X = 0, "x", "x", "x"
+    Y = 1, "y", "y", "y"
+    Z = 2, "z", "z", "z"
+    LA = 3, "La", "la", r"\log a"
+    LB = 4, "Lb", "lb", r"\log b"
+
+    def __new__(cls, slot: int, plain: str, json_key: str, latex: str):
+        member = int.__new__(cls, slot)
+        member._value_, member.plain, member.json_key, member.latex = slot, plain, json_key, latex
+        return member
 
 
 NVARS = len(VarId)
 
-VAR_NAMES = ("x", "y", "z", "La", "Lb")
+VAR_NAMES = tuple(v.plain for v in VarId)
 
-Exponents = tuple[int, int, int, int, int]
+Exponents = tuple[int, ...]
 
-FIELD_BITS = 16
+_KEY = Struct(f">{NVARS + 1}H")  # a key's bytes: the total degree, then each exponent, 16 bits each
+FIELD_BITS = 8 * _KEY.size // (NVARS + 1)
 MAX_DEGREE = (1 << FIELD_BITS) - 1
-_MASK = MAX_DEGREE
 _DEG_SHIFT = NVARS * FIELD_BITS
 # Keys at or above this have a total degree beyond MAX_DEGREE.
-_KEY_LIMIT = 1 << ((NVARS + 1) * FIELD_BITS)
+_KEY_LIMIT = 1 << (8 * _KEY.size)
 
-
-# Bit offsets of the x, y, z, La, Lb fields in a packed key.
+# Bit offset of each variable's field in a key laid out by _KEY, indexed by VarId.
 _SHIFTS = tuple((NVARS - 1 - v) * FIELD_BITS for v in VarId)
-_SX, _SY, _SZ, _SLA, _ = _SHIFTS
 
 
 def _pack(exps: Iterable[int]) -> int:
@@ -87,16 +90,12 @@ def _pack(exps: Iterable[int]) -> int:
     deg = sum(check_int("exponent", x, 0) for x in e)
     if deg > MAX_DEGREE:
         raise ValueError(f"total degree {deg} exceeds the ring's limit {MAX_DEGREE}")
-    key = deg
-    for x in e:
-        key = (key << FIELD_BITS) | x
-    return key
+    return int.from_bytes(_KEY.pack(deg, *e), "big")
 
 
 def _unpack(key: int) -> Exponents:
     """The exponent vector of a packed key."""
-    return ((key >> _SX) & _MASK, (key >> _SY) & _MASK, (key >> _SZ) & _MASK,
-            (key >> _SLA) & _MASK, key & _MASK)
+    return _KEY.unpack(key.to_bytes(_KEY.size, "big"))[1:]
 
 
 def _mul_into(out: dict[int, int], items: list[tuple[int, dict, dict]]) -> None:
@@ -133,6 +132,13 @@ def check_int(name: str, value: object, minimum: int,
     if type(value) is not int or value < minimum:
         raise error(f"{name} must be an int >= {minimum}, got {value!r}")
     return value
+
+
+def _variable(v: object) -> VarId:
+    """The ring variable v names, a VarId or its int slot; ValueError otherwise, bools too."""
+    if type(v) is bool or not isinstance(v, int):
+        raise ValueError(f"{v!r} is not a valid VarId")
+    return VarId(v)
 
 
 class Record:
@@ -181,7 +187,7 @@ def _scalar_parts(c: Scalar) -> tuple[int, int]:
 
 
 class MultiPoly:
-    """An immutable sparse polynomial in the fixed five-variable ring.
+    """An immutable sparse polynomial in the ring of VarId's variables.
 
     Never mutate the numerator map of an existing value; every operation
     returns a fresh polynomial in canonical form.
@@ -243,7 +249,7 @@ class MultiPoly:
 
     @classmethod
     def var(cls, v: VarId) -> MultiPoly:
-        return cls._raw({(1 << _DEG_SHIFT) | (1 << _SHIFTS[v]): 1}, 1)
+        return cls._raw({(1 << _DEG_SHIFT) | (1 << _SHIFTS[_variable(v)]): 1}, 1)
 
     # -- inspection --------------------------------------------------------
 
@@ -359,7 +365,7 @@ class MultiPoly:
         a ring map, commuting with + and *: proving an identity for the
         symbolic La, Lb therefore proves it for every numeric specialization.
         """
-        values = {VarId(v): val if isinstance(val, MultiPoly) else MultiPoly.const(val)
+        values = {_variable(v): val if isinstance(val, MultiPoly) else MultiPoly.const(val)
                   for v, val in bindings.items()}
         if not values or not self._nums:
             return self
@@ -367,7 +373,7 @@ class MultiPoly:
         # Terms grouped by their bound exponents; each group keeps its free part.
         groups: dict[tuple[int, ...], dict[int, int]] = {}
         for k, c in self._nums.items():
-            exps = tuple((k >> s) & _MASK for s in shifts)
+            exps = tuple((k >> s) & MAX_DEGREE for s in shifts)
             free = k - (sum(exps) << _DEG_SHIFT) - sum(e << s for e, s in zip(exps, shifts))
             groups.setdefault(exps, {})[free] = c
         powers = [list(accumulate(repeat(val, max(e[i] for e in groups)), mul,

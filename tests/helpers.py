@@ -9,6 +9,14 @@ from apostol.polyring import NVARS, MultiPoly, VarId
 from apostol.series import PowerSeries
 
 
+def exps(**powers: int) -> tuple[int, ...]:
+    """An exponent vector from powers keyed by lower-case VarId name, e.g. exps(x=1, la=2)."""
+    e = [0] * NVARS
+    for name, power in powers.items():
+        e[VarId[name.upper()]] = power
+    return tuple(e)
+
+
 def random_rational(rng: random.Random, max_abs: int = 5) -> Fraction:
     return Fraction(rng.randint(-max_abs, max_abs), rng.randint(1, max_abs))
 
@@ -38,9 +46,9 @@ def random_invertible_series(rng: random.Random, order: int) -> PowerSeries:
 
 
 def xpoly_to_multipoly(p) -> MultiPoly:
-    """Lift the oracle's univariate x-polynomial into the five-variable ring."""
+    """Lift the oracle's univariate x-polynomial into the ring."""
     out = MultiPoly.zero()
     for i, c in enumerate(p):
         if c:
-            out = out + MultiPoly({(i, 0, 0, 0, 0): c})
+            out = out + MultiPoly({exps(x=i): c})
     return out

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 NAMES = ("x", "y", "z", "La", "Lb")
 LATEX_NAMES = ("x", "y", "z", r"\log a", r"\log b")
-ZERO_EXPS = (0, 0, 0, 0, 0)
+ZERO_EXPS = (0,) * len(NAMES)
 
 
 class RefPoly:

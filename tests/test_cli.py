@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import apostol.identities as identities_mod
-from apostol.cli import TABLE_PRESET_NOTES, main, render_verdict
+from apostol.cli import TABLE_PRESET_NOTES, main, render_table, render_verdict
 from apostol.family import (
-    PHI_KINDS, PRESETS, ClassicalFamily, FamilySpec, GouldHopper, LogBase, Phi, TruncatedExp,
-    extract_table, special_case_oracle,
+    PHI_KINDS, PRESETS, ClassicalFamily, FamilySpec, GouldHopper, LogBase, Phi, PolyTable,
+    TruncatedExp, extract_table, special_case_oracle,
 )
 from apostol.identities import Counterexample, IdentityId, Verdict, verify_all
 from apostol.polyring import MultiPoly, VarId
@@ -145,6 +145,25 @@ def test_expand_json_matches_documented_term_schema(capsys):
     doc = json.loads(capsys.readouterr().out)
     entry2 = doc["entries"][2]
     assert entry2["terms"] == [{"coeff": "1", "x": 2}, {"coeff": "-1", "x": 1}]
+
+
+def test_every_variable_keeps_its_spelling_in_every_format():
+    # The golden files hold only x and y; this pins the z, La and Lb spellings too.
+    x, y, z = (MultiPoly.var(v) for v in (VarId.X, VarId.Y, VarId.Z))
+    la, lb = MultiPoly.var(VarId.LA), MultiPoly.var(VarId.LB)
+    table = PolyTable("spellings", ((0, x * y * z * la * lb),
+                                    (1, z**3 + Fraction(-2, 3) * la**2 * lb - lb + 1)))
+    entries = json.loads(render_table(table, "json"))["entries"]
+    assert [e["terms"] for e in entries] == [
+        [{"coeff": "1", "x": 1, "y": 1, "z": 1, "la": 1, "lb": 1}],
+        [{"coeff": "1", "z": 3}, {"coeff": "-2/3", "la": 2, "lb": 1}, {"coeff": "-1", "lb": 1},
+         {"coeff": "1"}],
+    ]
+    assert render_table(table, "csv").splitlines()[2:] == [
+        "0,x*y*z*La*Lb", "1,z^3 - 2/3*La^2*Lb - Lb + 1"]
+    assert render_table(table, "latex").splitlines()[5:7] == [
+        r"0 & $x y z \log a \log b$ \\",
+        r"1 & $z^{3} - \frac{2}{3} \log a^{2} \log b - \log b + 1$ \\"]
 
 
 def test_exit_code_2_on_spec_errors(capsys):

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from apostol.polyring import MultiPoly, VarId, format_poly
+from apostol.polyring import NVARS, MultiPoly, VarId, format_poly
 
-from helpers import random_poly, random_rational
+from helpers import exps, random_poly, random_rational
 
 X = MultiPoly.var(VarId.X)
 Y = MultiPoly.var(VarId.Y)
@@ -65,9 +65,19 @@ def test_substitute_binds_every_variable_at_once():
 
 
 def test_substitute_rejects_a_key_that_is_no_variable():
-    for bad in (5, -1, "x"):
-        with pytest.raises(ValueError):
+    for bad in (NVARS, -1, "x", True, 1.0):
+        with pytest.raises(ValueError, match="is not a valid VarId"):
             X.substitute({bad: 1})
+
+
+def test_var_rejects_a_slot_that_is_no_variable():
+    # Unchecked, -1 gave Lb, -NVARS gave x, True gave y, and NVARS and "x"
+    # raised a bare IndexError and TypeError.
+    for bad in (NVARS, -1, -NVARS, "x", True, False, 1.0, None):
+        with pytest.raises(ValueError, match="is not a valid VarId"):
+            MultiPoly.var(bad)
+    assert [MultiPoly.var(int(v)) for v in VarId] == [MultiPoly.var(v) for v in VarId]
+    assert MultiPoly.var(VarId.LB).terms == {exps(lb=1): 1}
 
 
 def test_equality_is_canonical():
@@ -119,10 +129,10 @@ def test_exponents_must_be_non_negative_ints():
     # Unchecked, True acted as exponent 1 and 1.0 failed with a bare TypeError.
     for bad in (-1, True, False, 1.0, Fraction(1), "1", None):
         with pytest.raises(ValueError, match="^exponent must be an int >= 0, got "):
-            MultiPoly({(bad, 0, 0, 0, 0): 1})
-    with pytest.raises(ValueError, match="^exponent vector must have 5 entries"):
-        MultiPoly({(1, 0, 0, 0): 1})
-    assert MultiPoly({(1, 0, 0, 0, 0): 1}) == X
+            MultiPoly({exps(x=bad): 1})
+    with pytest.raises(ValueError, match=f"^exponent vector must have {NVARS} entries"):
+        MultiPoly({exps(x=1)[:-1]: 1})
+    assert MultiPoly({exps(x=1): 1}) == X
 
 
 def test_power():
@@ -169,12 +179,12 @@ def test_inexact_scalars_raise_type_error():
         with pytest.raises(TypeError):
             X + bad
         with pytest.raises(TypeError):
-            MultiPoly({(1, 0, 0, 0, 0): bad})
+            MultiPoly({exps(x=1): bad})
         with pytest.raises(TypeError):
             MultiPoly.const(bad)
         with pytest.raises(TypeError):
             X.substitute({VarId.X: bad})
-    assert X * 2 * Fraction(1, 2) == MultiPoly({(1, 0, 0, 0, 0): 1})
+    assert X * 2 * Fraction(1, 2) == MultiPoly({exps(x=1): 1})
 
 
 def test_equality_with_non_scalars_is_false():

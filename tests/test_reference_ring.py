@@ -21,6 +21,7 @@ from apostol.polyring import (MAX_DEGREE, NVARS, MultiPoly, VarId, format_poly,
                               linear_combination, sum_of_products)
 from apostol.series import PowerSeries
 
+from helpers import exps
 from reference_ring import ZERO_EXPS, RefPoly, format_ref, latex_ref
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -226,7 +227,7 @@ def test_linear_combination_shares_no_product_loop_with_the_left_side(monkeypatc
     n = 5
     in_x = unified_members(spec, n)
     at_zero = unified_members(spec, n, exp_argument=MultiPoly.zero())
-    h_powers = [MultiPoly({(0, 0, s, 0, 0): 1}) for s in range(n + 1)]
+    h_powers = [MultiPoly({exps(z=s): 1}) for s in range(n + 1)]
     cases = [[(comb(n, j), in_x[n - j], at_zero[j]) for j in range(n + 1)],
              [(comb(n, s), in_x[n - s], h_powers[s]) for s in range(n + 1)]]
 
@@ -248,8 +249,8 @@ def test_equality_ignores_construction_path():
     x = MultiPoly.var(VarId.X)
     assert x * Fraction(2, 3) * Fraction(3, 2) == x
     assert (x * Fraction(1, 2) + x * Fraction(1, 2))._den == 1
-    assert MultiPoly({(1, 0, 0, 0, 0): Fraction(4, 6)}) == x * Fraction(2, 3)
-    assert MultiPoly({(0, 0, 0, 0, 0): 0}) == MultiPoly.zero() == 0
+    assert MultiPoly({exps(x=1): Fraction(4, 6)}) == x * Fraction(2, 3)
+    assert MultiPoly({exps(): 0}) == MultiPoly.zero() == 0
 
 
 @pytest.mark.parametrize("v", list(VarId))
@@ -268,12 +269,12 @@ def test_exponent_field_never_carries(v):
 
 def test_overflowing_exponents_raise():
     with pytest.raises(ValueError):
-        MultiPoly({(MAX_DEGREE, 1, 0, 0, 0): 1})
+        MultiPoly({exps(x=MAX_DEGREE, y=1): 1})
     with pytest.raises(ValueError):
-        MultiPoly({(0, 0, MAX_DEGREE + 1, 0, 0): 1})
+        MultiPoly({exps(z=MAX_DEGREE + 1): 1})
     with pytest.raises(ValueError):
-        MultiPoly({(0, -1, 0, 0, 0): 1})
-    half = MultiPoly({(0, 0, 0, MAX_DEGREE // 2 + 1, 0): 1})
+        MultiPoly({exps(y=-1): 1})
+    half = MultiPoly({exps(la=MAX_DEGREE // 2 + 1): 1})
     with pytest.raises(ValueError):
         half ** 2
     series = PowerSeries([MultiPoly.one(), half, MultiPoly.zero()])
