@@ -95,7 +95,8 @@ def render_table(table: PolyTable, fmt: str, *, preset: str | None = None) -> st
         if table.spec is not None:
             doc["spec"] = spec_to_json(table.spec)
         else:
-            doc["preset"] = preset
+            if preset is not None:
+                doc["preset"] = preset
             doc["label"] = table.label
         if note:
             doc["note"] = note

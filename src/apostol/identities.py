@@ -12,6 +12,9 @@ Every table comes from family.unified_members or family.general_members,
 named by a spec and an exponential argument alone: P(x+z) passes
 exp_argument=x+z, P(0,y) a zero argument, which drops e^(xt), and the
 phi-free tables M(x), M(z) and the numbers M pass spec.replace(phi=Unit()).
+Symmetry's left side reads no table: it re-expands the product
+F(ct; dx) F(dt; 0) from the series family.unified_series (the phi-free core)
+and family.general_series, each at rescaled t.
 
 A verifier run alone builds every table it reads.  verify_all builds each
 table that more than one verifier reads once, at the largest n any of them
@@ -41,9 +44,11 @@ from enum import Enum
 from fractions import Fraction
 from math import comb
 
-from .family import FamilySpec, Phi, Unit, general_members, unified_members
+from .family import (FamilySpec, Phi, Unit, general_members, general_series, unified_members,
+                     unified_series)
 from .polyring import (MultiPoly, Record, Scalar, VarId, check_int, is_exact_scalar,
                        linear_combination)
+from .series import PowerSeries
 
 __all__ = [
     "Counterexample", "IdentityId", "Verdict", "verify_all", "verify_double_index",
@@ -269,24 +274,41 @@ def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int, *,
 
     This is the z = 0 case of F(ct; dx) F(dt; cz) = F(dt; cx) F(ct; dz) for
     the generating function F(t; x), so the right side is
-    sum_m C(n,m) d^(n-m) c^m P_(n-m)(cx,y) P_m(0,y).  Both sides are binomial
-    convolutions of the tables at the rescaled arguments dx and cx, each
-    against the x-free table P_m(0,y), with every entry pre-scaled by its
-    scalar power; c and d must be nonzero ints or Fractions.  The product is
-    symmetric for any core and any phi, so this checks only the exponential
-    arguments and scalar powers: a fault in the core or in phi cannot show.
+    sum_m C(n,m) d^(n-m) c^m P_(n-m)(cx,y) P_m(0,y).  The left side is the
+    re-expanded product F(ct; dx) F(dt; 0) (see _symmetry_left_side); the right
+    side is the binomial convolution of the tables P(cx) and P(0), every entry
+    pre-scaled by its scalar power, and it alone reads P(0).
+    c and d must be nonzero ints or Fractions.  The product is symmetric for
+    any core and any phi, so this checks only the exponential arguments and
+    scalar powers: a fault in the core or in phi cannot show.
     """
     c, d = _symmetry_scalars(c, d)
-    x = MultiPoly.var(VarId.X)
-    at_zero = _tables.unified(spec, n_max, exp_argument=MultiPoly.zero())
-    at_d = _scaled(_tables.unified(spec, n_max, exp_argument=x * d), c)
-    zero_d = _scaled(at_zero, d)
-    lhs = [binomial_convolution(at_d, zero_d, n) for n in range(n_max + 1)]
+    check_int("n_max", n_max, 0)
     return _convolution_verdict(
-        IdentityId.SYMMETRY, spec, n_max, lhs,
-        _scaled(_tables.unified(spec, n_max, exp_argument=x * c), d),
-        _scaled(at_zero, c),
+        IdentityId.SYMMETRY, spec, n_max, _symmetry_left_side(spec, c, d, n_max),
+        _scaled(_tables.unified(spec, n_max, exp_argument=MultiPoly.var(VarId.X) * c), d),
+        _scaled(_tables.unified(spec, n_max, exp_argument=MultiPoly.zero()), c),
     )
+
+
+def _symmetry_left_side(spec: FamilySpec, c: Fraction, d: Fraction,
+                        n_max: int) -> list[MultiPoly]:
+    """n! [t^n] F(ct; dx) F(dt; 0) for n = 0 .. n_max, one series product.
+
+    F(t; a) = M(t) G(t; a), with M the cached phi-free core and
+    G = e^(at) phi(y, t) the general series, so the product is
+    [M(ct) M(dt)] * [G(ct; dx) G(dt; 0)]: the factor in La, Lb and the factor
+    in x, y are each multiplied first, and the large product happens once, last.
+    """
+    order = n_max + 1
+    x, zero = MultiPoly.var(VarId.X), MultiPoly.zero()
+    core = unified_series(spec.replace(phi=Unit()), order + spec.unit_alpha_count,
+                          exp_argument=zero)
+    cores = _rescaled(core, c) * _rescaled(core, d)
+    smalls = (_rescaled(general_series(spec.phi, order, exp_argument=x * d), c)
+              * _rescaled(general_series(spec.phi, order, exp_argument=zero), d))
+    series = cores * smalls
+    return [series.extract(n) for n in range(order)]
 
 
 def _symmetry_scalars(c: Scalar, d: Scalar) -> tuple[Fraction, Fraction]:
@@ -340,9 +362,14 @@ def _x_plus_z() -> MultiPoly:
     return MultiPoly.var(VarId.X) + MultiPoly.var(VarId.Z)
 
 
-def _scaled(table: list[MultiPoly], u: Fraction) -> list[MultiPoly]:
+def _scaled(table: Sequence[MultiPoly], u: Fraction) -> list[MultiPoly]:
     """Entry i times u^i."""
     return [p * u ** i for i, p in enumerate(table)]
+
+
+def _rescaled(series: PowerSeries, u: Fraction) -> PowerSeries:
+    """The series at u*t: the coefficient of t^i times u^i."""
+    return PowerSeries(_scaled(series.coeffs, u))
 
 
 def _powers(p: MultiPoly, max_power: int) -> list[MultiPoly]:

@@ -15,7 +15,7 @@ import apostol.identities as identities_mod
 from apostol.cli import TABLE_PRESET_NOTES, main, render_table, render_verdict
 from apostol.family import (
     PHI_KINDS, PRESETS, ClassicalFamily, FamilySpec, GouldHopper, LogBase, Phi, PolyTable,
-    TruncatedExp, extract_table, special_case_oracle,
+    TruncatedExp, extract_table, general_members, special_case_oracle,
 )
 from apostol.identities import Counterexample, IdentityId, Verdict, verify_all
 from apostol.polyring import MultiPoly, VarId
@@ -164,6 +164,15 @@ def test_every_variable_keeps_its_spelling_in_every_format():
     assert render_table(table, "latex").splitlines()[5:7] == [
         r"0 & $x y z \log a \log b$ \\",
         r"1 & $z^{3} - \frac{2}{3} \log a^{2} \log b - \log b + 1$ \\"]
+
+
+def test_a_json_table_names_a_preset_only_when_one_is_passed():
+    # A table built by library code has a label but no spec; with no preset it names none.
+    table = PolyTable("gh", tuple(enumerate(general_members(GouldHopper(2), 2))))
+    assert list(json.loads(render_table(table, "json"))) == ["label", "n_max", "entries"]
+    named = json.loads(render_table(table, "json", preset="hermite"))
+    assert list(named) == ["preset", "label", "n_max", "entries"]
+    assert named["preset"] == "hermite"
 
 
 def test_exit_code_2_on_spec_errors(capsys):

@@ -132,8 +132,8 @@ def test_symmetry_equal_scalars_trivial():
 
 @pytest.mark.parametrize("c, d", [(2, 3), (Fraction(1, 2), -5)])
 def test_symmetry_fails_on_random_tables(monkeypatch, c, d):
-    # Unrelated random tables satisfy no symmetry; a check that passes them
-    # would hold for any tables at all.
+    # Unrelated random tables on the right side match no left side; a check
+    # that passes them would hold for any tables at all.
     rng = random.Random(99)
 
     def random_members(spec, n, **kwargs):
@@ -379,9 +379,9 @@ def test_double_index_checks_a_pair_whose_weights_are_new(monkeypatch):
 
 
 
-# (verifier slug, perturbed table, name the verifier calls it by, phi kind of
-# the spec or phi passed, kwargs of that call).  The numbers M and P(0) both
-# pass a zero exp_argument and differ only in the phi of the spec.
+# (verifier slug, perturbed table or series, name the verifier calls it by,
+# phi kind of the spec or phi passed, kwargs of that call).  The numbers M and
+# P(0) both pass a zero exp_argument and differ only in the phi of the spec.
 GH, UNIT = "gould-hopper", "unit"
 FAULTS = [
     ("series-def", "lhs P(x)", "unified_members", GH, {}),
@@ -397,9 +397,9 @@ FAULTS = [
     ("shift-general", "lhs P(x+z)", "unified_members", GH, {"exp_argument": X + Z}),
     ("shift-general", "phi-free M(z)", "unified_members", UNIT, {"exp_argument": Z}),
     ("shift-general", "general p(x)", "general_members", GH, {}),
-    ("symmetry", "lhs P(dx)", "unified_members", GH, {"exp_argument": 3 * X}),
+    ("symmetry", "lhs G(dx)", "general_series", GH, {"exp_argument": 3 * X}),
     ("symmetry", "rhs P(cx)", "unified_members", GH, {"exp_argument": 2 * X}),
-    ("symmetry", "both P(0)", "unified_members", GH, {"exp_argument": ZERO}),
+    ("symmetry", "rhs P(0)", "unified_members", GH, {"exp_argument": ZERO}),
 ]
 
 VERIFIERS = {
@@ -412,12 +412,20 @@ VERIFIERS = {
 }
 
 
-@pytest.mark.parametrize("j0", [1, 4])
+def _plus_y_at(out, j0):
+    """out with y added to entry j0: a table's member, or a series' coefficient of t^j0."""
+    if isinstance(out, PowerSeries):
+        return PowerSeries(_plus_y_at(list(out.coeffs), j0))
+    out[j0] = out[j0] + Y
+    return out
+
+
+@pytest.mark.parametrize("j0", [0, 1, 4])
 @pytest.mark.parametrize("slug, table, name, kind, match", FAULTS,
                          ids=[f"{slug}:{table}".replace(" ", "-") for slug, table, *_ in FAULTS])
 def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, table, name,
                                                          kind, match, j0):
-    """Adding y to entry j0 of one table a verifier reads makes it FAIL at n = j0.
+    """Adding y to entry j0 of one table (or series) a verifier reads makes it FAIL at n = j0.
 
     Every table is perturbed through the name the verifier calls.  Entry 0
     of each other table is a nonzero constant (1, or P_0 = -1 for this
@@ -429,12 +437,12 @@ def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, ta
         shift-mixed    P(x+z)             p(z), M(x)
         shift-one      P(x+1)             P(x)          (ones: a literal)
         shift-general  P(x+z)             M(z), p(x)
-        symmetry       P(dx)              P(cx), P(0)   (P(0) is read by both sides)
+        symmetry       series product     P(cx), P(0)   (M(ct) M(dt) G(ct; dx) G(dt; 0))
         double-index   P(x+z)             P(x)          (see the two double-index tests)
 
-    symmetry reads P(0) on both sides with weights d^j and c^j; they differ
-    for j0 >= 1 (c=2, d=3), and agree at j0 = 0, where the fault first
-    shows at n = 1, which is why j0 starts at 1.
+    Symmetry's left side is a series product, not a table: its fault adds
+    y t^j0 to the general series G(t; dx), which reaches the product as
+    c^j0 y t^j0 times the constant M_0^2 G_0(0) = 1.
 
     Under verify_all a table that several verifiers read is built once and
     shared, so a fault in it fails every one of them (SHARED_FAULTS below):
@@ -453,7 +461,7 @@ def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, ta
         out = original(spec_or_phi, n, **kwargs)
         if getattr(spec_or_phi, "phi", spec_or_phi).kind == kind and kwargs == match:
             hits.append(kwargs)
-            out[j0] = out[j0] + Y
+            out = _plus_y_at(out, j0)
         return out
 
     monkeypatch.setattr(identities_mod, name, faulty)
@@ -492,14 +500,12 @@ def test_right_sides_fail_when_a_right_side_kernel_drops_a_pair(monkeypatch):
 
     Each binomial convolution (one linear_combination of (c, a, b) triples)
     loses its j = n triple (1, a[0], b[n]), so at n = 0 the right side is 0
-    against the nonzero P_0.  The symmetry identity builds both sides as
-    convolutions: at n = 0 both lose P_0^2, and at n = 1 they lose
-    d*P_0*P_1(0,y) and c*P_0*P_1(0,y), which differ.  The double-index right
-    side (one linear_combination of triples over s) loses (w_N, P_0, h^N), so
-    it first fails at (0, 0).
+    against the nonzero P_0 (P_0^2 for symmetry, whose left side is a series
+    product and takes no right-side kernel).  The double-index right side (one
+    linear_combination of triples over s) loses (w_N, P_0, h^N), so it first
+    fails at (0, 0).
     """
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
-    assert unified_members(spec, 1, exp_argument=ZERO)[1]  # P_1(0,y) != 0
     kernel = identities_mod.linear_combination
     calls = []
 
@@ -514,7 +520,7 @@ def test_right_sides_fail_when_a_right_side_kernel_drops_a_pair(monkeypatch):
         verdict = verifier(spec, 4)
         assert calls, slug
         assert not verdict.passed, slug
-        expected = {"symmetry": (1,), "double-index": (0, 0)}.get(slug, (0,))
+        expected = {"double-index": (0, 0)}.get(slug, (0,))
         assert verdict.counterexample.indices == expected, slug
 
 
@@ -538,6 +544,29 @@ def test_double_index_holds_as_the_literal_double_sum(spec):
                                  * in_x[n + m - p - q])
             assert in_z[n + m] == rhs, (n, m)
     assert verify_double_index(spec, 4, 4).passed
+
+
+@pytest.mark.parametrize("spec", [
+    *PRESETS.values(),
+    SYM_GH2,
+    FamilySpec(2, 1, *ONE_E, (Fraction(1), Fraction(5, 7)), TruncatedExp(2)),
+    FamilySpec(3, 2, *ONE_E, (Fraction(1), Fraction(2), Fraction(-3)), Laguerre(1)),
+    FamilySpec(1, 0, LogBase.SYMBOLIC_B, LogBase.SYMBOLIC_A, (Fraction(3),), GouldHopper(3)),
+], ids=[*PRESETS, "sym-sym-gh2", "one-e-unit-alpha-te2", "one-e-r3-laguerre", "sym-b-sym-a-gh3"])
+def test_symmetry_left_side_is_the_literal_double_sum(spec):
+    # sum_m C(n,m) c^(n-m) d^m P_(n-m)(dx,y) P_m(0,y) from tables, by plain ring
+    # operations: an oracle that shares neither the product of rescaled series
+    # nor linear_combination with the left side of verify_symmetry.
+    at_zero = unified_members(spec, 8, exp_argument=ZERO)
+    for c, d in [(2, 3), (Fraction(1, 2), -5), (-3, Fraction(5, 7)), (2, 2)]:
+        at_d = unified_members(spec, 8, exp_argument=X * d)
+        lhs = identities_mod._symmetry_left_side(spec, Fraction(c), Fraction(d), 8)
+        for n in range(9):
+            total = MultiPoly.zero()
+            for m in range(n + 1):
+                total = total + at_d[n - m] * at_zero[m] * (comb(n, m) * c ** (n - m) * d ** m)
+            assert lhs[n] == total, (c, d, n)
+        assert verify_symmetry(spec, c, d, 8).passed
 
 
 def test_index_bounds_of_the_verifiers_must_be_non_negative_ints():
@@ -584,11 +613,11 @@ def test_left_sides_fail_when_the_left_side_kernel_drops_a_triple(monkeypatch):
     so the t^0 and t^1 coefficients stay intact.  A table is core * E with
     E = e^(arg t) * phi built first, and the triple dropped at t^2 is
     core_2 * E_0 (E itself drops arg^2 / 2), so every convolution verifier
-    first fails at n = 2 and double-index at (0, 2).  For the argument a*x
-    and the core g, each table reads g_0 + (g_1 + a x g_0) t + (a x g_1 + g_0 y) t^2
-    through t^2, and products of two such series stay symmetric in c and d
-    there: symmetry first fails at n = 3.  The core quotient cache is
-    cleared around the run so that no faulty core leaks into other tests.
+    first fails at n = 2 and double-index at (0, 2).  Symmetry does too: its
+    right side reads two such tables, while its left side drops the last
+    t^2 triple of each of its own series products, and the two sides differ
+    there.  The core quotient cache is cleared around the run so that no
+    faulty core leaks into other tests.
     """
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
     kernel = series_mod.sum_of_products
@@ -604,7 +633,7 @@ def test_left_sides_fail_when_the_left_side_kernel_drops_a_triple(monkeypatch):
         for slug, verifier in verifiers.items():
             verdict = verifier(spec, 4)
             assert not verdict.passed, slug
-            expected = {"double-index": (0, 2), "symmetry": (3,)}.get(slug, (2,))
+            expected = {"double-index": (0, 2)}.get(slug, (2,))
             assert verdict.counterexample.indices == expected, slug
     finally:
         _core_quotient.cache_clear()
