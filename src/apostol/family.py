@@ -31,17 +31,22 @@ unified_members(spec, n, exp_argument=arg) reads the members of
 core * (e^(arg t) * phi(y, t)), where arg defaults to x: the small factor
 holds only x, y and z and is built first, so the large core enters one
 product.  A zero arg drops e^(xt), and spec.replace(phi=Unit()) drops phi;
-both together give the number sequence of the family.  The core quotient
-is cached on the phi-free spec, so every such table of one spec shares it.
+both together give the number sequence of the family.  Both factors are
+cached: the core quotient on the phi-free spec, so every such table of one
+spec shares it, and the small factor on the argument's value and phi.  Each
+cache holds an entry at the largest order asked for and serves a smaller
+order as a prefix; _core_quotient.cache_info() and _small_factor.cache_info()
+count the hits and misses.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import partial, reduce
 from math import factorial
 from operator import mul
+from types import SimpleNamespace
 
 from .polyring import MultiPoly, Record, Scalar, VarId, check_int, is_exact_scalar
 from .series import PowerSeries
@@ -231,14 +236,76 @@ PRESETS: dict[str, FamilySpec] = {
 # -- series construction -------------------------------------------------------
 
 
+class _SeriesCache:
+    """A bounded LRU cache of the series build(*args, order) returns.
+
+    The arguments before the order are the key, or key(*args) if given.
+    An entry is held at the largest order asked for, and a smaller order
+    gets a prefix of it: a truncated series equals the one built at the
+    smaller order, since no coefficient depends on a later one.  The series
+    may be shorter than its order by an amount fixed by the key (the core
+    loses one order per unit alpha).  A request whose prefix would be empty
+    goes to build, which raises.  The order is checked before any lookup,
+    since a dict would take True for 1.
+    """
+
+    maxsize = 512
+
+    def __init__(self, build, key=lambda *args: args):
+        self._build, self._key = build, key
+        self._entries: dict = {}
+        self._hits = self._misses = 0
+
+    def __call__(self, *args):
+        *args, order = args
+        check_int("order", order, 1)
+        key = self._key(*args)
+        entries = self._entries
+        held = entries.pop(key, None)
+        if held is not None:
+            entries[key] = held  # the most recently used entry is last
+            held_order, series = held
+            size = len(series.coeffs) - (held_order - order)
+            if order <= held_order and size >= 1:
+                self._hits += 1
+                return series if order == held_order else PowerSeries(series.coeffs[:size])
+        self._misses += 1
+        series = self._build(*args, order)
+        entries[key] = order, series
+        if len(entries) > self.maxsize:
+            del entries[next(iter(entries))]
+        return series
+
+    def cache_info(self) -> SimpleNamespace:
+        """A snapshot of the counts, with lru_cache's field names."""
+        return SimpleNamespace(hits=self._hits, misses=self._misses, maxsize=self.maxsize,
+                               currsize=len(self._entries))
+
+    def cache_clear(self) -> None:
+        self._entries.clear()
+        self._hits = self._misses = 0
+
+
+@partial(_SeriesCache, key=lambda arg, phi: (frozenset(arg.terms.items()), phi))
+def _small_factor(arg: MultiPoly, phi: Phi, order: int) -> PowerSeries:
+    """e^(arg t) * phi(y, t), keyed on the argument's value: x+z and z+x share one entry.
+
+    A zero argument drops e^(arg t), and a unit phi drops phi.
+    """
+    factors = [PowerSeries.exp_linear(arg, order)] if arg else []
+    if phi.kind != "unit":
+        factors.append(phi_series(phi, order))
+    return reduce(mul, factors) if factors else PowerSeries.one(order)
+
+
 def denominator_series(spec: FamilySpec, order: int) -> PowerSeries:
     """The product prod_i (alpha_i b^t - a^t), truncated at the given order."""
-    bt = PowerSeries.exp_linear(spec.b.log_poly(), order)
-    at = PowerSeries.exp_linear(spec.a.log_poly(), order)
+    bt = _small_factor(spec.b.log_poly(), Unit(), order)
+    at = _small_factor(spec.a.log_poly(), Unit(), order)
     return reduce(mul, (bt.scale(alpha) - at for alpha in spec.alphas))
 
 
-@lru_cache(maxsize=512)
+@_SeriesCache
 def _core_quotient(spec: FamilySpec, order: int) -> PowerSeries:
     """(-1)^r 2^(r(1-k)) t^(rk) over the denominator product.
 
@@ -278,14 +345,13 @@ def unified_series(spec: FamilySpec, order: int, *,
     (the identity verifiers pass x+z, c*x, z or x+1); it may be a polynomial
     or an exact scalar.  A zero argument drops e^(xt), and a spec whose phi
     is Unit() drops phi, so spec.replace(phi=Unit()) with a zero argument
-    gives the family's numbers.  The small factor e^(arg t) * phi comes first.
+    gives the family's numbers.  Both factors come from their caches.
     """
     arg = _exp_argument_poly(exp_argument)
-    core = _core_quotient(spec.replace(phi=Unit()), check_int("order", order, 1))
-    factors = [PowerSeries.exp_linear(arg, order)] if arg else []
-    if spec.phi.kind != "unit":
-        factors.append(phi_series(spec.phi, order))
-    return core * reduce(mul, factors) if factors else core
+    core = _core_quotient(spec.replace(phi=Unit()), order)
+    if not arg and spec.phi.kind == "unit":
+        return core
+    return core * _small_factor(arg, spec.phi, order)
 
 
 def unified_members(spec: FamilySpec, n_max: int, *,
@@ -303,11 +369,8 @@ def unified_members(spec: FamilySpec, n_max: int, *,
 
 def general_series(phi: Phi, order: int, *,
                    exp_argument: MultiPoly | Scalar | None = None) -> PowerSeries:
-    """e^(xt) phi(y,t): the two-variable general polynomials, no prefactor."""
-    result = PowerSeries.exp_linear(_exp_argument_poly(exp_argument), order)
-    if _checked_phi(phi).kind != "unit":
-        result = result * phi_series(phi, order)
-    return result
+    """e^(xt) phi(y,t), the cached small factor: the general polynomials, no prefactor."""
+    return _small_factor(_exp_argument_poly(exp_argument), _checked_phi(phi), order)
 
 
 def general_members(phi: Phi, n_max: int, *,

@@ -22,6 +22,8 @@ needs, and hands each reader a prefix: P(x) and P(x+z) at n_max + m_max,
 the general polynomials p(x) at n_max, and P(0) at n_max (when phi is unit,
 the phi-free M(x) and numbers M are the tables P(x) and P(0)).  No verifier
 reads one shared table on both of its sides, so the sides stay apart.
+They may share the factor values family caches, the core and e^(arg t) phi,
+which both sides already computed with the same code, but never a table.
 
 Right sides take their products inside the right-side kernel
 polyring.linear_combination, which multiplies each (c, a, b) triple in its

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
+from apostol import family
 from apostol.polyring import NVARS, MultiPoly, VarId
 from apostol.series import PowerSeries
 
@@ -15,6 +17,23 @@ def exps(**powers: int) -> tuple[int, ...]:
     for name, power in powers.items():
         e[VarId[name.upper()]] = power
     return tuple(e)
+
+
+@contextmanager
+def cold_factor_caches():
+    """Clear the core and small-factor caches before and after the block.
+
+    A test that patches a builder below the caches runs in it: no warm entry
+    hides the fault, and no faulty entry outlives the test.
+    """
+    caches = (family._core_quotient, family._small_factor)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        yield
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def random_rational(rng: random.Random, max_abs: int = 5) -> Fraction:

@@ -26,6 +26,7 @@ from apostol.family import (
     Unit,
     ValuationExceedsNumeratorError,
     _core_quotient,
+    _small_factor,
     denominator_series,
     extract_table,
     general_members,
@@ -38,7 +39,7 @@ from apostol.family import (
 from apostol.polyring import MultiPoly, VarId
 from apostol.series import PowerSeries
 
-from helpers import xpoly_to_multipoly
+from helpers import cold_factor_caches, xpoly_to_multipoly
 
 X = MultiPoly.var(VarId.X)
 Y = MultiPoly.var(VarId.Y)
@@ -158,10 +159,16 @@ def test_unit_alpha_needs_bases_one_e():
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_unified_series_order_precondition(order):
-    # Two unit alphas cost the division two orders; no order up to 2 leaves one.
-    with pytest.raises(ValueError, match=f"^order {order} must exceed the unit-alpha count 2$"):
-        unified_series(spec_one_e(2, 1, [1, 1]), order)
-    assert len(unified_series(spec_one_e(2, 1, [1, 1]), 3).coeffs) == 1
+    # Two unit alphas cost the division two orders; no order up to 2 leaves one,
+    # neither on a cold cache nor once a larger order is cached.
+    spec = spec_one_e(2, 1, [1, 1])
+    error = f"^order {order} must exceed the unit-alpha count 2$"
+    with cold_factor_caches():
+        for _ in range(2):
+            with pytest.raises(ValueError, match=error):
+                unified_series(spec, order)
+            assert len(unified_series(spec, 5).coeffs) == 3
+    assert len(unified_series(spec, 3).coeffs) == 1
 
 
 @pytest.mark.parametrize("alphas, extra", [([2, -3], 0), ([1, -3], 1), ([1, 1], 2)])
@@ -387,6 +394,43 @@ def test_core_quotient_is_shared_by_every_phi_of_one_spec():
     unified_members(PRESETS["hermite"], 6)
     info = _core_quotient.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_equal_arguments_share_one_small_factor():
+    # The small factor is keyed on the argument's value, however it was built.
+    z = MultiPoly.var(VarId.Z)
+    for args in ([X + z, z + X], [2, Fraction(4, 2), MultiPoly.const(2)]):
+        with cold_factor_caches():
+            factors = [general_series(GouldHopper(2), 5, exp_argument=a) for a in args]
+            info = _small_factor.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, len(args) - 1, 1)
+        assert factors == [factors[0]] * len(args)
+
+
+def test_a_full_factor_cache_drops_its_least_recently_used_entry(monkeypatch):
+    monkeypatch.setattr(_small_factor, "maxsize", 2)
+    z = MultiPoly.var(VarId.Z)
+    with cold_factor_caches():
+        # x is used again just before x+z arrives, so z is the entry dropped.
+        for arg in (X, z, X, X + z, X, z, X):
+            general_series(Unit(), 3, exp_argument=arg)
+        info = _small_factor.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 3, 2)
+
+
+def test_a_bool_or_float_order_is_rejected_before_any_lookup():
+    # A dict would take True for the order 1 held in the caches.
+    spec = PRESETS["hermite"]
+    with cold_factor_caches():
+        unified_series(spec, 1)
+        before = _core_quotient.cache_info(), _small_factor.cache_info()
+        for order in (True, 1.0, 2.0):
+            error = re.escape(f"order must be an int >= 1, got {order!r}")
+            with pytest.raises(ValueError, match=error):
+                unified_series(spec, order)
+            with pytest.raises(ValueError, match=error):
+                general_series(spec.phi, order)
+        assert (_core_quotient.cache_info(), _small_factor.cache_info()) == before
 
 
 def test_numbers_are_x_zero_specialization():

@@ -26,8 +26,10 @@ from apostol.family import (
     TruncatedExp,
     Unit,
     _core_quotient,
+    _small_factor,
     denominator_series,
     general_members,
+    general_series,
     phi_series,
     unified_members,
     unified_series,
@@ -49,7 +51,7 @@ from apostol.identities import (
 from apostol.polyring import MultiPoly, VarId
 from apostol.series import PowerSeries
 
-from helpers import random_poly
+from helpers import cold_factor_caches, random_poly
 
 X = MultiPoly.var(VarId.X)
 Y = MultiPoly.var(VarId.Y)
@@ -616,8 +618,8 @@ def test_left_sides_fail_when_the_left_side_kernel_drops_a_triple(monkeypatch):
     first fails at n = 2 and double-index at (0, 2).  Symmetry does too: its
     right side reads two such tables, while its left side drops the last
     t^2 triple of each of its own series products, and the two sides differ
-    there.  The core quotient cache is cleared around the run so that no
-    faulty core leaks into other tests.
+    there.  The run has cold factor caches, so every factor is built with
+    the faulty kernel and no faulty factor leaks into other tests.
     """
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
     kernel = series_mod.sum_of_products
@@ -628,15 +630,12 @@ def test_left_sides_fail_when_the_left_side_kernel_drops_a_triple(monkeypatch):
 
     monkeypatch.setattr(series_mod, "sum_of_products", dropping_last)
     verifiers = {**VERIFIERS, "double-index": lambda spec, n: verify_double_index(spec, n, 2)}
-    _core_quotient.cache_clear()
-    try:
+    with cold_factor_caches():
         for slug, verifier in verifiers.items():
             verdict = verifier(spec, 4)
             assert not verdict.passed, slug
             expected = {"double-index": (0, 2)}.get(slug, (2,))
             assert verdict.counterexample.indices == expected, slug
-    finally:
-        _core_quotient.cache_clear()
 
 
 # -- tables shared inside verify_all -------------------------------------------------
@@ -651,6 +650,42 @@ def test_a_smaller_table_is_a_prefix_of_a_larger_one(spec, n, extra):
         larger = unified_members(spec, n + extra, **kwargs)
         assert larger[:n + 1] == unified_members(spec, n, **kwargs)
     assert general_members(spec.phi, n + extra)[:n + 1] == general_members(spec.phi, n)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(small_specs(), st.sampled_from([None, X + Z, Z, X + 1, 3 * X, ZERO]), st.integers(1, 3),
+       st.integers(1, 3))
+def test_a_prefix_served_factor_equals_the_factor_built_at_its_order(spec, arg, extra, more):
+    # The caches hold each factor at the largest order asked for and serve a
+    # smaller order as a prefix, which must equal the factor built cold there.
+    order = spec.unit_alpha_count + extra
+    core_spec = spec.replace(phi=Unit())
+
+    def factors(order):
+        return (_core_quotient(core_spec, order),
+                general_series(spec.phi, order, exp_argument=arg),
+                unified_series(spec, order, exp_argument=arg))
+
+    def misses():
+        return _core_quotient.cache_info().misses, _small_factor.cache_info().misses
+
+    with cold_factor_caches():
+        cold = factors(order)
+    with cold_factor_caches():
+        factors(order + more)
+        built = misses()
+        assert factors(order) == cold
+        assert misses() == built
+
+
+def test_verify_all_builds_each_factor_once():
+    with cold_factor_caches():
+        verify_all(SYM_GH2, 6)
+        core, small = _core_quotient.cache_info(), _small_factor.cache_info()
+    assert (core.misses, core.currsize) == (1, 1)
+    # e^(arg t) phi at x, x+z, 0, z, x+1, 2x (P(cx)) and 3x (symmetry's G(dx));
+    # e^(arg t) alone at x and z (phi-free tables) and at La and Lb (denominator).
+    assert (small.misses, small.currsize) == (11, 11)
 
 
 def _recording_builders(monkeypatch):
