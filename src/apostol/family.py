@@ -32,21 +32,19 @@ core * (e^(arg t) * phi(y, t)), where arg defaults to x: the small factor
 holds only x, y and z and is built first, so the large core enters one
 product.  A zero arg drops e^(xt), and spec.replace(phi=Unit()) drops phi;
 both together give the number sequence of the family.  Both factors are
-cached: the core quotient on the phi-free spec, so every such table of one
-spec shares it, and the small factor on the argument's value and phi.  Each
-cache holds an entry at the largest order asked for and serves a smaller
-order as a prefix; _core_quotient.cache_info() and _small_factor.cache_info()
-count the hits and misses.
+functools.lru_caches keyed on the order too: the core quotient on the
+phi-free spec, so every such table of one spec shares it, and the small
+factor on the argument's value and phi.  _core_quotient.cache_info() and
+_small_factor.cache_info() count the hits and misses.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, reduce
 from math import factorial
 from operator import mul
-from types import SimpleNamespace
 
 from .polyring import MultiPoly, Record, Scalar, VarId, check_int, is_exact_scalar
 from .series import PowerSeries
@@ -236,57 +234,7 @@ PRESETS: dict[str, FamilySpec] = {
 # -- series construction -------------------------------------------------------
 
 
-class _SeriesCache:
-    """A bounded LRU cache of the series build(*args, order) returns.
-
-    The arguments before the order are the key, or key(*args) if given.
-    An entry is held at the largest order asked for, and a smaller order
-    gets a prefix of it: a truncated series equals the one built at the
-    smaller order, since no coefficient depends on a later one.  The series
-    may be shorter than its order by an amount fixed by the key (the core
-    loses one order per unit alpha).  A request whose prefix would be empty
-    goes to build, which raises.  The order is checked before any lookup,
-    since a dict would take True for 1.
-    """
-
-    maxsize = 512
-
-    def __init__(self, build, key=lambda *args: args):
-        self._build, self._key = build, key
-        self._entries: dict = {}
-        self._hits = self._misses = 0
-
-    def __call__(self, *args):
-        *args, order = args
-        check_int("order", order, 1)
-        key = self._key(*args)
-        entries = self._entries
-        held = entries.pop(key, None)
-        if held is not None:
-            entries[key] = held  # the most recently used entry is last
-            held_order, series = held
-            size = len(series.coeffs) - (held_order - order)
-            if order <= held_order and size >= 1:
-                self._hits += 1
-                return series if order == held_order else PowerSeries(series.coeffs[:size])
-        self._misses += 1
-        series = self._build(*args, order)
-        entries[key] = order, series
-        if len(entries) > self.maxsize:
-            del entries[next(iter(entries))]
-        return series
-
-    def cache_info(self) -> SimpleNamespace:
-        """A snapshot of the counts, with lru_cache's field names."""
-        return SimpleNamespace(hits=self._hits, misses=self._misses, maxsize=self.maxsize,
-                               currsize=len(self._entries))
-
-    def cache_clear(self) -> None:
-        self._entries.clear()
-        self._hits = self._misses = 0
-
-
-@partial(_SeriesCache, key=lambda arg, phi: (frozenset(arg.terms.items()), phi))
+@lru_cache(maxsize=512, typed=True)
 def _small_factor(arg: MultiPoly, phi: Phi, order: int) -> PowerSeries:
     """e^(arg t) * phi(y, t), keyed on the argument's value: x+z and z+x share one entry.
 
@@ -305,15 +253,18 @@ def denominator_series(spec: FamilySpec, order: int) -> PowerSeries:
     return reduce(mul, (bt.scale(alpha) - at for alpha in spec.alphas))
 
 
-@_SeriesCache
+@lru_cache(maxsize=512, typed=True)
 def _core_quotient(spec: FamilySpec, order: int) -> PowerSeries:
     """(-1)^r 2^(r(1-k)) t^(rk) over the denominator product.
 
     Callers key it on the phi-free spec, so every exponential/phi variant of
-    the same parameter core shares one cached entry.  The result order is
-    the requested order minus the number of unit alphas (the denominator
-    valuation eaten by the division), so the order must exceed that number.
+    the same parameter core shares one cached entry per order.  The result
+    order is the requested order minus the number of unit alphas (the
+    denominator valuation eaten by the division), so the order must exceed
+    that number.  The order is checked first: the cache keys it by type, so
+    True or 1.0 misses and arrives here.
     """
+    check_int("order", order, 1)
     rk = spec.r * spec.k
     unit_count = spec.unit_alpha_count
     if unit_count > rk:
@@ -348,7 +299,7 @@ def unified_series(spec: FamilySpec, order: int, *,
     gives the family's numbers.  Both factors come from their caches.
     """
     arg = _exp_argument_poly(exp_argument)
-    core = _core_quotient(spec.replace(phi=Unit()), order)
+    core = _core_quotient(spec.replace(phi=Unit()), check_int("order", order, 1))
     if not arg and spec.phi.kind == "unit":
         return core
     return core * _small_factor(arg, spec.phi, order)
@@ -370,7 +321,8 @@ def unified_members(spec: FamilySpec, n_max: int, *,
 def general_series(phi: Phi, order: int, *,
                    exp_argument: MultiPoly | Scalar | None = None) -> PowerSeries:
     """e^(xt) phi(y,t), the cached small factor: the general polynomials, no prefactor."""
-    return _small_factor(_exp_argument_poly(exp_argument), _checked_phi(phi), order)
+    return _small_factor(_exp_argument_poly(exp_argument), _checked_phi(phi),
+                         check_int("order", order, 1))
 
 
 def general_members(phi: Phi, n_max: int, *,

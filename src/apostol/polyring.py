@@ -21,6 +21,7 @@ Every value is kept in canonical form: no zero numerators, and
 gcd(den, *numerators) == 1, with den == 1 for the zero polynomial (the empty
 mapping).  Two polynomials are therefore equal exactly when their numerator
 maps and denominators are equal; there is no normalization step to forget.
+The hash reads the same two, so a polynomial can key a dict or a cache.
 Fractions are built only at the edges (terms and constant_value).
 render_terms renders a run of polynomials, reducing each coefficient with one
 gcd and spelling each distinct monomial once per call from its packed key;
@@ -393,7 +394,10 @@ class MultiPoly:
             return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
-    __hash__ = None  # numerator map is a plain dict; values are compared, not hashed
+    def __hash__(self) -> int:
+        # A constant hashes as its value, so it agrees with == against ints and Fractions.
+        c = self.constant_value()
+        return hash(c) if c is not None else hash((self._den, frozenset(self._nums.items())))
 
     def __str__(self) -> str:
         return format_poly(self)

@@ -1,0 +1,124 @@
+"""Fault coverage: which checks catch each of four faults in the family's construction.
+
+Each fault is patched below the factor caches, on cold caches, and changes
+one thing in how a table is built.  The checks are the seven verdicts of
+verify_all at n = 5, plus, for the (1, e) spec, its phi-free table against
+special_case_oracle, which builds the Apostol-Euler table from its own
+generating function.  FAULTS pins every cell as measured, and README prints
+the same table, so a change that turns a catch into a miss, or a miss into
+a catch, fails here and shows there.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial
+from pathlib import Path
+
+import pytest
+
+from apostol import family
+from apostol.family import (
+    PHI_KINDS,
+    ClassicalFamily,
+    FamilySpec,
+    GouldHopper,
+    LogBase,
+    Unit,
+    extract_table,
+    special_case_oracle,
+)
+from apostol.identities import IdentityId, verify_all
+
+from helpers import cold_factor_caches
+
+N = 5
+SPECS = {
+    "sym/sym": FamilySpec(2, 0, LogBase.SYMBOLIC_A, LogBase.SYMBOLIC_B, (2, -3), GouldHopper(2)),
+    "(1, e)": FamilySpec(2, 0, LogBase.ONE, LogBase.E, (-2, -2), GouldHopper(2)),
+}
+# k = 0 and alphas -lambda make the (1, e) spec's phi-free table Apostol-Euler, order 2, lambda 2.
+ORACLE = (ClassicalFamily.APOSTOL_EULER, 2, 2)
+CHECKS = [*(identity.value for identity in IdentityId), "oracle"]
+
+
+def _swap_log_bases(monkeypatch):
+    log_poly = LogBase.log_poly
+    swap = {LogBase.SYMBOLIC_A: LogBase.SYMBOLIC_B, LogBase.SYMBOLIC_B: LogBase.SYMBOLIC_A}
+    monkeypatch.setattr(LogBase, "log_poly", lambda base: log_poly(swap.get(base, base)))
+
+
+def _shift_alphas(monkeypatch):
+    denominator = family.denominator_series
+    monkeypatch.setattr(family, "denominator_series", lambda spec, order: denominator(
+        spec.replace(alphas=[a + Fraction(1, 1000) for a in spec.alphas]), order))
+
+
+def _double_prefactor(monkeypatch):
+    denominator = family.denominator_series
+    monkeypatch.setattr(family, "denominator_series",
+                        lambda spec, order: denominator(spec, order).scale(Fraction(1, 2)))
+
+
+def _square_gould_hopper_weights(monkeypatch):
+    monkeypatch.setitem(PHI_KINDS, "gould-hopper",
+                        ("m", 2, lambda j: Fraction(1, factorial(j) ** 2)))
+
+
+# fault -> (patch, {spec: the checks that catch it}); "none" patches nothing.
+FAULTS = {
+    "none": (lambda monkeypatch: None, {"sym/sym": set(), "(1, e)": set()}),
+    "La and Lb swapped": (_swap_log_bases, {"sym/sym": set(), "(1, e)": set()}),
+    "every alpha + 1/1000": (_shift_alphas, {"sym/sym": set(), "(1, e)": {"oracle"}}),
+    "prefactor doubled": (_double_prefactor, {"sym/sym": set(), "(1, e)": {"oracle"}}),
+    "Gould-Hopper weight 1/(j!)^2": (_square_gould_hopper_weights,
+                                      {"sym/sym": set(), "(1, e)": set()}),
+}
+
+
+def _caught(spec: FamilySpec) -> set[str]:
+    """The checks that fail on spec: verdicts by slug, and "oracle" for a (1, e) spec."""
+    caught = {v.identity.value for v in verify_all(spec, N) if not v.passed}
+    if spec.a is LogBase.ONE:
+        phi_free = extract_table(spec.replace(phi=Unit()), N)
+        if phi_free.entries != special_case_oracle(*ORACLE, N).entries:
+            caught.add("oracle")
+    return caught
+
+
+def _table(spec: FamilySpec) -> tuple:
+    return extract_table(spec, N).entries
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_each_fault_is_caught_by_exactly_its_pinned_checks(monkeypatch, fault):
+    patch, expected = FAULTS[fault]
+    with cold_factor_caches():
+        clean = {name: _table(spec) for name, spec in SPECS.items()}
+    with cold_factor_caches(), monkeypatch.context() as patched:
+        patch(patched)
+        changed = {name for name, spec in SPECS.items() if _table(spec) != clean[name]}
+        caught = {name: _caught(spec) for name, spec in SPECS.items()}
+    assert caught == expected
+    # A fault that leaves a table unchanged cannot be caught on it: the base
+    # swap has nothing to swap on (1, e).
+    unchanged = {"none": set(SPECS), "La and Lb swapped": {"(1, e)"}}.get(fault, set())
+    assert changed == set(SPECS) - unchanged
+
+
+def fault_table_markdown() -> str:
+    """FAULTS as the markdown table README prints: FAIL where a check catches the fault."""
+    rows = ["| fault | spec | " + " | ".join(CHECKS) + " |",
+            "|---|---|" + "---|" * len(CHECKS)]
+    for fault, (_, expected) in FAULTS.items():
+        for name, spec in SPECS.items():
+            cells = ["FAIL" if check in expected[name] else
+                     "n/a" if check == "oracle" and spec.a is not LogBase.ONE else "pass"
+                     for check in CHECKS]
+            rows.append(f"| {fault} | {name} | " + " | ".join(cells) + " |")
+    return "\n".join(rows) + "\n"
+
+
+def test_readme_prints_the_fault_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert fault_table_markdown() in readme

@@ -29,7 +29,6 @@ from apostol.family import (
     _small_factor,
     denominator_series,
     general_members,
-    general_series,
     phi_series,
     unified_members,
     unified_series,
@@ -275,8 +274,9 @@ def test_verdicts_compare_by_their_fields():
     passing = verify_shift(PRESETS["hermite"], 2)
     assert passing == Verdict(IdentityId.SHIFT, PRESETS["hermite"], 2, True)
     assert hash(passing) == hash(verify_shift(PRESETS["hermite"], 2))
-    with pytest.raises(TypeError):  # the polynomials of a counterexample are not hashable
-        hash(FAILING)
+    # A counterexample's polynomials hash by value, so equal FAIL verdicts hash equal.
+    assert hash(FAILING) == hash(Verdict(IdentityId.SHIFT, PRESETS["euler"], 2, False,
+                                         Counterexample((1,), X, 1 + X)))
 
 
 def test_verdicts_are_immutable():
@@ -652,40 +652,19 @@ def test_a_smaller_table_is_a_prefix_of_a_larger_one(spec, n, extra):
     assert general_members(spec.phi, n + extra)[:n + 1] == general_members(spec.phi, n)
 
 
-@settings(max_examples=20, deadline=None, database=None)
-@given(small_specs(), st.sampled_from([None, X + Z, Z, X + 1, 3 * X, ZERO]), st.integers(1, 3),
-       st.integers(1, 3))
-def test_a_prefix_served_factor_equals_the_factor_built_at_its_order(spec, arg, extra, more):
-    # The caches hold each factor at the largest order asked for and serve a
-    # smaller order as a prefix, which must equal the factor built cold there.
-    order = spec.unit_alpha_count + extra
-    core_spec = spec.replace(phi=Unit())
-
-    def factors(order):
-        return (_core_quotient(core_spec, order),
-                general_series(spec.phi, order, exp_argument=arg),
-                unified_series(spec, order, exp_argument=arg))
-
-    def misses():
-        return _core_quotient.cache_info().misses, _small_factor.cache_info().misses
-
-    with cold_factor_caches():
-        cold = factors(order)
-    with cold_factor_caches():
-        factors(order + more)
-        built = misses()
-        assert factors(order) == cold
-        assert misses() == built
-
-
-def test_verify_all_builds_each_factor_once():
+def test_verify_all_builds_each_factor_once_per_order():
+    # verify_all(SYM_GH2, 6) reads the shared tables P(x) and P(x+z) at order
+    # n_max + m_max + 1 = 13 and every other table at order 7.
     with cold_factor_caches():
         verify_all(SYM_GH2, 6)
         core, small = _core_quotient.cache_info(), _small_factor.cache_info()
-    assert (core.misses, core.currsize) == (1, 1)
-    # e^(arg t) phi at x, x+z, 0, z, x+1, 2x (P(cx)) and 3x (symmetry's G(dx));
-    # e^(arg t) alone at x and z (phi-free tables) and at La and Lb (denominator).
-    assert (small.misses, small.currsize) == (11, 11)
+    # The core at orders 13 and 7.
+    assert (core.misses, core.currsize) == (2, 2)
+    # At order 13: e^(arg t) phi at x and x+z, e^(arg t) alone at La and Lb
+    # (denominator).  At order 7: e^(arg t) phi at x, z, x+1, 0, 2x (P(cx)) and
+    # 3x (symmetry's G(dx)); e^(arg t) alone at x and z (phi-free tables) and
+    # at La and Lb.
+    assert (small.misses, small.currsize) == (14, 14)
 
 
 def _recording_builders(monkeypatch):

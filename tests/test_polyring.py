@@ -87,6 +87,19 @@ def test_equality_is_canonical():
     assert (X - X) == MultiPoly.zero()
 
 
+def test_equal_values_hash_equal():
+    # A polynomial keys a cache by its value, however it was built; a constant
+    # hashes as the int or Fraction it equals.
+    z = MultiPoly.var(VarId.Z)
+    half = Fraction(1, 2)
+    groups = [[X + z, z + X], [(X + 1) * half, X * half + half],
+              [2, Fraction(4, 2), MultiPoly.const(2)], [MultiPoly.zero(), 0]]
+    for group in groups:
+        assert all(p == group[0] and hash(p) == hash(group[0]) for p in group), group
+        assert len(set(group)) == 1, group
+    assert len(set().union(*groups)) == len(groups)
+
+
 def test_ring_axioms_on_random_polynomials():
     rng = random.Random(20240831)
     for _ in range(60):
