@@ -30,8 +30,13 @@ A table is named by a spec and an exponential argument, nothing else:
 unified_members(spec, n, exp_argument=arg) reads the members of
 core * (e^(arg t) * phi(y, t)), where arg defaults to x: the small factor
 holds only x, y and z and is built first, so the large core enters one
-product.  A zero arg drops e^(xt), and spec.replace(phi=Unit()) drops phi;
-both together give the number sequence of the family.  Both factors are
+product.  No product series is built: each member P_n is read off the
+Cauchy sum of the two factors with n! cancelled against the sum's
+denominator, so it is normalized once (PowerSeries.product_members).
+unified_series(spec, order).extract(n) stays the public series route to
+the same member, and the tests' reference.  A zero arg drops e^(xt), and
+spec.replace(phi=Unit()) drops phi; both together give the number sequence
+of the family, read off the core alone.  Both factors are
 functools.lru_caches keyed on the order too: the core quotient on the
 phi-free spec, so every such table of one spec shares it, and the small
 factor on the argument's value and phi.  _core_quotient.cache_info() and
@@ -286,6 +291,16 @@ def _exp_argument_poly(exp_argument: MultiPoly | Scalar | None) -> MultiPoly:
     return exp_argument if isinstance(exp_argument, MultiPoly) else MultiPoly.const(exp_argument)
 
 
+def _factors(spec: FamilySpec, order: int,
+             exp_argument: MultiPoly | Scalar | None) -> tuple[PowerSeries, PowerSeries | None]:
+    """The cached core and small factor of a table; the small factor is None where it is 1."""
+    arg = _exp_argument_poly(exp_argument)
+    core = _core_quotient(spec.replace(phi=Unit()), order)
+    if not arg and spec.phi.kind == "unit":
+        return core, None
+    return core, _small_factor(arg, spec.phi, order)
+
+
 def unified_series(spec: FamilySpec, order: int, *,
                    exp_argument: MultiPoly | Scalar | None = None) -> PowerSeries:
     """The generating series core * (e^(arg t) * phi(y, t)), truncated.
@@ -298,24 +313,28 @@ def unified_series(spec: FamilySpec, order: int, *,
     is Unit() drops phi, so spec.replace(phi=Unit()) with a zero argument
     gives the family's numbers.  Both factors come from their caches.
     """
-    arg = _exp_argument_poly(exp_argument)
-    core = _core_quotient(spec.replace(phi=Unit()), check_int("order", order, 1))
-    if not arg and spec.phi.kind == "unit":
-        return core
-    return core * _small_factor(arg, spec.phi, order)
+    core, small = _factors(spec, check_int("order", order, 1), exp_argument)
+    return core if small is None else core * small
 
 
 def unified_members(spec: FamilySpec, n_max: int, *,
                     exp_argument: MultiPoly | Scalar | None = None) -> list[MultiPoly]:
-    """Family members P_0 .. P_n_max, each read off as n! times [t^n].
+    """Family members P_0 .. P_n_max, read off the core * small-factor Cauchy sum.
 
     The table is named by the spec and exp_argument alone, as in
-    unified_series, which is asked for n_max + 1 orders beyond the one
-    each unit alpha loses.
+    unified_series, and both factors come from their caches, the core asked
+    for n_max + 1 orders beyond the one each unit alpha loses.  No series
+    product is built: each member is one Cauchy sum with n! cancelled
+    against its denominator before the single normalization
+    (PowerSeries.product_members).  A table with neither e^(arg t) nor phi
+    is the core's own members.  unified_series(...).extract(n) is the same
+    member by the public series route.
     """
-    check_int("n_max", n_max, 0)
-    series = unified_series(spec, n_max + spec.unit_alpha_count + 1, exp_argument=exp_argument)
-    return [series.extract(n) for n in range(n_max + 1)]
+    order = check_int("n_max", n_max, 0) + spec.unit_alpha_count + 1
+    core, small = _factors(spec, order, exp_argument)
+    if small is None:  # the core alone: its members pass no product kernel
+        return [core.extract(n) for n in range(n_max + 1)]
+    return core.product_members(small, n_max + 1)
 
 
 def general_series(phi: Phi, order: int, *,

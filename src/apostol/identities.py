@@ -14,7 +14,9 @@ exp_argument=x+z, P(0,y) a zero argument, which drops e^(xt), and the
 phi-free tables M(x), M(z) and the numbers M pass spec.replace(phi=Unit()).
 Symmetry's left side reads no table: it re-expands the product
 F(ct; dx) F(dt; 0) from the series family.unified_series (the phi-free core)
-and family.general_series, each at rescaled t.
+and family.general_series, each at rescaled t.  Like unified_members, it
+reads its members off the last Cauchy sum with n! cancelled before the
+single normalization (PowerSeries.product_members), not through extract.
 
 A verifier run alone builds every table it reads.  verify_all builds each
 table that more than one verifier reads once, at the largest n any of them
@@ -300,7 +302,10 @@ def _symmetry_left_side(spec: FamilySpec, c: Fraction, d: Fraction,
     F(t; a) = M(t) G(t; a), with M the cached phi-free core and
     G = e^(at) phi(y, t) the general series, so the product is
     [M(ct) M(dt)] * [G(ct; dx) G(dt; 0)]: the factor in La, Lb and the factor
-    in x, y are each multiplied first, and the large product happens once, last.
+    in x, y are each multiplied first, and the large product happens once,
+    last, as a Cauchy sum whose members are read off with n! cancelled
+    before their one normalization.  The series product of the two and
+    extract give the same members.
     """
     order = n_max + 1
     x, zero = MultiPoly.var(VarId.X), MultiPoly.zero()
@@ -309,8 +314,7 @@ def _symmetry_left_side(spec: FamilySpec, c: Fraction, d: Fraction,
     cores = _rescaled(core, c) * _rescaled(core, d)
     smalls = (_rescaled(general_series(spec.phi, order, exp_argument=x * d), c)
               * _rescaled(general_series(spec.phi, order, exp_argument=zero), d))
-    series = cores * smalls
-    return [series.extract(n) for n in range(order)]
+    return cores.product_members(smalls, order)
 
 
 def _symmetry_scalars(c: Scalar, d: Scalar) -> tuple[Fraction, Fraction]:

@@ -406,13 +406,20 @@ class MultiPoly:
         return f"MultiPoly({format_poly(self)})"
 
 
-def sum_of_products(triples: Iterable[tuple[Scalar, MultiPoly, MultiPoly]]) -> MultiPoly:
-    """The sum of c * a * b over the triples, normalized once.
+def sum_of_products(triples: Iterable[tuple[Scalar, MultiPoly, MultiPoly]],
+                    times: int = 1) -> MultiPoly:
+    """times * the sum of c * a * b over the triples, normalized once.
 
-    Every product is accumulated into one integer map over the lcm of the
+    Every product is accumulated into one integer map over the lcm D of the
     triples' denominators, so a Cauchy-product coefficient costs one degree
-    check and one canonicalization instead of one per addition.
+    check and one canonicalization instead of one per addition.  times is
+    a positive int, a family member's n! when a series reader passes one:
+    it is cancelled against D before any product is taken, so the sum lies
+    over D / gcd(D, times) and each product is scaled by times / gcd(D, times),
+    which is almost always 1.  The member then costs that one normalization,
+    whose gcd scan mostly stops at 1, and no scaling pass of its own.
     """
+    check_int("times", times, 1)
     items = []
     for c, a, b in triples:
         if a._nums and b._nums:
@@ -422,9 +429,11 @@ def sum_of_products(triples: Iterable[tuple[Scalar, MultiPoly, MultiPoly]]) -> M
     if not items:
         return MultiPoly._raw({}, 1)
     den = lcm(*(d for *_, d in items))
+    g = gcd(den, times)
+    scale = times // g
     out: dict[int, int] = {}
-    _mul_into(out, [(p * (den // d), na, nb) for p, na, nb, d in items])
-    return MultiPoly._normalized(out, den)
+    _mul_into(out, [(p * scale * (den // d), na, nb) for p, na, nb, d in items])
+    return MultiPoly._normalized(out, den // g)
 
 
 def linear_combination(triples: Iterable[tuple[Scalar, MultiPoly, MultiPoly]]) -> MultiPoly:

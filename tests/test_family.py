@@ -175,13 +175,12 @@ def test_unified_series_order_precondition(order):
 def test_unified_members_expands_one_order_past_each_unit_alpha(monkeypatch, alphas, extra):
     # The numerator t^(rk) costs no order; only the division by unit-alpha factors does.
     orders = []
-    series = unified_series
 
-    def logged(spec, order, **kwargs):
+    def logged(spec, order):
         orders.append(order)
-        return series(spec, order, **kwargs)
+        return _core_quotient(spec, order)
 
-    monkeypatch.setattr("apostol.family.unified_series", logged)
+    monkeypatch.setattr("apostol.family._core_quotient", logged)
     for n_max in (0, 4):
         members = unified_members(spec_one_e(2, 1, alphas), n_max)
         assert len(members) == n_max + 1

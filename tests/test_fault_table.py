@@ -1,7 +1,9 @@
-"""Fault coverage: which checks catch each of four faults in the family's construction.
+"""Fault coverage: which checks catch each of five faults in the family's construction.
 
-Each fault is patched below the factor caches, on cold caches, and changes
-one thing in how a table is built.  The checks are the seven verdicts of
+Each fault is patched on cold caches and changes one thing in how a table
+is built: four below the factor caches, and one in the step that reads the
+members off the product of the two factors, which extract no longer guards.
+The checks are the seven verdicts of
 verify_all at n = 5, plus, for the (1, e) spec, its phi-free table against
 special_case_oracle, which builds the Apostol-Euler table from its own
 generating function.  FAULTS pins every cell as measured, and README prints
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from apostol import family
+from apostol import family, series
 from apostol.family import (
     PHI_KINDS,
     ClassicalFamily,
@@ -65,6 +67,17 @@ def _square_gould_hopper_weights(monkeypatch):
                         ("m", 2, lambda j: Fraction(1, factorial(j) ** 2)))
 
 
+def _fold_member_factorial_as_n_plus_one_factorial(monkeypatch):
+    kernel = series.sum_of_products
+
+    def folding(triples, *times):
+        # Only the member reader passes a factorial: n! with member n's n + 1 triples.
+        triples = list(triples)
+        return kernel(triples, *(len(triples) * n_factorial for n_factorial in times))
+
+    monkeypatch.setattr(series, "sum_of_products", folding)
+
+
 # fault -> (patch, {spec: the checks that catch it}); "none" patches nothing.
 FAULTS = {
     "none": (lambda monkeypatch: None, {"sym/sym": set(), "(1, e)": set()}),
@@ -73,6 +86,8 @@ FAULTS = {
     "prefactor doubled": (_double_prefactor, {"sym/sym": set(), "(1, e)": {"oracle"}}),
     "Gould-Hopper weight 1/(j!)^2": (_square_gould_hopper_weights,
                                       {"sym/sym": set(), "(1, e)": set()}),
+    "member n! folded as (n+1)!": (_fold_member_factorial_as_n_plus_one_factorial,
+                                   {"sym/sym": set(CHECKS) - {"oracle"}, "(1, e)": set(CHECKS)}),
 }
 
 

@@ -29,6 +29,7 @@ from apostol.family import (
     _small_factor,
     denominator_series,
     general_members,
+    general_series,
     phi_series,
     unified_members,
     unified_series,
@@ -239,6 +240,44 @@ def test_tables_reassociate_the_generating_product(spec, arg, extra):
         for alpha in wider.alphas:
             from_one = from_one * (bt.scale(alpha) - at)
         assert denominator_series(wider, order) == from_one
+
+
+ARGUMENTS = [None, X + Z, ZERO, X + 1, 2 * X, Z]
+
+
+def _members_by_extract(spec: FamilySpec, n_max: int, arg) -> list[MultiPoly]:
+    """The reference route: the generating series built whole, each member extracted."""
+    series = unified_series(spec, n_max + spec.unit_alpha_count + 1, exp_argument=arg)
+    return [series.extract(j) for j in range(n_max + 1)]
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(small_specs(), st.sampled_from(ARGUMENTS), st.integers(0, 6))
+def test_members_read_off_the_cauchy_sum_equal_the_extracted_members(spec, arg, n_max):
+    # unified_members cancels n! inside the product kernel; extract applies it
+    # to the series coefficient.  Fractional alphas give denominators n! cancels.
+    assert unified_members(spec, n_max, exp_argument=arg) == _members_by_extract(spec, n_max, arg)
+
+
+def test_members_at_expand_deep_size_equal_the_extracted_members():
+    # n = 48 with alpha -5/7: the factorial cancels most of each denominator.
+    spec = FamilySpec(2, 0, *ONE_E, (Fraction(-5, 7),) * 2, Laguerre(1))
+    assert unified_members(spec, 48) == _members_by_extract(spec, 48, None)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(small_specs(), st.integers(0, 6))
+def test_symmetry_left_side_equals_its_extracted_series_product(spec, n_max):
+    order = n_max + 1
+    core = unified_series(spec.replace(phi=Unit()), order + spec.unit_alpha_count,
+                          exp_argument=ZERO)
+    for c, d in [(Fraction(2), Fraction(3)), (Fraction(1, 2), Fraction(-5))]:
+        cores = identities_mod._rescaled(core, c) * identities_mod._rescaled(core, d)
+        smalls = (identities_mod._rescaled(general_series(spec.phi, order, exp_argument=X * d), c)
+                  * identities_mod._rescaled(general_series(spec.phi, order, exp_argument=ZERO), d))
+        series = cores * smalls
+        assert identities_mod._symmetry_left_side(spec, c, d, n_max) == [
+            series.extract(j) for j in range(order)], (c, d)
 
 
 def test_unit_alpha_specs_pass():
@@ -624,9 +663,9 @@ def test_left_sides_fail_when_the_left_side_kernel_drops_a_triple(monkeypatch):
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
     kernel = series_mod.sum_of_products
 
-    def dropping_last(triples):
+    def dropping_last(triples, *times):
         triples = list(triples)
-        return kernel(triples[:-1] if len(triples) >= 3 else triples)
+        return kernel(triples[:-1] if len(triples) >= 3 else triples, *times)
 
     monkeypatch.setattr(series_mod, "sum_of_products", dropping_last)
     verifiers = {**VERIFIERS, "double-index": lambda spec, n: verify_double_index(spec, n, 2)}

@@ -8,8 +8,9 @@ coprime to the denominator as a whole.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,8 +152,10 @@ def test_ordering_rendering_and_constants(pt):
 
 
 @PROPERTY
-@given(st.lists(st.tuples(scalars, term_maps, term_maps), max_size=4))
-def test_sum_of_products(triples):
+@given(st.lists(st.tuples(scalars, term_maps, term_maps), max_size=4),
+       st.one_of(st.integers(1, 8).map(factorial), st.integers(1, 10**6)))
+def test_sum_of_products(triples, times):
+    # times is a member's n! as the series reader passes it, or any positive int.
     ref = RefPoly()
     for c, at, bt in triples:
         ra, rb = RefPoly(at), RefPoly(bt)
@@ -162,6 +165,15 @@ def test_sum_of_products(triples):
             return
         ref = ref + ra * rb * c
     assert_agrees(sum_of_products((c, MultiPoly(a), MultiPoly(b)) for c, a, b in triples), ref)
+    assert_agrees(sum_of_products(((c, MultiPoly(a), MultiPoly(b)) for c, a, b in triples),
+                                  times), ref * times)
+
+
+def test_sum_of_products_takes_only_positive_int_multipliers():
+    triple = (1, MultiPoly.var(VarId.X), MultiPoly.one())
+    for bad in (0, -2, True, 2.0, Fraction(2)):
+        with pytest.raises(ValueError, match=re.escape(f"times must be an int >= 1, got {bad!r}")):
+            sum_of_products([triple], bad)
 
 
 @st.composite
