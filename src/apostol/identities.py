@@ -29,12 +29,12 @@ which both sides already computed with the same code, but never a table.
 
 Right sides take their products inside the right-side kernel
 polyring.linear_combination, which multiplies each (c, a, b) triple in its
-own loop and normalizes once per right side.  It shares no product loop
-with sum_of_products, the fused kernel that builds every left side through
-the series products, so a fault in either shows as a FAIL instead of
-cancelling out.  The double-index identity is checked after the automorphism
-z -> x + h, where its right side needs only monomial shifts h^s; a
-counterexample is mapped back with MultiPoly.substitute({Z: z - x}).
+own loop and normalizes once per right side.  It shares no code with
+polyring.sum_of_products, the left-side kernel behind ring * and every series
+product, so a fault in either shows as a FAIL instead of cancelling out.
+The double-index identity is checked after the automorphism z -> x + h,
+where its right side needs only monomial shifts h^s; a counterexample is
+mapped back with MultiPoly.substitute({Z: z - x}).
 
 On failure the verdict carries the smallest failing index tuple in
 lexicographic order together with both polynomials, so a broken identity

@@ -17,6 +17,10 @@ after Monagan & Pearce, CASC 2007).  A field can only overflow if the total
 degree does, so products check the degree alone and raise ValueError beyond
 MAX_DEGREE.
 
+Two kernels multiply numerator maps and share no code: sum_of_products (ring
+* and **, every series product, so every identity's left side) and
+linear_combination (substitute and every identity's right side).
+
 Every value is kept in canonical form: no zero numerators, and
 gcd(den, *numerators) == 1, with den == 1 for the zero polynomial (the empty
 mapping).  Two polynomials are therefore equal exactly when their numerator
@@ -97,29 +101,6 @@ def _pack(exps: Iterable[int]) -> int:
 def _unpack(key: int) -> Exponents:
     """The exponent vector of a packed key."""
     return _KEY.unpack(key.to_bytes(_KEY.size, "big"))[1:]
-
-
-def _mul_into(out: dict[int, int], items: list[tuple[int, dict, dict]]) -> None:
-    """out += the sum of f * na * nb over the (f, na, nb) items, on packed keys.
-
-    The total degree is checked once, on out: a key reaches _KEY_LIMIT exactly
-    when its total degree overflows, and zeros stay in out until _normalized,
-    so an overflowing key cannot cancel first.
-    """
-    get = out.get
-    for f, na, nb in items:
-        if len(na) > len(nb):
-            na, nb = nb, na
-        nb_items = nb.items()
-        for ka, va in na.items():
-            if f != 1:
-                va *= f
-            for kb, vb in nb_items:
-                k = ka + kb
-                out[k] = get(k, 0) + va * vb
-    if max(out) >= _KEY_LIMIT:
-        deg = max((max(na) >> _DEG_SHIFT) + (max(nb) >> _DEG_SHIFT) for _, na, nb in items)
-        raise ValueError(f"total degree {deg} exceeds the ring's limit {MAX_DEGREE}")
 
 
 def is_exact_scalar(c: object) -> bool:
@@ -321,11 +302,7 @@ class MultiPoly:
     def __mul__(self, other: MultiPoly | Scalar) -> MultiPoly:
         if not isinstance(other, MultiPoly):
             return self._scaled(*_scalar_parts(other))
-        if not self._nums or not other._nums:
-            return MultiPoly._raw({}, 1)
-        out: dict[int, int] = {}
-        _mul_into(out, [(1, self._nums, other._nums)])
-        return MultiPoly._normalized(out, self._den * other._den)
+        return sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -408,14 +385,15 @@ class MultiPoly:
 
 def sum_of_products(triples: Iterable[tuple[Scalar, MultiPoly, MultiPoly]],
                     times: int = 1) -> MultiPoly:
-    """times * the sum of c * a * b over the triples, normalized once.
+    """times * the sum of c * a * b over the triples, the left-side kernel.
 
-    Every product is accumulated into one integer map over the lcm D of the
-    triples' denominators, so a Cauchy-product coefficient costs one degree
-    check and one canonicalization instead of one per addition.  times is
-    a positive int, a family member's n! when a series reader passes one:
-    it is cancelled against D before any product is taken, so the sum lies
-    over D / gcd(D, times) and each product is scaled by times / gcd(D, times),
+    Ring * and ** (one triple) and every series product multiply here.  All
+    products go into one integer map over the lcm D of the triples'
+    denominators, so a Cauchy-product coefficient costs one degree check and
+    one canonicalization instead of one per addition.  times is a positive
+    int, a family member's n! when a series reader passes one: it is
+    cancelled against D before any product is taken, so the sum lies over
+    D / gcd(D, times) and each product is scaled by times / gcd(D, times),
     which is almost always 1.  The member then costs that one normalization,
     whose gcd scan mostly stops at 1, and no scaling pass of its own.
     """
@@ -432,7 +410,23 @@ def sum_of_products(triples: Iterable[tuple[Scalar, MultiPoly, MultiPoly]],
     g = gcd(den, times)
     scale = times // g
     out: dict[int, int] = {}
-    _mul_into(out, [(p * scale * (den // d), na, nb) for p, na, nb, d in items])
+    get = out.get
+    for p, na, nb, d in items:
+        f = p * scale * (den // d)
+        if len(na) > len(nb):
+            na, nb = nb, na
+        nb_items = nb.items()
+        for ka, va in na.items():
+            if f != 1:
+                va *= f
+            for kb, vb in nb_items:
+                k = ka + kb
+                out[k] = get(k, 0) + va * vb
+    # A key reaches _KEY_LIMIT exactly when its total degree overflows, and zeros
+    # stay in out until _normalized, so an overflowing key cannot cancel first.
+    if max(out) >= _KEY_LIMIT:
+        deg = max((max(na) >> _DEG_SHIFT) + (max(nb) >> _DEG_SHIFT) for _, na, nb, _ in items)
+        raise ValueError(f"total degree {deg} exceeds the ring's limit {MAX_DEGREE}")
     return MultiPoly._normalized(out, den // g)
 
 
@@ -442,10 +436,10 @@ def linear_combination(triples: Iterable[tuple[Scalar, MultiPoly, MultiPoly]]) -
     Each a * b is multiplied in its own loop straight into one integer map
     over the lcm of the triples' denominators, so no product is normalized
     on its own; the total degree is checked once on that map, and the sum is
-    normalized once.  This shares no code with sum_of_products or _mul_into
-    on purpose: the identity verifiers build their right sides with this
-    kernel and their left sides (through the series products) with that one,
-    so a fault in either shows as a failed identity instead of cancelling out.
+    normalized once.  This shares no code with sum_of_products on purpose:
+    the identity verifiers build their right sides with this kernel and
+    their left sides (through the series products) with that one, so a
+    fault in either shows as a failed identity instead of cancelling out.
     """
     items = []
     for c, a, b in triples:

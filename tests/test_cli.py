@@ -330,6 +330,11 @@ def test_explicit_default_flags_change_nothing(capsys):
           "--n", "3"]),
         (["table", "--preset", "laguerre", "--n", "3"],
          ["table", "--preset", "laguerre", "--m", "1", "--n", "3"]),
+        # The kinds' own defaults, which the presets' explicit steps do not read.
+        (["expand", "--phi", "laguerre", "--n", "3"],
+         ["expand", "--phi", "laguerre", "--m", "1", "--n", "3"]),
+        (["expand", "--phi", "truncated-exp", "--n", "3"],
+         ["expand", "--phi", "truncated-exp", "--m", "2", "--n", "3"]),
         (["verify", "--preset", "euler", "--n", "2"],
          ["verify", "--identity", "all", "--preset", "euler", "--c", "2", "--d", "3",
           "--m-max", "2", "--n", "2"]),

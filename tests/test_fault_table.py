@@ -1,8 +1,11 @@
-"""Fault coverage: which checks catch each of five faults in the family's construction.
+"""Fault coverage: which checks catch each of seven faults in building and checking tables.
 
-Each fault is patched on cold caches and changes one thing in how a table
-is built: four below the factor caches, and one in the step that reads the
-members off the product of the two factors, which extract no longer guards.
+Each fault is patched on cold caches and changes one thing: four below the
+factor caches, one in the step that reads the members off the product of
+the two factors, which extract no longer guards, and two in the product
+kernels.  The left-side kernel, as the series products call it, drops the
+last of 3 or more triples; the right-side kernel drops its last triple,
+which changes no table, only every right side.
 The checks are the seven verdicts of
 verify_all at n = 5, plus, for the (1, e) spec, its phi-free table against
 special_case_oracle, which builds the Apostol-Euler table from its own
@@ -19,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from apostol import family, series
+from apostol import family, identities, series
 from apostol.family import (
     PHI_KINDS,
     ClassicalFamily,
@@ -78,6 +81,22 @@ def _fold_member_factorial_as_n_plus_one_factorial(monkeypatch):
     monkeypatch.setattr(series, "sum_of_products", folding)
 
 
+def _drop_last_left_side_triple(monkeypatch):
+    kernel = series.sum_of_products
+
+    def dropping_last(triples, *times):
+        triples = list(triples)
+        return kernel(triples[:-1] if len(triples) >= 3 else triples, *times)
+
+    monkeypatch.setattr(series, "sum_of_products", dropping_last)
+
+
+def _drop_last_right_side_triple(monkeypatch):
+    kernel = identities.linear_combination
+    monkeypatch.setattr(identities, "linear_combination",
+                        lambda triples: kernel(list(triples)[:-1]))
+
+
 # fault -> (patch, {spec: the checks that catch it}); "none" patches nothing.
 FAULTS = {
     "none": (lambda monkeypatch: None, {"sym/sym": set(), "(1, e)": set()}),
@@ -88,6 +107,12 @@ FAULTS = {
                                       {"sym/sym": set(), "(1, e)": set()}),
     "member n! folded as (n+1)!": (_fold_member_factorial_as_n_plus_one_factorial,
                                    {"sym/sym": set(CHECKS) - {"oracle"}, "(1, e)": set(CHECKS)}),
+    "left-side kernel drops its last of 3+ triples": (
+        _drop_last_left_side_triple,
+        {"sym/sym": set(CHECKS) - {"oracle"}, "(1, e)": set(CHECKS)}),
+    "right-side kernel drops its last triple": (
+        _drop_last_right_side_triple,
+        {"sym/sym": set(CHECKS) - {"oracle"}, "(1, e)": set(CHECKS) - {"oracle"}}),
 }
 
 
@@ -115,9 +140,10 @@ def test_each_fault_is_caught_by_exactly_its_pinned_checks(monkeypatch, fault):
         changed = {name for name, spec in SPECS.items() if _table(spec) != clean[name]}
         caught = {name: _caught(spec) for name, spec in SPECS.items()}
     assert caught == expected
-    # A fault that leaves a table unchanged cannot be caught on it: the base
-    # swap has nothing to swap on (1, e).
-    unchanged = {"none": set(SPECS), "La and Lb swapped": {"(1, e)"}}.get(fault, set())
+    # The base swap has nothing to swap on (1, e), and the right-side kernel
+    # builds no table, so only a verdict can catch its drop.
+    unchanged = {"none": set(SPECS), "La and Lb swapped": {"(1, e)"},
+                 "right-side kernel drops its last triple": set(SPECS)}.get(fault, set())
     assert changed == set(SPECS) - unchanged
 
 

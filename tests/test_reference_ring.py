@@ -122,6 +122,10 @@ def test_scalar_mul(pt, c):
     assert_agrees(p * c, rp * c)
     assert_agrees(c * p, rp * c)
     assert p * c == p * MultiPoly.const(c)
+    assert_agrees(p + c, rp + c)
+    assert_agrees(c + p, rp + c)
+    assert_agrees(p - c, rp - c)
+    assert_agrees(c - p, -rp + c)
 
 
 def lifted(bindings, ring):
@@ -231,10 +235,25 @@ def test_linear_combination_edge_cases():
             linear_combination(triples)
 
 
+def test_left_side_products_name_the_total_degree_that_overflows():
+    # The left-side kernel checks the degree as linear_combination does, and
+    # ring * and a series product reach that check through it.
+    x = MultiPoly.var(VarId.X)
+    big, small = x ** 40000, x ** 30000
+    products = [lambda: big * small,
+                lambda: sum_of_products([(1, big, small)]),
+                lambda: sum_of_products([(1, big, small), (-1, small, big)]),
+                lambda: PowerSeries([big, x]) * PowerSeries([small, x])]
+    for product in products:
+        with pytest.raises(ValueError, match="^total degree 70000 exceeds"):
+            product()
+
+
 def test_linear_combination_shares_no_product_loop_with_the_left_side(monkeypatch):
     """Right sides multiply inside linear_combination alone: with the left-side
-    loop _mul_into and ring * both broken, a convolution and a double-index
-    right side over sym/sym tables still equal the reference ring's sums."""
+    kernel sum_of_products and every ring * broken, a convolution and a
+    double-index right side over sym/sym tables still equal the reference
+    ring's sums."""
     spec = FamilySpec(2, 0, LogBase.SYMBOLIC_A, LogBase.SYMBOLIC_B, (2, -3), GouldHopper(2))
     n = 5
     in_x = unified_members(spec, n)
@@ -246,7 +265,7 @@ def test_linear_combination_shares_no_product_loop_with_the_left_side(monkeypatc
     def broken(*args):
         raise AssertionError("a right side used a left-side product loop")
 
-    monkeypatch.setattr(polyring, "_mul_into", broken)
+    monkeypatch.setattr(polyring, "sum_of_products", broken)
     monkeypatch.setattr(MultiPoly, "__mul__", broken)
     monkeypatch.setattr(MultiPoly, "__rmul__", broken)
     for triples in cases:
