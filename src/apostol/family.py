@@ -39,8 +39,11 @@ spec.replace(phi=Unit()) drops phi; both together give the number sequence
 of the family, read off the core alone.  Both factors are
 functools.lru_caches keyed on the order too: the core quotient on the
 phi-free spec, so every such table of one spec shares it, and the small
-factor on the argument's value and phi.  _core_quotient.cache_info() and
-_small_factor.cache_info() count the hits and misses.
+factor on the argument's value and phi.  The small-factor cache also holds
+the denominator's r+1 exponentials e^((j Lb + (r-j) La) t), with a unit
+phi, which every spec with the same r and bases shares.
+_core_quotient.cache_info() and _small_factor.cache_info() count the hits
+and misses.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial
-from operator import mul
+from operator import add, mul
 
 from .polyring import MultiPoly, Record, Scalar, VarId, check_int, is_exact_scalar
 from .series import PowerSeries
@@ -198,7 +201,7 @@ class FamilySpec(Record):
             raise InvalidFamilySpecError(f"a and b must be LogBase, got {a!r} and {b!r}")
         if type(alphas) is not tuple or not all(map(is_exact_scalar, alphas)):
             raise InvalidFamilySpecError(f"alphas must be ints or Fractions, got {alphas!r}")
-        alphas = tuple(map(Fraction, alphas))
+        alphas = tuple(a if type(a) is Fraction else Fraction(a) for a in alphas)
         if len(alphas) != r:
             raise InvalidFamilySpecError(f"need exactly r={r} alphas, got {len(alphas)}")
         if a is b:
@@ -252,10 +255,20 @@ def _small_factor(arg: MultiPoly, phi: Phi, order: int) -> PowerSeries:
 
 
 def denominator_series(spec: FamilySpec, order: int) -> PowerSeries:
-    """The product prod_i (alpha_i b^t - a^t), truncated at the given order."""
-    bt = _small_factor(spec.b.log_poly(), Unit(), order)
-    at = _small_factor(spec.a.log_poly(), Unit(), order)
-    return reduce(mul, (bt.scale(alpha) - at for alpha in spec.alphas))
+    """The product prod_i (alpha_i b^t - a^t), truncated at the given order.
+
+    It is a^(rt) prod_i (alpha_i (b/a)^t - 1), so with c_j the coefficient
+    of z^j in prod_i (alpha_i z - 1) it is the sum of r+1 exponentials
+    sum_j c_j e^((j Lb + (r-j) La) t).  Each exponential is a cached small
+    factor, keyed on its argument alone, so every spec with the same r and
+    bases shares them.
+    """
+    coeffs = [Fraction(1)]  # of prod_i (alpha_i z - 1), lowest power of z first
+    for alpha in spec.alphas:  # times (alpha z - 1): c_j becomes alpha c_(j-1) - c_j
+        coeffs = [alpha * below - c for c, below in zip([*coeffs, 0], [0, *coeffs])]
+    la, lb = spec.a.log_poly(), spec.b.log_poly()
+    return reduce(add, (_small_factor(lb * j + la * (spec.r - j), Unit(), order).scale(c)
+                        for j, c in enumerate(coeffs) if c))
 
 
 @lru_cache(maxsize=512, typed=True)
@@ -266,8 +279,10 @@ def _core_quotient(spec: FamilySpec, order: int) -> PowerSeries:
     the same parameter core shares one cached entry per order.  The result
     order is the requested order minus the number of unit alphas (the
     denominator valuation eaten by the division), so the order must exceed
-    that number.  The order is checked first: the cache keys it by type, so
-    True or 1.0 misses and arrives here.
+    that number.  The numerator is a monomial, so no product is taken: the
+    inverted, valuation-shifted denominator is shifted by t^(rk) less the
+    valuation and scaled.  The order is checked first: the cache keys it
+    by type, so True or 1.0 misses and arrives here.
     """
     check_int("order", order, 1)
     rk = spec.r * spec.k
@@ -280,8 +295,10 @@ def _core_quotient(spec: FamilySpec, order: int) -> PowerSeries:
     if order <= unit_count:
         raise ValueError(f"order {order} must exceed the unit-alpha count {unit_count}")
     scalar = Fraction((-1) ** spec.r) * Fraction(2) ** (spec.r * (1 - spec.k))
-    num = PowerSeries.t_power(rk, order).scale(scalar)
-    return num.divide_with_valuation(denominator_series(spec, order), unit_count)
+    inverse = denominator_series(spec, order)._shifted_inverse(unit_count).coeffs
+    shift = min(rk - unit_count, len(inverse))
+    return PowerSeries([MultiPoly.zero()] * shift
+                       + [c * scalar for c in inverse[:len(inverse) - shift]])
 
 
 def _exp_argument_poly(exp_argument: MultiPoly | Scalar | None) -> MultiPoly:

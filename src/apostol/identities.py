@@ -209,10 +209,11 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
     ring automorphism z -> x + h (h in the z slot): the identity holds exactly
     when P_N(x+h, y) = sum_s w_s h^s P_(N-s)(x,y), N = n + m, holds.  The left
     side is the x+h table, the right side one linear combination of monomial
-    shifts.  The weights w_s = sum_p C(n,p) C(m,s-p) are each computed as
-    stated, from binomial rows built once, and they fix the check, so a pair
-    with an earlier pair's weights is skipped: that pair made the same
-    comparison, which passed.  A counterexample is mapped back to (x, z).
+    shifts.  Each pair's weights w_s = sum_p C(n,p) C(m,s-p) are computed
+    as the product of the binomial rows n and m, built once from comb.  The
+    weights fix the check, so a pair with an earlier pair's weights is
+    skipped: that pair made the same comparison, which passed.  A
+    counterexample is mapped back to (x, z).
     """
     check_int("n_max", n_max, 0)
     check_int("m_max", m_max, 0)
@@ -227,10 +228,11 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
     def pairs():
         for n, cn in enumerate(rows[:n_max + 1]):
             for m, cm in enumerate(rows[:m_max + 1]):
-                weights = tuple(
-                    sum(cn[p] * cm[s - p] for p in range(max(0, s - m), min(n, s) + 1))
-                    for s in range(n + m + 1)
-                )
+                weights = [0] * (n + m + 1)  # the product of the two binomial rows
+                for p, wp in enumerate(cn):
+                    for q, wq in enumerate(cm):
+                        weights[p + q] += wp * wq
+                weights = tuple(weights)
                 if weights in checked:
                     continue
                 checked.add(weights)

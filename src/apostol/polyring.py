@@ -163,7 +163,9 @@ class Record:
 
 def _scalar_parts(c: Scalar) -> tuple[int, int]:
     """(numerator, positive denominator) of an int or Fraction; TypeError otherwise."""
-    if not is_exact_scalar(c):
+    if type(c) is int:  # ring * passes the constant 1 here on every product
+        return c, 1
+    if not isinstance(c, Fraction):
         raise TypeError(f"ring scalars must be ints or Fractions, got {c!r}")
     return c.numerator, c.denominator
 

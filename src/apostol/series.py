@@ -169,34 +169,43 @@ class PowerSeries:
         """self / den where den vanishes to order exactly expected_valuation.
 
         Both series are shifted down by t^expected_valuation (which must
-        annihilate the numerator's low coefficients too), then the shifted
-        denominator is inverted.  The result's order shrinks by the
-        valuation: that loss is real, not an implementation detail.
+        annihilate the numerator's low coefficients too), and the shifted
+        denominator is inverted (_shifted_inverse).  The result's order
+        shrinks by the valuation: that loss is real, not an implementation
+        detail.
         """
-        v = check_int("expected_valuation", expected_valuation, 0)
-        actual = den.valuation()
-        if actual != v:
-            raise ValuationMismatchError(
-                f"denominator has valuation {actual}, expected {v}"
-            )
-        lead = den._coeffs[v].constant_value()
-        if lead is None:
-            raise NotAUnitError(
-                f"denominator leading coefficient {den._coeffs[v]} is not a rational unit"
-            )
+        inverse = den._shifted_inverse(expected_valuation)
+        v = expected_valuation
         for n in range(min(v, len(self._coeffs))):
             if self._coeffs[n]:
                 raise ValuationMismatchError(
                     f"numerator has a nonzero coefficient at t^{n}, below the valuation {v}"
                 )
-        order = min(len(self._coeffs), len(den._coeffs)) - v
-        if order < 1:
+        if len(self._coeffs) <= v:
             raise OrderExceededError(
                 "division by the valuation leaves no known coefficients"
             )
-        num_shifted = PowerSeries(self._coeffs[v:v + order])
-        den_shifted = PowerSeries(den._coeffs[v:v + order])
-        return num_shifted * den_shifted.invert()
+        return PowerSeries(self._coeffs[v:]) * inverse
+
+    def _shifted_inverse(self, valuation: int) -> PowerSeries:
+        """1 / (self / t^valuation), of order len(self) - valuation.
+
+        self must vanish to order exactly valuation (ValuationMismatchError)
+        and its lowest coefficient must be a rational constant (NotAUnitError).
+        divide_with_valuation multiplies the shifted numerator by it; the
+        family core, whose numerator is a monomial, shifts and scales it.
+        """
+        v = check_int("expected_valuation", valuation, 0)
+        actual = self.valuation()
+        if actual != v:
+            raise ValuationMismatchError(
+                f"denominator has valuation {actual}, expected {v}"
+            )
+        if self._coeffs[v].constant_value() is None:
+            raise NotAUnitError(
+                f"denominator leading coefficient {self._coeffs[v]} is not a rational unit"
+            )
+        return PowerSeries(self._coeffs[v:]).invert()
 
     # -- comparison and display --------------------------------------------
 

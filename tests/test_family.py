@@ -130,6 +130,28 @@ def test_denominator_symbolic_product():
     assert den.coeffs[1] == expected_t == 7 * lb - 3 * la
 
 
+def _denominator_product(spec, order):
+    """The reference denominator: prod_i (alpha_i b^t - a^t) as r series products."""
+    bt = PowerSeries.exp_linear(spec.b.log_poly(), order)
+    at = PowerSeries.exp_linear(spec.a.log_poly(), order)
+    product = PowerSeries.one(order)
+    for alpha in spec.alphas:
+        product = product * (bt.scale(alpha) - at)
+    return product
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec(1, 0, *SYM, [Fraction(5, 7)]),
+    FamilySpec(2, 0, *SYM, [2, -3]),
+    FamilySpec(2, 0, *SYM, [2, -2]),  # no z term in (2z - 1)(-2z - 1)
+    FamilySpec(3, 1, *SYM, [2, -3, HALF]),
+    FamilySpec(3, 2, *ONE_E, [1, 1, HALF]),
+    FamilySpec(2, 1, LogBase.ONE, LogBase.SYMBOLIC_B, [-1, Fraction(5, 7)]),
+], ids=["sym-r1", "sym-r2", "sym-r2-no-middle", "sym-r3", "one-e-unit-alphas", "one-sym"])
+def test_denominator_equals_the_product_of_its_factors(spec):
+    assert denominator_series(spec, 9) == _denominator_product(spec, 9)
+
+
 # -- unified series and tables ------------------------------------------------------
 
 
@@ -489,6 +511,16 @@ def test_alphas_are_read_once_from_any_iterable():
     assert FamilySpec(1, 0, *ONE_E, [-1]).alphas == (Fraction(-1),)
     with pytest.raises(InvalidFamilySpecError, match=r"got Fraction\(2, 1\)"):
         FamilySpec(1, 0, *ONE_E, Fraction(2))
+
+
+def test_alphas_are_exact_fractions_whatever_their_input_type():
+    class Sub(Fraction):
+        pass
+
+    given = (Fraction(5, 7), 2, Sub(-2, 3))
+    alphas = FamilySpec(3, 0, *SYM, given).alphas
+    assert alphas == given and [type(a) for a in alphas] == [Fraction] * 3
+    assert repr(alphas) == "(Fraction(5, 7), Fraction(2, 1), Fraction(-2, 3))"
 
 
 # -- value semantics of Phi, FamilySpec and PolyTable -----------------------------------

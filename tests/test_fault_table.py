@@ -1,6 +1,6 @@
-"""Fault coverage: which checks catch each of seven faults in building and checking tables.
+"""Fault coverage: which checks catch each of eight faults in building and checking tables.
 
-Each fault is patched on cold caches and changes one thing: four below the
+Each fault is patched on cold caches and changes one thing: five below the
 factor caches, one in the step that reads the members off the product of
 the two factors, which extract no longer guards, and two in the product
 kernels.  The left-side kernel, as the series products call it, drops the
@@ -45,6 +45,8 @@ SPECS = {
 # k = 0 and alphas -lambda make the (1, e) spec's phi-free table Apostol-Euler, order 2, lambda 2.
 ORACLE = (ClassicalFamily.APOSTOL_EULER, 2, 2)
 CHECKS = [*(identity.value for identity in IdentityId), "oracle"]
+# The checks whose two sides need e^((x+z)t) = e^(xt) e^(zt) or e^((x+1)t) = e^(xt) e^t.
+SHIFTS = {"shift", "shift-mixed", "double-index", "shift-one", "shift-general"}
 
 
 def _swap_log_bases(monkeypatch):
@@ -63,6 +65,11 @@ def _double_prefactor(monkeypatch):
     denominator = family.denominator_series
     monkeypatch.setattr(family, "denominator_series",
                         lambda spec, order: denominator(spec, order).scale(Fraction(1, 2)))
+
+
+def _exp_linear_over_n_plus_one(monkeypatch):
+    # exp_linear's 1/n is the series module's one Fraction: read it as 1/(n+1).
+    monkeypatch.setattr(series, "Fraction", lambda one, n: Fraction(one, n + 1))
 
 
 def _square_gould_hopper_weights(monkeypatch):
@@ -105,6 +112,9 @@ FAULTS = {
     "prefactor doubled": (_double_prefactor, {"sym/sym": set(), "(1, e)": {"oracle"}}),
     "Gould-Hopper weight 1/(j!)^2": (_square_gould_hopper_weights,
                                       {"sym/sym": set(), "(1, e)": set()}),
+    "`exp_linear`'s 1/n read as 1/(n+1)": (
+        _exp_linear_over_n_plus_one,
+        {"sym/sym": SHIFTS, "(1, e)": SHIFTS | {"oracle"}}),
     "member n! folded as (n+1)!": (_fold_member_factorial_as_n_plus_one_factorial,
                                    {"sym/sym": set(CHECKS) - {"oracle"}, "(1, e)": set(CHECKS)}),
     "left-side kernel drops its last of 3+ triples": (

@@ -699,11 +699,11 @@ def test_verify_all_builds_each_factor_once_per_order():
         core, small = _core_quotient.cache_info(), _small_factor.cache_info()
     # The core at orders 13 and 7.
     assert (core.misses, core.currsize) == (2, 2)
-    # At order 13: e^(arg t) phi at x and x+z, e^(arg t) alone at La and Lb
-    # (denominator).  At order 7: e^(arg t) phi at x, z, x+1, 0, 2x (P(cx)) and
-    # 3x (symmetry's G(dx)); e^(arg t) alone at x and z (phi-free tables) and
-    # at La and Lb.
-    assert (small.misses, small.currsize) == (14, 14)
+    # At order 13: e^(arg t) phi at x and x+z, e^(arg t) alone at 2La, La+Lb
+    # and 2Lb (the denominator's three exponentials, r = 2).  At order 7:
+    # e^(arg t) phi at x, z, x+1, 0, 2x (P(cx)) and 3x (symmetry's G(dx));
+    # e^(arg t) alone at x and z (phi-free tables) and at 2La, La+Lb and 2Lb.
+    assert (small.misses, small.currsize) == (16, 16)
 
 
 def _recording_builders(monkeypatch):
