@@ -18,14 +18,17 @@ and family.general_series, each at rescaled t.  Like unified_members, it
 reads its members off the last Cauchy sum with n! cancelled before the
 single normalization (PowerSeries.product_members), not through extract.
 
-A verifier run alone builds every table it reads.  verify_all builds each
-table that more than one verifier reads once, at the largest n any of them
-needs, and hands each reader a prefix: P(x) and P(x+z) at n_max + m_max,
-the general polynomials p(x) at n_max, and P(0) at n_max (when phi is unit,
-the phi-free M(x) and numbers M are the tables P(x) and P(0)).  No verifier
-reads one shared table on both of its sides, so the sides stay apart.
-They may share the factor values family caches, the core and e^(arg t) phi,
-which both sides already computed with the same code, but never a table.
+Every verifier reads its tables through _table.  Run alone, it builds
+each of them.  verify_all first builds its four shared tables, each once
+at the largest n any reader needs: P(x) and P(x+z) at n_max + m_max, the
+general polynomials p(x) at n_max, and P(0) at n_max.  It keys them by
+(spec or phi, exp_argument), which compare by value, so when phi is unit
+the phi-free M(x) and numbers M are found as P(x) and P(0).  _table hands
+each reader a prefix of a shared table and builds any other table
+afresh.  No verifier reads one shared table on both of its sides, so the
+sides stay apart.  They may share the factor values family caches, the
+core and e^(arg t) phi, which both sides already computed with the same
+code, but never a table.
 
 Right sides take their products inside the right-side kernel
 polyring.linear_combination, which multiplies each (c, a, b) triple in its
@@ -43,7 +46,7 @@ is reproducible from the report alone.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 from math import comb
@@ -115,37 +118,15 @@ def _verdict(identity: IdentityId, spec: FamilySpec, max_n: int,
     return Verdict(identity, spec, max_n, True)
 
 
-class _Tables:
-    """Where the verifiers get their tables: unified_members and general_members.
+def _table(tables: Mapping, build, of: FamilySpec | Phi, n_max: int, **kwargs) -> list[MultiPoly]:
+    """Entries 0 .. n_max of the table build(of, n_max, **kwargs).
 
-    Each shared entry (spec or phi, exp_argument, n_max) is built once, on
-    its first request, at the entry's n_max, and every request for it gets a
-    prefix; any other request is built afresh.  The builders are looked up
-    at call time, so a patched identities.unified_members sees every build.
+    tables holds verify_all's shared tables, keyed by (spec or phi,
+    exp_argument) and each at least n_max wide: a table found there is
+    handed out as a prefix, any other is built afresh.
     """
-
-    def __init__(self, shared: Iterable[tuple[FamilySpec | Phi, MultiPoly | None, int]] = ()):
-        self._shared = [[of, arg, n_max, None] for of, arg, n_max in shared]
-
-    def unified(self, spec: FamilySpec, n_max: int, **kwargs) -> list[MultiPoly]:
-        return self._get(unified_members, spec, n_max, kwargs)
-
-    def general(self, phi: Phi, n_max: int, **kwargs) -> list[MultiPoly]:
-        return self._get(general_members, phi, n_max, kwargs)
-
-    def _get(self, build, of, n_max: int, kwargs: dict) -> list[MultiPoly]:
-        arg = kwargs.get("exp_argument")
-        for entry in self._shared:
-            shared_of, shared_arg, size, table = entry
-            if shared_of == of and shared_arg == arg and n_max <= size:
-                if table is None:
-                    table = entry[3] = build(of, size, **kwargs)
-                return table[:n_max + 1]
-        return build(of, n_max, **kwargs)
-
-
-# Shares nothing, so it holds nothing: every verifier run alone builds its own tables.
-_UNSHARED = _Tables()
+    table = tables.get((of, kwargs.get("exp_argument")))
+    return build(of, n_max, **kwargs) if table is None else table[:n_max + 1]
 
 
 def binomial_convolution(a: Sequence[MultiPoly], b: Sequence[MultiPoly], n: int) -> MultiPoly:
@@ -162,7 +143,7 @@ def _convolution_verdict(identity: IdentityId, spec: FamilySpec, n_max: int,
     ))
 
 
-def verify_series_def(spec: FamilySpec, n_max: int, *, _tables: _Tables = _UNSHARED) -> Verdict:
+def verify_series_def(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> Verdict:
     """P_n(x,y) = sum_j C(n,j) * M_(n-j) * p_j(x,y).
 
     M are the family's numbers (zero exponential argument, phi-free spec)
@@ -170,24 +151,24 @@ def verify_series_def(spec: FamilySpec, n_max: int, *, _tables: _Tables = _UNSHA
     """
     return _convolution_verdict(
         IdentityId.SERIES_DEF, spec, n_max,
-        _tables.unified(spec, n_max),
-        _tables.unified(spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.zero()),
-        _tables.general(spec.phi, n_max),
+        _table(_tables, unified_members, spec, n_max),
+        _table(_tables, unified_members, spec.replace(phi=Unit()), n_max,
+               exp_argument=MultiPoly.zero()),
+        _table(_tables, general_members, spec.phi, n_max),
     )
 
 
-def verify_shift(spec: FamilySpec, n_max: int, *, _tables: _Tables = _UNSHARED) -> Verdict:
+def verify_shift(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> Verdict:
     """P_n(x+z, y) = sum_m C(n,m) * P_m(x,y) * z^(n-m)."""
     return _convolution_verdict(
         IdentityId.SHIFT, spec, n_max,
-        _tables.unified(spec, n_max, exp_argument=_x_plus_z()),
+        _table(_tables, unified_members, spec, n_max, exp_argument=_x_plus_z()),
         _powers(MultiPoly.var(VarId.Z), n_max),
-        _tables.unified(spec, n_max),
+        _table(_tables, unified_members, spec, n_max),
     )
 
 
-def verify_shift_mixed(spec: FamilySpec, n_max: int, *,
-                       _tables: _Tables = _UNSHARED) -> Verdict:
+def verify_shift_mixed(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> Verdict:
     """P_n(x+z, y) = sum_j C(n,j) * M_j(x) * p_(n-j)(z, y).
 
     M_j(x) are the phi-free family polynomials in x; p are the general
@@ -195,14 +176,14 @@ def verify_shift_mixed(spec: FamilySpec, n_max: int, *,
     """
     return _convolution_verdict(
         IdentityId.SHIFT_MIXED, spec, n_max,
-        _tables.unified(spec, n_max, exp_argument=_x_plus_z()),
-        _tables.general(spec.phi, n_max, exp_argument=MultiPoly.var(VarId.Z)),
-        _tables.unified(spec.replace(phi=Unit()), n_max),
+        _table(_tables, unified_members, spec, n_max, exp_argument=_x_plus_z()),
+        _table(_tables, general_members, spec.phi, n_max, exp_argument=MultiPoly.var(VarId.Z)),
+        _table(_tables, unified_members, spec.replace(phi=Unit()), n_max),
     )
 
 
 def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
-                        _tables: _Tables = _UNSHARED) -> Verdict:
+                        _tables: Mapping = {}) -> Verdict:
     """P_(n+m)(z,y) = sum_{p<=n, q<=m} C(n,p) C(m,q) (z-x)^(p+q) P_(n+m-p-q)(x,y).
 
     Checked for every pair (n, m) with n <= n_max and m <= m_max, after the
@@ -218,8 +199,8 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
     check_int("n_max", n_max, 0)
     check_int("m_max", m_max, 0)
     total = n_max + m_max
-    shifted = _tables.unified(spec, total, exp_argument=_x_plus_z())
-    in_x = _tables.unified(spec, total)
+    shifted = _table(_tables, unified_members, spec, total, exp_argument=_x_plus_z())
+    in_x = _table(_tables, unified_members, spec, total)
     h_powers = _powers(MultiPoly.var(VarId.Z), total)
     unshift = {VarId.Z: MultiPoly.var(VarId.Z) - MultiPoly.var(VarId.X)}
     rows = [[comb(k, j) for j in range(k + 1)] for k in range(max(n_max, m_max) + 1)]
@@ -245,7 +226,7 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
     return _verdict(IdentityId.DOUBLE_INDEX, spec, n_max, pairs())
 
 
-def verify_shift_one(spec: FamilySpec, n_max: int, *, _tables: _Tables = _UNSHARED) -> Verdict:
+def verify_shift_one(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> Verdict:
     """P_n(x+1, y) = sum_m C(n,m) * P_(n-m)(x,y).
 
     The left side re-expands with the exponential argument x + 1 rather than
@@ -253,14 +234,13 @@ def verify_shift_one(spec: FamilySpec, n_max: int, *, _tables: _Tables = _UNSHAR
     """
     return _convolution_verdict(
         IdentityId.SHIFT_ONE, spec, n_max,
-        _tables.unified(spec, n_max, exp_argument=MultiPoly.var(VarId.X) + 1),
+        _table(_tables, unified_members, spec, n_max, exp_argument=MultiPoly.var(VarId.X) + 1),
         [MultiPoly.one()] * (n_max + 1),
-        _tables.unified(spec, n_max),
+        _table(_tables, unified_members, spec, n_max),
     )
 
 
-def verify_shift_general(spec: FamilySpec, n_max: int, *,
-                         _tables: _Tables = _UNSHARED) -> Verdict:
+def verify_shift_general(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> Verdict:
     """P_n(x+z, y) = sum_m C(n,m) * M_(n-m)(z) * p_m(x, y).
 
     The companion of the mixed shift with the roles of the two variables
@@ -268,14 +248,15 @@ def verify_shift_general(spec: FamilySpec, n_max: int, *,
     """
     return _convolution_verdict(
         IdentityId.SHIFT_GENERAL, spec, n_max,
-        _tables.unified(spec, n_max, exp_argument=_x_plus_z()),
-        _tables.unified(spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.var(VarId.Z)),
-        _tables.general(spec.phi, n_max),
+        _table(_tables, unified_members, spec, n_max, exp_argument=_x_plus_z()),
+        _table(_tables, unified_members, spec.replace(phi=Unit()), n_max,
+               exp_argument=MultiPoly.var(VarId.Z)),
+        _table(_tables, general_members, spec.phi, n_max),
     )
 
 
 def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int, *,
-                    _tables: _Tables = _UNSHARED) -> Verdict:
+                    _tables: Mapping = {}) -> Verdict:
     """sum_m C(n,m) c^(n-m) d^m P_(n-m)(dx,y) P_m(0,y) is symmetric in c, d.
 
     This is the z = 0 case of F(ct; dx) F(dt; cz) = F(dt; cx) F(ct; dz) for
@@ -292,8 +273,9 @@ def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int, *,
     check_int("n_max", n_max, 0)
     return _convolution_verdict(
         IdentityId.SYMMETRY, spec, n_max, _symmetry_left_side(spec, c, d, n_max),
-        _scaled(_tables.unified(spec, n_max, exp_argument=MultiPoly.var(VarId.X) * c), d),
-        _scaled(_tables.unified(spec, n_max, exp_argument=MultiPoly.zero()), c),
+        _scaled(_table(_tables, unified_members, spec, n_max,
+                       exp_argument=MultiPoly.var(VarId.X) * c), d),
+        _scaled(_table(_tables, unified_members, spec, n_max, exp_argument=MultiPoly.zero()), c),
     )
 
 
@@ -332,20 +314,24 @@ def verify_all(spec: FamilySpec, n_max: int, *, c: Scalar = AUXILIARY["c"],
                d: Scalar = AUXILIARY["d"], m_max: int | None = None) -> list[Verdict]:
     """Run every identity with the same auxiliary arguments, one verdict each.
 
-    The verifiers share the tables below, dropped on return; bounds and scalars are checked first.
+    Bounds and scalars are checked first; then the four shared tables below
+    are built once, keyed as _table looks them up, and dropped on return.
     """
     args = _arguments(n_max, c, d, m_max)
     check_int("n_max", n_max, 0)
     total = n_max + check_int("m_max", args["m_max"], 0)
     _symmetry_scalars(c, d)
-    tables = _Tables([
-        (spec, None, total),  # P(x): series-def, shift, double-index, shift-one
-        (spec, _x_plus_z(), total),  # P(x+z): shift, shift-mixed, double-index, shift-general
-        (spec.phi, None, n_max),  # p(x): series-def, shift-general
-        # P(0): symmetry, and series-def's numbers M when phi is unit; symmetry
-        # runs last, so holding P(0) for it alone costs nothing.
-        (spec, MultiPoly.zero(), n_max),
-    ])
+    x_plus_z, zero = _x_plus_z(), MultiPoly.zero()
+    tables = {
+        # P(x): series-def, shift, double-index, shift-one
+        (spec, None): unified_members(spec, total),
+        # P(x+z): shift, shift-mixed, double-index, shift-general
+        (spec, x_plus_z): unified_members(spec, total, exp_argument=x_plus_z),
+        # p(x): series-def, shift-general
+        (spec.phi, None): general_members(spec.phi, n_max),
+        # P(0): symmetry, and series-def's numbers M when phi is unit
+        (spec, zero): unified_members(spec, n_max, exp_argument=zero),
+    }
     return [_run(identity, spec, args, tables) for identity in IdentityId]
 
 
@@ -355,14 +341,14 @@ def verify_identity(identity: IdentityId, spec: FamilySpec, n_max: int, *,
     """Run one identity alone with verify_all's auxiliary parameters."""
     if not isinstance(identity, IdentityId):
         raise ValueError(f"identity must be an IdentityId, got {identity!r}")
-    return _run(identity, spec, _arguments(n_max, c, d, m_max), _UNSHARED)
+    return _run(identity, spec, _arguments(n_max, c, d, m_max), {})
 
 
 def _arguments(n_max: int, c: Scalar, d: Scalar, m_max: int | None) -> dict:
     return {"n_max": n_max, "c": c, "d": d, "m_max": n_max if m_max is None else m_max}
 
 
-def _run(identity: IdentityId, spec: FamilySpec, args: dict, tables: _Tables) -> Verdict:
+def _run(identity: IdentityId, spec: FamilySpec, args: dict, tables: Mapping) -> Verdict:
     return globals()[identity.verifier](spec, *(args[a] for a in identity.args), _tables=tables)
 
 

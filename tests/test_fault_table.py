@@ -1,11 +1,13 @@
-"""Fault coverage: which checks catch each of eight faults in building and checking tables.
+"""Fault coverage: which checks catch each of nine faults in building and checking tables.
 
 Each fault is patched on cold caches and changes one thing: five below the
 factor caches, one in the step that reads the members off the product of
-the two factors, which extract no longer guards, and two in the product
-kernels.  The left-side kernel, as the series products call it, drops the
-last of 3 or more triples; the right-side kernel drops its last triple,
-which changes no table, only every right side.
+the two factors, which extract no longer guards, two in the product
+kernels, and one in the verifiers' exponential argument x+z.  The
+left-side kernel, as the series products call it, drops the last of 3 or
+more triples; the right-side kernel drops its last triple, which changes
+no table, only every right side.  Reading x+z as x changes no table either,
+only the verifiers that read P(x+z).
 The checks are the seven verdicts of
 verify_all at n = 5, plus, for the (1, e) spec, its phi-free table against
 special_case_oracle, which builds the Apostol-Euler table from its own
@@ -34,6 +36,7 @@ from apostol.family import (
     special_case_oracle,
 )
 from apostol.identities import IdentityId, verify_all
+from apostol.polyring import MultiPoly, VarId
 
 from helpers import cold_factor_caches
 
@@ -104,6 +107,11 @@ def _drop_last_right_side_triple(monkeypatch):
                         lambda triples: kernel(list(triples)[:-1]))
 
 
+def _x_plus_z_read_as_x(monkeypatch):
+    # identities names x+z in one place: read it as x.
+    monkeypatch.setattr(identities, "_x_plus_z", lambda: MultiPoly.var(VarId.X))
+
+
 # fault -> (patch, {spec: the checks that catch it}); "none" patches nothing.
 FAULTS = {
     "none": (lambda monkeypatch: None, {"sym/sym": set(), "(1, e)": set()}),
@@ -123,7 +131,12 @@ FAULTS = {
     "right-side kernel drops its last triple": (
         _drop_last_right_side_triple,
         {"sym/sym": set(CHECKS) - {"oracle"}, "(1, e)": set(CHECKS) - {"oracle"}}),
+    "x+z read as x": (_x_plus_z_read_as_x,
+                      {"sym/sym": SHIFTS - {"shift-one"}, "(1, e)": SHIFTS - {"shift-one"}}),
 }
+# The rows whose fault is in the core or in phi, which symmetry cannot see.
+CORE_OR_PHI = ["La and Lb swapped", "every alpha + 1/1000", "prefactor doubled",
+               "Gould-Hopper weight 1/(j!)^2"]
 
 
 def _caught(spec: FamilySpec) -> set[str]:
@@ -150,11 +163,23 @@ def test_each_fault_is_caught_by_exactly_its_pinned_checks(monkeypatch, fault):
         changed = {name for name, spec in SPECS.items() if _table(spec) != clean[name]}
         caught = {name: _caught(spec) for name, spec in SPECS.items()}
     assert caught == expected
-    # The base swap has nothing to swap on (1, e), and the right-side kernel
-    # builds no table, so only a verdict can catch its drop.
+    # The base swap has nothing to swap on (1, e), and neither the right-side
+    # kernel nor x+z builds a table, so only a verdict can catch their faults.
     unchanged = {"none": set(SPECS), "La and Lb swapped": {"(1, e)"},
-                 "right-side kernel drops its last triple": set(SPECS)}.get(fault, set())
+                 "right-side kernel drops its last triple": set(SPECS),
+                 "x+z read as x": set(SPECS)}.get(fault, set())
     assert changed == set(SPECS) - unchanged
+
+
+def test_the_table_keeps_its_structure():
+    # Double-index at m = 0 is the shift identity, so on every row the two
+    # are caught or missed together.  Symmetry's product is symmetric for
+    # any core and any phi, so it passes every fault in either.
+    for fault, (_, expected) in FAULTS.items():
+        for name, caught in expected.items():
+            assert ("shift" in caught) == ("double-index" in caught), (fault, name)
+            if fault in CORE_OR_PHI:
+                assert "symmetry" not in caught, (fault, name)
 
 
 def fault_table_markdown() -> str:

@@ -731,21 +731,24 @@ def _distinct_tables(requests):
 
 @pytest.mark.parametrize("spec", [*PRESETS.values(), SYM_GH2], ids=[*PRESETS, "sym-sym-gh2"])
 def test_verify_all_requests_each_table_once(monkeypatch, spec):
-    n_max, m_max = 3, 2
     requests = _recording_builders(monkeypatch)
-    for identity in IdentityId:
-        identities_mod.verify_identity(identity, spec, n_max, m_max=m_max)
-    alone = _distinct_tables(requests)
+    # m_max below n_max, zero (every shared table is n_max wide) and above
+    # n_max (P(x) and P(x+z) more than twice n_max wide).
+    for n_max, m_max in [(3, 2), (3, 0), (2, 4)]:
+        requests.clear()
+        for identity in IdentityId:
+            identities_mod.verify_identity(identity, spec, n_max, m_max=m_max)
+        alone = _distinct_tables(requests)
 
-    requests.clear()
-    verify_all(spec, n_max, m_max=m_max)
-    shared = [(name, of, arg) for name, of, arg, _ in requests]
-    assert _distinct_tables(requests) == shared  # no table is built twice
-    assert len(shared) == len(alone) and all(t in shared for t in alone)
-    for name, of, arg, n in requests:
-        # only P(x) and P(x+z) are read beyond n_max, by double-index
-        wide = name == "unified_members" and of == spec and (arg is None or arg == X + Z)
-        assert n == (n_max + m_max if wide else n_max), (name, of, arg)
+        requests.clear()
+        verify_all(spec, n_max, m_max=m_max)
+        shared = [(name, of, arg) for name, of, arg, _ in requests]
+        assert _distinct_tables(requests) == shared  # no table is built twice
+        assert len(shared) == len(alone) and all(t in shared for t in alone)
+        for name, of, arg, n in requests:
+            # only P(x) and P(x+z) are read beyond n_max, by double-index
+            wide = name == "unified_members" and of == spec and (arg is None or arg == X + Z)
+            assert n == (n_max + m_max if wide else n_max), (n_max, m_max, name, of, arg)
 
 
 def test_verify_all_rejects_a_bad_m_max_before_building_any_table(monkeypatch):
@@ -772,8 +775,10 @@ def test_verify_all_rejects_a_bad_symmetry_scalar_before_building_any_table(
 
 @pytest.mark.parametrize("spec", [*PRESETS.values(), SYM_GH2], ids=[*PRESETS, "sym-sym-gh2"])
 def test_verify_all_returns_the_verdicts_of_the_verifiers_run_alone(spec):
-    alone = [identities_mod.verify_identity(identity, spec, 4, m_max=3) for identity in IdentityId]
-    assert verify_all(spec, 4, m_max=3) == alone
+    for n_max, m_max in [(4, 3), (4, 0), (2, 5)]:  # m_max below, at zero and above n_max
+        alone = [identities_mod.verify_identity(identity, spec, n_max, m_max=m_max)
+                 for identity in IdentityId]
+        assert verify_all(spec, n_max, m_max=m_max) == alone, (n_max, m_max)
 
 
 # (shared table, builder, phi kind, kwargs, the verifiers that read it under verify_all)
