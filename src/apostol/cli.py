@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Iterable
 from fractions import Fraction
 
 from .family import (
@@ -28,12 +27,8 @@ from .family import (
 )
 from .identities import AUXILIARY, IdentityId, Verdict, verify_all, verify_identity
 from .identities import verify_shift  # noqa: F401  (unused; the bench tracer test patches it)
-from .polyring import MultiPoly, VarId, format_poly, render_terms
+from .polyring import LATEX_SPELLING, format_poly, json_terms, render_terms
 from .series import SeriesError
-
-JSON_EXPONENT_KEYS = tuple(v.json_key for v in VarId)
-
-LATEX_VAR_NAMES = tuple(v.latex for v in VarId)
 
 # The table formats: the --format choices of expand and table, and render_table's cases.
 FORMATS = JSON, CSV, LATEX = ("json", "csv", "latex")
@@ -51,25 +46,6 @@ TABLE_PRESET_NOTES = {
 
 
 # -- rendering ----------------------------------------------------------------
-
-
-def poly_to_json_terms(p: MultiPoly) -> list[dict]:
-    terms = []
-    for exps, num, den in p.reduced_terms():
-        term: dict = {"coeff": f"{num}" if den == 1 else f"{num}/{den}"}
-        for key, e in zip(JSON_EXPONENT_KEYS, exps):
-            if e:
-                term[key] = e
-        terms.append(term)
-    return terms
-
-
-def _latex_rows(polys: Iterable[MultiPoly]) -> list[str]:
-    return render_terms(polys, LATEX_VAR_NAMES, " ", ("^{", "}"), (r"\frac{", "}{", "}"))
-
-
-def poly_to_latex(p: MultiPoly) -> str:
-    return _latex_rows([p])[0]
 
 
 def spec_to_json(spec: FamilySpec) -> dict:
@@ -101,9 +77,7 @@ def render_table(table: PolyTable, fmt: str, *, preset: str | None = None) -> st
         if note:
             doc["note"] = note
         doc["n_max"] = table.n_max
-        doc["entries"] = [
-            {"n": n, "terms": poly_to_json_terms(p)} for n, p in table
-        ]
+        doc["entries"] = [{"n": n, "terms": json_terms(p)} for n, p in table]
         return json.dumps(doc, indent=2) + "\n"
     if fmt == CSV:
         lines = [f"# {table.label}"]
@@ -117,7 +91,8 @@ def render_table(table: PolyTable, fmt: str, *, preset: str | None = None) -> st
         if note:
             lines.append(f"% {note}")
         lines += [r"\begin{tabular}{rl}", r"\hline", r"$n$ & $P_n$ \\", r"\hline"]
-        lines.extend(rf"{n} & ${row}$ \\" for n, row in enumerate(_latex_rows(p for _, p in table)))
+        rows = render_terms((p for _, p in table), LATEX_SPELLING)
+        lines.extend(rf"{n} & ${row}$ \\" for n, row in enumerate(rows))
         lines += [r"\hline", r"\end{tabular}"]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format: {fmt}")

@@ -388,9 +388,6 @@ class PolyTable(Record):
     def n_max(self) -> int:
         return len(self.entries) - 1
 
-    def poly(self, n: int) -> MultiPoly:
-        return self.entries[n][1]
-
     def __iter__(self):
         return iter(self.entries)
 

@@ -27,9 +27,11 @@ mapping).  Two polynomials are therefore equal exactly when their numerator
 maps and denominators are equal; there is no normalization step to forget.
 The hash reads the same two, so a polynomial can key a dict or a cache.
 Fractions are built only at the edges (terms and constant_value).
-render_terms renders a run of polynomials, reducing each coefficient with one
-gcd and spelling each distinct monomial once per call from its packed key;
-only the CLI's JSON output reads reduced integer pairs from reduced_terms.
+This module is the one place that spells terms.  One walk, _reduced_terms,
+gives a polynomial's terms in graded-lex order (descending packed keys) with
+each coefficient reduced by one gcd; render_terms (a run of polynomials as
+text, in PLAIN_SPELLING or LATEX_SPELLING) and json_terms (one polynomial as
+JSON objects) both read it.
 
 Scalars are exact: every coefficient and scalar operand must be an int or a
 Fraction (is_exact_scalar), and substitute sends each bound variable to such
@@ -72,7 +74,12 @@ class VarId(IntEnum):
 
 NVARS = len(VarId)
 
-VAR_NAMES = tuple(v.plain for v in VarId)
+# The two text spellings of render_terms, each (variable names, product
+# separator, exponent (open, close), fraction (open, middle, close)).
+PLAIN_SPELLING = (tuple(v.plain for v in VarId), "*", ("^", ""), ("", "/", ""))
+LATEX_SPELLING = (tuple(v.latex for v in VarId), " ", ("^{", "}"), (r"\frac{", "}{", "}"))
+
+_JSON_KEYS = tuple(v.json_key for v in VarId)
 
 Exponents = tuple[int, ...]
 
@@ -256,22 +263,6 @@ class MultiPoly:
         if len(self._nums) == 1 and 0 in self._nums:
             return Fraction(self._nums[0], self._den)
         return None
-
-    def reduced_terms(self) -> list[tuple[Exponents, int, int]]:
-        """(exponents, numerator, denominator) per term, in graded-lex order.
-
-        Each coefficient is reduced on its own, with a positive denominator.
-        The ordering (total degree, then exponent vector on the canonical
-        variable order, leading term first) is integer order on packed keys,
-        the order render_terms also walks; the CLI's JSON rendering reads it.
-        """
-        nums, den = self._nums, self._den
-        out = []
-        for k in sorted(nums, reverse=True):
-            v = nums[k]
-            g = gcd(v, den)
-            out.append((_unpack(k), v // g, den // g))
-        return out
 
     # -- arithmetic --------------------------------------------------------
 
@@ -471,35 +462,42 @@ def linear_combination(triples: Iterable[tuple[Scalar, MultiPoly, MultiPoly]]) -
     return MultiPoly._normalized(out, den)
 
 
-def render_terms(polys: Iterable[MultiPoly], names: tuple[str, ...] = VAR_NAMES,
-                 times: str = "*", power: tuple[str, str] = ("^", ""),
-                 fraction: tuple[str, str, str] = ("", "/", "")) -> list[str]:
-    """The one term loop behind every text rendering: one string per polynomial.
+def _reduced_terms(p: MultiPoly) -> list[tuple[int, int, int]]:
+    """(packed key, numerator, denominator) per term of p, in graded-lex order.
 
-    Graded-lex order (descending packed keys), leading term first, unit
-    coefficients dropped, and "0" for the zero polynomial.  The caller spells
-    the variable names, the product separator, the exponent brackets (open,
-    close) and the fraction (open, middle, close); the defaults are the plain
-    spelling of format_poly.  Each distinct monomial is spelled once per call,
-    from its packed key, so the rows of a table share that work.
+    Graded-lex order (total degree, then the exponent vector in VarId order,
+    leading term first) is descending order on packed keys.  Each coefficient
+    is reduced on its own, by one gcd, to a positive denominator.
     """
-    pow_open, pow_close = power
-    frac_open, frac_mid, frac_close = fraction
+    nums, den = p._nums, p._den
+    out = []
+    for k in sorted(nums, reverse=True):
+        num = nums[k]
+        g = gcd(num, den)
+        out.append((k, num // g, den // g))
+    return out
+
+
+def render_terms(polys: Iterable[MultiPoly], spelling: tuple = PLAIN_SPELLING) -> list[str]:
+    """The text of each polynomial in polys, in PLAIN_SPELLING or LATEX_SPELLING.
+
+    Terms in graded-lex order, unit coefficients dropped, and "0" for the zero
+    polynomial.  Each distinct monomial is spelled once per call, from its
+    packed key, so the rows of a table share that work.
+    """
+    names, times, (pow_open, pow_close), (frac_open, frac_mid, frac_close) = spelling
     monos: dict[int, str] = {}
     rows = []
     for p in polys:
-        nums, den = p._nums, p._den
         pieces = []
-        for k in sorted(nums, reverse=True):
+        for k, num, den in _reduced_terms(p):
             mono = monos.get(k)
             if mono is None:
                 mono = monos[k] = times.join(
                     names[v] if e == 1 else f"{names[v]}{pow_open}{e}{pow_close}"
                     for v, e in enumerate(_unpack(k)) if e)
-            num = nums[k]
-            g = gcd(num, den)
-            mag, d = abs(num) // g, den // g
-            coeff = f"{mag}" if d == 1 else f"{frac_open}{mag}{frac_mid}{d}{frac_close}"
+            mag = abs(num)
+            coeff = f"{mag}" if den == 1 else f"{frac_open}{mag}{frac_mid}{den}{frac_close}"
             body = coeff if not mono else mono if coeff == "1" else f"{coeff}{times}{mono}"
             if pieces:
                 pieces.append(f"- {body}" if num < 0 else f"+ {body}")
@@ -507,6 +505,21 @@ def render_terms(polys: Iterable[MultiPoly], names: tuple[str, ...] = VAR_NAMES,
                 pieces.append(f"-{body}" if num < 0 else body)
         rows.append(" ".join(pieces) if pieces else "0")
     return rows
+
+
+def json_terms(p: MultiPoly) -> list[dict]:
+    """p's terms in graded-lex order as JSON objects.
+
+    Each is {"coeff": "n" or "n/d"}, then each nonzero exponent under its JSON key.
+    """
+    terms = []
+    for k, num, den in _reduced_terms(p):
+        term: dict = {"coeff": f"{num}" if den == 1 else f"{num}/{den}"}
+        for key, e in zip(_JSON_KEYS, _unpack(k)):
+            if e:
+                term[key] = e
+        terms.append(term)
+    return terms
 
 
 def format_poly(p: MultiPoly) -> str:

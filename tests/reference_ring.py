@@ -13,6 +13,7 @@ from fractions import Fraction
 
 NAMES = ("x", "y", "z", "La", "Lb")
 LATEX_NAMES = ("x", "y", "z", r"\log a", r"\log b")
+JSON_KEYS = ("x", "y", "z", "la", "lb")
 ZERO_EXPS = (0,) * len(NAMES)
 
 
@@ -112,3 +113,9 @@ def latex_ref(p: RefPoly) -> str:
         sign = "-" if coeff < 0 else ("" if i == 0 else "+")
         pieces.append(f"{sign}{body}" if i == 0 else f"{sign} {body}")
     return " ".join(pieces)
+
+
+def json_ref(p: RefPoly) -> list[dict]:
+    """The CLI's JSON terms: graded-lex, a "n" or "n/d" coefficient, then each nonzero exponent."""
+    return [{"coeff": str(coeff), **{k: e for k, e in zip(JSON_KEYS, exps) if e}}
+            for exps, coeff in p.sorted_terms()]

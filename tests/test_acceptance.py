@@ -72,20 +72,20 @@ def test_criterion_1_reduction_suite():
             for r in [1, 2]:
                 n_max = 8
                 # Bernoulli-type: k=1, alphas = lam, factor (-1)^r
-                fam = extract_table(FamilySpec(r, 1, *ONE_E, (lam,) * r), n_max)
-                oracle = special_case_oracle(ClassicalFamily.APOSTOL_BERNOULLI, r, lam, n_max)
+                fam = dict(extract_table(FamilySpec(r, 1, *ONE_E, (lam,) * r), n_max))
+                oracle = dict(special_case_oracle(ClassicalFamily.APOSTOL_BERNOULLI, r, lam, n_max))
                 for n in range(n_max + 1):
-                    assert fam.poly(n) == Fraction((-1) ** r) * oracle.poly(n)
+                    assert fam[n] == Fraction((-1) ** r) * oracle[n]
                 # Euler-type: k=0, alphas = -lam, factor 1
-                fam = extract_table(FamilySpec(r, 0, *ONE_E, (-lam,) * r), n_max)
-                oracle = special_case_oracle(ClassicalFamily.APOSTOL_EULER, r, lam, n_max)
+                fam = dict(extract_table(FamilySpec(r, 0, *ONE_E, (-lam,) * r), n_max))
+                oracle = dict(special_case_oracle(ClassicalFamily.APOSTOL_EULER, r, lam, n_max))
                 for n in range(n_max + 1):
-                    assert fam.poly(n) == oracle.poly(n)
+                    assert fam[n] == oracle[n]
                 # Genocchi-type: k=1, alphas = -lam, factor 2^(-r)
-                fam = extract_table(FamilySpec(r, 1, *ONE_E, (-lam,) * r), n_max)
-                oracle = special_case_oracle(ClassicalFamily.APOSTOL_GENOCCHI, r, lam, n_max)
+                fam = dict(extract_table(FamilySpec(r, 1, *ONE_E, (-lam,) * r), n_max))
+                oracle = dict(special_case_oracle(ClassicalFamily.APOSTOL_GENOCCHI, r, lam, n_max))
                 for n in range(n_max + 1):
-                    assert fam.poly(n) == Fraction(1, 2 ** r) * oracle.poly(n)
+                    assert fam[n] == Fraction(1, 2 ** r) * oracle[n]
 
 
 def test_criterion_2_classical_values():
@@ -101,15 +101,15 @@ def test_criterion_2_classical_values():
         assert genocchi_nums[0] == 0
         assert genocchi_nums[1] == 1
 
-        fam_e = extract_table(PRESETS["euler"], 4)
+        fam_e = dict(extract_table(PRESETS["euler"], 4))
         for n in range(5):
-            assert fam_e.poly(n) == euler[n]
-        fam_b = extract_table(PRESETS["bernoulli"], 4)
+            assert fam_e[n] == euler[n]
+        fam_b = dict(extract_table(PRESETS["bernoulli"], 4))
         for n in range(5):
-            assert fam_b.poly(n) == -bernoulli[n]
-        fam_g = extract_table(PRESETS["genocchi"], 6)
+            assert fam_b[n] == -bernoulli[n]
+        fam_g = dict(extract_table(PRESETS["genocchi"], 6))
         for n in range(7):
-            at_zero = fam_g.poly(n).substitute({VarId.X: 0})
+            at_zero = fam_g[n].substitute({VarId.X: 0})
             assert at_zero == MultiPoly.const(genocchi_nums[n] / 2)
 
 

@@ -164,6 +164,8 @@ def test_every_variable_keeps_its_spelling_in_every_format():
     assert render_table(table, "latex").splitlines()[5:7] == [
         r"0 & $x y z \log a \log b$ \\",
         r"1 & $z^{3} - \frac{2}{3} \log a^{2} \log b - \log b + 1$ \\"]
+    with pytest.raises(ValueError, match="^unknown format: xml$"):
+        render_table(table, "xml")
 
 
 def test_a_json_table_names_a_preset_only_when_one_is_passed():

@@ -16,14 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apostol import polyring
-from apostol.cli import poly_to_latex
 from apostol.family import FamilySpec, GouldHopper, LogBase, unified_members
-from apostol.polyring import (MAX_DEGREE, NVARS, MultiPoly, VarId, format_poly,
-                              linear_combination, sum_of_products)
+from apostol.polyring import (LATEX_SPELLING, MAX_DEGREE, NVARS, MultiPoly, VarId,
+                              format_poly, json_terms, linear_combination, render_terms,
+                              sum_of_products)
 from apostol.series import PowerSeries
 
 from helpers import exps
-from reference_ring import ZERO_EXPS, RefPoly, format_ref, latex_ref
+from reference_ring import ZERO_EXPS, RefPoly, format_ref, json_ref, latex_ref
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -148,10 +148,10 @@ def test_substitute(pt, bindings):
 @given(term_maps)
 def test_ordering_rendering_and_constants(pt):
     p, rp = both(pt)
-    assert [(e, Fraction(n, d)) for e, n, d in p.reduced_terms()] == rp.sorted_terms()
     assert format_poly(p) == format_ref(rp)
-    # The LaTeX golden files hold no z, log a, log b or exponent >= 10; this does.
-    assert poly_to_latex(p) == latex_ref(rp)
+    # The JSON and LaTeX golden files hold no z, log a, log b or exponent >= 10; this does.
+    assert json_terms(p) == json_ref(rp)
+    assert render_terms([p], LATEX_SPELLING) == [latex_ref(rp)]
     assert p.constant_value() == rp.constant_value()
 
 
