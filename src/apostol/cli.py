@@ -133,6 +133,25 @@ def _parse_phi(kind: str, m: int | None) -> Phi:
     return PRESETS["hermite"].phi if kind == "hermite" else Phi(kind, m)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, as each of its subparsers is, whose flags store through _StoreOnce."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)
+
+
+class _StoreOnce(argparse.Action):
+    # A flag given twice, even abbreviated, is a usage error (exit 2).  The flags
+    # stored so far are kept in the namespace being filled, a fresh one per subparser.
+    def __call__(self, parser, namespace, values, option_string=None):
+        stored = vars(namespace).setdefault("stored_flags", set())
+        if self.dest in stored:
+            raise argparse.ArgumentError(self, "given more than once")
+        stored.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def _given(args: argparse.Namespace, *names: str) -> list[str]:
     """The flags among names that were set on the command line (parser default None)."""
     return [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
@@ -239,7 +258,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="apostol",
         description="Expand unified Apostol-type polynomial families and "
                     "verify their summation and symmetry identities exactly.",

@@ -170,12 +170,10 @@ def phi_series(phi: Phi, order: int) -> PowerSeries:
         return PowerSeries.one(order)
     y = MultiPoly.var(VarId.Y)
     coeffs = [MultiPoly.zero()] * check_int("order", order, 1)
-    j = 0
     ypow = MultiPoly.one()
-    while j * phi.step < order:
-        coeffs[j * phi.step] = ypow * weight(j)
+    for j, i in enumerate(range(0, order, phi.step)):  # w_j (y t^step)^j
+        coeffs[i] = ypow * weight(j)
         ypow = ypow * y
-        j += 1
     return PowerSeries(coeffs)
 
 
@@ -427,19 +425,13 @@ def special_case_oracle(which: ClassicalFamily, r: int, lam: Scalar,
     check_int("n_max", n_max, 0)
     lam = Fraction(lam)
     if which is ClassicalFamily.APOSTOL_BERNOULLI:
-        valuation = r if lam == 1 else 0
-        sign = Fraction(-1)
-        t_shift, scalar = r, Fraction(1)
-    elif which is ClassicalFamily.APOSTOL_EULER:
-        if lam == -1:
-            raise ValueError("lambda = -1 makes the Euler denominator vanish at t = 0")
-        valuation, sign = 0, Fraction(1)
-        t_shift, scalar = 0, Fraction(2) ** r
-    else:
-        if lam == -1:
-            raise ValueError("lambda = -1 makes the Genocchi denominator vanish at t = 0")
-        valuation, sign = 0, Fraction(1)
-        t_shift, scalar = r, Fraction(2) ** r
+        valuation, sign, t_shift, scalar = (r if lam == 1 else 0), Fraction(-1), r, Fraction(1)
+    elif lam == -1:
+        name = which.value.removeprefix("apostol-").capitalize()
+        raise ValueError(f"lambda = -1 makes the {name} denominator vanish at t = 0")
+    else:  # Euler and Genocchi share 2 / (lam e^t + 1); Genocchi's numerator carries t^r
+        valuation, sign, scalar = 0, Fraction(1), Fraction(2) ** r
+        t_shift = r if which is ClassicalFamily.APOSTOL_GENOCCHI else 0
     order = n_max + valuation + 1
     exp_t = PowerSeries.exp_linear(MultiPoly.one(), order)
     den_factor = exp_t.scale(lam) + PowerSeries.one(order).scale(sign)

@@ -30,14 +30,15 @@ sides stay apart.  They may share the factor values family caches, the
 core and e^(arg t) phi, which both sides already computed with the same
 code, but never a table.
 
-Right sides take their products inside the right-side kernel
+Every identity is checked as lhs[n] == binomial_convolution(a, b, n), and
+every right side takes its products inside the right-side kernel
 polyring.linear_combination, which multiplies each (c, a, b) triple in its
 own loop and normalizes once per right side.  It shares no code with
 polyring.sum_of_products, the left-side kernel behind ring * and every series
 product, so a fault in either shows as a FAIL instead of cancelling out.
-The double-index identity is checked after the automorphism z -> x + h,
-where its right side needs only monomial shifts h^s; a counterexample is
-mapped back with MultiPoly.substitute({Z: z - x}).
+The double-index identity is checked after the automorphism z -> x + h, once
+per N = n + m, as the convolution of monomial shifts h^s with P(x); a
+counterexample is mapped back with MultiPoly.substitute({Z: z - x}).
 
 On failure the verdict carries the smallest failing index tuple in
 lexicographic order together with both polynomials, so a broken identity
@@ -187,14 +188,13 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
     """P_(n+m)(z,y) = sum_{p<=n, q<=m} C(n,p) C(m,q) (z-x)^(p+q) P_(n+m-p-q)(x,y).
 
     Checked for every pair (n, m) with n <= n_max and m <= m_max, after the
-    ring automorphism z -> x + h (h in the z slot): the identity holds exactly
-    when P_N(x+h, y) = sum_s w_s h^s P_(N-s)(x,y), N = n + m, holds.  The left
-    side is the x+h table, the right side one linear combination of monomial
-    shifts.  Each pair's weights w_s = sum_p C(n,p) C(m,s-p) are computed
-    as the product of the binomial rows n and m, built once from comb.  The
-    weights fix the check, so a pair with an earlier pair's weights is
-    skipped: that pair made the same comparison, which passed.  A
-    counterexample is mapped back to (x, z).
+    ring automorphism z -> x + h (h in the z slot).  Grouped by s = p + q, the
+    pair's weights are sum_p C(n,p) C(m,s-p) = C(n+m, s) (Vandermonde), so the
+    pair holds exactly when P_N(x+h, y) = sum_s C(N,s) h^s P_(N-s)(x,y),
+    N = n + m, holds: the left side is the x+h table, the right side a binomial
+    convolution of monomial shifts.  That is one comparison per N, reported at
+    the first pair in lexicographic order with that N,
+    (max(0, N - m_max), min(N, m_max)).  A counterexample is mapped back to (x, z).
     """
     check_int("n_max", n_max, 0)
     check_int("m_max", m_max, 0)
@@ -203,25 +203,13 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
     in_x = _table(_tables, unified_members, spec, total)
     h_powers = _powers(MultiPoly.var(VarId.Z), total)
     unshift = {VarId.Z: MultiPoly.var(VarId.Z) - MultiPoly.var(VarId.X)}
-    rows = [[comb(k, j) for j in range(k + 1)] for k in range(max(n_max, m_max) + 1)]
-    checked: set[tuple[int, ...]] = set()
 
     def pairs():
-        for n, cn in enumerate(rows[:n_max + 1]):
-            for m, cm in enumerate(rows[:m_max + 1]):
-                weights = [0] * (n + m + 1)  # the product of the two binomial rows
-                for p, wp in enumerate(cn):
-                    for q, wq in enumerate(cm):
-                        weights[p + q] += wp * wq
-                weights = tuple(weights)
-                if weights in checked:
-                    continue
-                checked.add(weights)
-                lhs, rhs = shifted[n + m], linear_combination(
-                    (w, in_x[n + m - s], h_powers[s]) for s, w in enumerate(weights))
-                if lhs != rhs:  # report the mismatch in (x, z)
-                    lhs, rhs = lhs.substitute(unshift), rhs.substitute(unshift)
-                yield (n, m), lhs, rhs
+        for nm in range(total + 1):  # N = n + m
+            lhs, rhs = shifted[nm], binomial_convolution(h_powers, in_x, nm)
+            if lhs != rhs:  # report the mismatch in (x, z)
+                lhs, rhs = lhs.substitute(unshift), rhs.substitute(unshift)
+            yield (max(0, nm - m_max), min(nm, m_max)), lhs, rhs
 
     return _verdict(IdentityId.DOUBLE_INDEX, spec, n_max, pairs())
 

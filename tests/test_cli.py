@@ -270,6 +270,24 @@ def test_argparse_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["expand", "--preset", "euler", "--n", "1", "--n", "2"], "--n"),
+    (["expand", "--pre", "euler", "--preset", "euler", "--n", "1"], "--preset"),
+    (["expand", "--n", "1", "--format", "json", "--format", "csv"], "--format"),
+    (["verify", "--identity", "shift", "--n", "1", "--ident", "shift"], "--identity"),
+    (["verify", "--n", "1", "--m-max", "1", "--m-max", "2"], "--m-max"),
+    (["table", "--preset", "euler", "--n", "1", "--preset", "bernoulli"], "--preset"),
+])
+def test_a_flag_given_twice_exits_2_and_names_it(argv, flag, capsys):
+    # The last value would otherwise win silently, even when both are equal.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(f"error: argument {flag}: given more than once")
+
+
 def test_exit_code_1_on_identity_failure(monkeypatch, capsys):
     x = MultiPoly.var(VarId.X)
     fake = Verdict(IdentityId.SHIFT, PRESETS["euler"], 3, False,

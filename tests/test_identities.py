@@ -395,11 +395,10 @@ def test_double_index_compares_each_distinct_weight_vector_once(monkeypatch):
         (0, 0), (0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (3, 3), (4, 3)]
 
 
-def test_double_index_checks_a_pair_whose_weights_are_new(monkeypatch):
-    # comb(4, 2) is read only by the pairs (4, m); a wrong value gives (4, 0)
-    # the weights (1, 4, 7, 4, 1), which no earlier pair had, although N = 4
-    # was checked at (1, 3).  The pair must be checked, not skipped, and FAIL
-    # as the literal double sum in (x, z) with the same weights does.
+def test_double_index_catches_a_wrong_binomial_at_the_first_pair_of_its_n(monkeypatch):
+    # A wrong comb(4, 2) gives the N = 4 check the weights (1, 4, 7, 4, 1), so
+    # double-index must FAIL at (1, 3), the first pair with n + m = 4, with the
+    # right side sum_s w_s (z - x)^s P_(4-s)(x, y) in (x, z) by plain ring operations.
     def wrong_comb(n, k):
         return 7 if (n, k) == (4, 2) else comb(n, k)
 
@@ -409,15 +408,23 @@ def test_double_index_checks_a_pair_whose_weights_are_new(monkeypatch):
 
     in_z = unified_members(SYM_GH2, 7, exp_argument=Z)
     in_x = unified_members(SYM_GH2, 7)
-    n, m = 4, 0
     rhs = MultiPoly.zero()
-    for p in range(n + 1):
-        for q in range(m + 1):
-            rhs = rhs + (wrong_comb(n, p) * wrong_comb(m, q) * (Z - X) ** (p + q)
-                         * in_x[n + m - p - q])
+    for s, w in enumerate((1, 4, 7, 4, 1)):
+        rhs = rhs + w * (Z - X) ** s * in_x[4 - s]
     assert not verdict.passed
-    assert verdict.counterexample == Counterexample((4, 0), in_z[4], rhs)
+    assert verdict.counterexample == Counterexample((1, 3), in_z[4], rhs)
 
+
+def test_the_product_of_binomial_rows_n_and_m_is_row_n_plus_m():
+    # Vandermonde: sum_p C(n,p) C(m,s-p) = C(n+m, s), which lets double-index
+    # check each pair (n, m) as the binomial convolution at N = n + m.
+    for n in range(13):
+        for m in range(13):
+            product = [0] * (n + m + 1)
+            for p in range(n + 1):
+                for q in range(m + 1):
+                    product[p + q] += comb(n, p) * comb(m, q)
+            assert product == [comb(n + m, s) for s in range(n + m + 1)], (n, m)
 
 
 # (verifier slug, perturbed table or series, name the verifier calls it by,
@@ -512,11 +519,17 @@ def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, ta
     assert verdict.counterexample.indices == (j0,)
 
 
-@pytest.mark.parametrize("j0, expected", [(0, (0, 0)), (1, (0, 1)), (4, (0, 4)), (6, (2, 4))])
-def test_double_index_fails_at_a_perturbed_left_side(monkeypatch, j0, expected):
+@pytest.mark.parametrize("n_max, m_max, j0, expected", [
+    (3, 4, 0, (0, 0)), (3, 4, 1, (0, 1)), (3, 4, 4, (0, 4)), (3, 4, 6, (2, 4)),
+    (5, 0, 0, (0, 0)), (5, 0, 3, (3, 0)), (5, 0, 5, (5, 0)),
+    (0, 5, 0, (0, 0)), (0, 5, 3, (0, 3)), (0, 5, 5, (0, 5)),
+], ids=["0-expected0", "1-expected1", "4-expected2", "6-expected3",  # the (3, 4) ids as before
+        "5x0-0", "5x0-3", "5x0-5", "0x5-0", "0x5-3", "0x5-5"])
+def test_double_index_fails_at_a_perturbed_left_side(monkeypatch, n_max, m_max, j0, expected):
     # Adding y to entry j0 of the x+z table breaks every pair with n + m = j0
     # and no other; the first in lexicographic order is (0, j0) when
-    # j0 <= m_max, and (j0 - m_max, m_max) beyond it.
+    # j0 <= m_max, and (j0 - m_max, m_max) beyond it.  m_max = 0 and
+    # n_max = 0 are the two edges of that map.
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
     hits = []
 
@@ -528,7 +541,7 @@ def test_double_index_fails_at_a_perturbed_left_side(monkeypatch, j0, expected):
         return members
 
     monkeypatch.setattr(identities_mod, "unified_members", faulty_members)
-    verdict = verify_double_index(spec, 3, 4)
+    verdict = verify_double_index(spec, n_max, m_max)
     assert len(hits) == 1
     assert not verdict.passed
     assert verdict.counterexample.indices == expected
@@ -542,9 +555,9 @@ def test_right_sides_fail_when_a_right_side_kernel_drops_a_pair(monkeypatch):
     Each binomial convolution (one linear_combination of (c, a, b) triples)
     loses its j = n triple (1, a[0], b[n]), so at n = 0 the right side is 0
     against the nonzero P_0 (P_0^2 for symmetry, whose left side is a series
-    product and takes no right-side kernel).  The double-index right side (one
-    linear_combination of triples over s) loses (w_N, P_0, h^N), so it first
-    fails at (0, 0).
+    product and takes no right-side kernel).  The double-index right side is
+    the binomial convolution of h^s and P(x) at N = n + m, which loses
+    (1, h^0, P_N), so it first fails at (0, 0).
     """
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
     kernel = identities_mod.linear_combination
