@@ -145,7 +145,7 @@ class _StoreOnce(argparse.Action):
     # A flag given twice, even abbreviated, is a usage error (exit 2).  The flags
     # stored so far are kept in the namespace being filled, a fresh one per subparser.
     def __call__(self, parser, namespace, values, option_string=None):
-        stored = vars(namespace).setdefault("stored_flags", set())
+        stored = vars(namespace).setdefault("_stored_flags", set())
         if self.dest in stored:
             raise argparse.ArgumentError(self, "given more than once")
         stored.add(self.dest)
