@@ -198,7 +198,8 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
                         f"default family is r={default.r}, alphas={alphas}")
     parser.add_argument("--k", type=int, help=f"power-of-t twist k (default {default.k})")
     parser.add_argument("--alphas",
-                        help="comma-separated rationals, one per factor; "
+                        help="comma-separated rationals, one per factor, each read exactly "
+                             "as Python's Fraction reads it (1.5 is 3/2, 1e3 is 1000); "
                              "write --alphas=-1,3 when the first is negative")
     parser.add_argument("--a", help=f"base a: 1, e or sym (default {default.a.value})")
     parser.add_argument("--b", help=f"base b: 1, e or sym (default {default.b.value})")

@@ -24,7 +24,9 @@ That valuation is absorbed by the numerator's t^(rk), which is why the
 Bernoulli-type (alpha = 1) cases exist at all; they are only admitted for
 (a, b) = (1, e), where the vanishing factor e^t - 1 has the rational
 leading coefficient 1.  For symbolic bases the leading coefficient would be
-Lb - La, which is not invertible in a polynomial ring.
+Lb - La, which is not invertible in a polynomial ring.  The core builds its
+denominator one order deeper per unit alpha, so every series and table has
+the order its caller asks for.
 
 A table is named by a spec and an exponential argument, nothing else:
 unified_members(spec, n, exp_argument=arg) reads the members of
@@ -271,16 +273,15 @@ def denominator_series(spec: FamilySpec, order: int) -> PowerSeries:
 
 @lru_cache(maxsize=512, typed=True)
 def _core_quotient(spec: FamilySpec, order: int) -> PowerSeries:
-    """(-1)^r 2^(r(1-k)) t^(rk) over the denominator product.
+    """(-1)^r 2^(r(1-k)) t^(rk) over the denominator product, of the given order.
 
     Callers key it on the phi-free spec, so every exponential/phi variant of
-    the same parameter core shares one cached entry per order.  The result
-    order is the requested order minus the number of unit alphas (the
-    denominator valuation eaten by the division), so the order must exceed
-    that number.  The numerator is a monomial, so no product is taken: the
+    the same parameter core shares one cached entry per order.  The division
+    loses one order per unit alpha, so the denominator is built that many
+    orders deeper.  The numerator is a monomial, so no product is taken: the
     inverted, valuation-shifted denominator is shifted by t^(rk) less the
-    valuation and scaled.  The order is checked first: the cache keys it
-    by type, so True or 1.0 misses and arrives here.
+    valuation and scaled.  The order is checked first (the cache keys it by
+    type, so True or 1.0 misses and arrives here), then the pole.
     """
     check_int("order", order, 1)
     rk = spec.r * spec.k
@@ -290,13 +291,10 @@ def _core_quotient(spec: FamilySpec, order: int) -> PowerSeries:
             f"the denominator vanishes to order {unit_count} (one per unit alpha) "
             f"but the numerator only carries t^{rk}"
         )
-    if order <= unit_count:
-        raise ValueError(f"order {order} must exceed the unit-alpha count {unit_count}")
     scalar = Fraction((-1) ** spec.r) * Fraction(2) ** (spec.r * (1 - spec.k))
-    inverse = denominator_series(spec, order)._shifted_inverse(unit_count).coeffs
-    shift = min(rk - unit_count, len(inverse))
-    return PowerSeries([MultiPoly.zero()] * shift
-                       + [c * scalar for c in inverse[:len(inverse) - shift]])
+    inverse = denominator_series(spec, order + unit_count)._shifted_inverse(unit_count).coeffs
+    shift = min(rk - unit_count, order)
+    return PowerSeries([MultiPoly.zero()] * shift + [c * scalar for c in inverse[:order - shift]])
 
 
 def _exp_argument_poly(exp_argument: MultiPoly | Scalar | None) -> MultiPoly:
@@ -318,15 +316,15 @@ def _factors(spec: FamilySpec, order: int,
 
 def unified_series(spec: FamilySpec, order: int, *,
                    exp_argument: MultiPoly | Scalar | None = None) -> PowerSeries:
-    """The generating series core * (e^(arg t) * phi(y, t)), truncated.
+    """The generating series core * (e^(arg t) * phi(y, t)), truncated at the order.
 
-    The division by the denominator loses one order per unit alpha, so the
-    returned series has the order minus that count, and the order must
-    exceed it.  exp_argument replaces the default x in the exponential
-    (the identity verifiers pass x+z, c*x, z or x+1); it may be a polynomial
-    or an exact scalar.  A zero argument drops e^(xt), and a spec whose phi
-    is Unit() drops phi, so spec.replace(phi=Unit()) with a zero argument
-    gives the family's numbers.  Both factors come from their caches.
+    The series has exactly the order asked for, unit alphas or not: the
+    core absorbs the order its division loses.  exp_argument replaces the
+    default x in the exponential (the identity verifiers pass x+z, c*x, z
+    or x+1); it may be a polynomial or an exact scalar.  A zero argument
+    drops e^(xt), and a spec whose phi is Unit() drops phi, so
+    spec.replace(phi=Unit()) with a zero argument gives the family's
+    numbers.  Both factors come from their caches.
     """
     core, small = _factors(spec, check_int("order", order, 1), exp_argument)
     return core if small is None else core * small
@@ -337,16 +335,15 @@ def unified_members(spec: FamilySpec, n_max: int, *,
     """Family members P_0 .. P_n_max, read off the core * small-factor Cauchy sum.
 
     The table is named by the spec and exp_argument alone, as in
-    unified_series, and both factors come from their caches, the core asked
-    for n_max + 1 orders beyond the one each unit alpha loses.  No series
-    product is built: each member is one Cauchy sum with n! cancelled
-    against its denominator before the single normalization
-    (PowerSeries.product_members).  A table with neither e^(arg t) nor phi
-    is the core's own members.  unified_series(...).extract(n) is the same
-    member by the public series route.
+    unified_series, and both factors come from their caches at order
+    n_max + 1, for every spec.  No series product is built: each member is
+    one Cauchy sum with n! cancelled against its denominator before the
+    single normalization (PowerSeries.product_members).  A table with
+    neither e^(arg t) nor phi is the core's own members.
+    unified_series(...).extract(n) is the same member by the public series
+    route.
     """
-    order = check_int("n_max", n_max, 0) + spec.unit_alpha_count + 1
-    core, small = _factors(spec, order, exp_argument)
+    core, small = _factors(spec, check_int("n_max", n_max, 0) + 1, exp_argument)
     if small is None:  # the core alone: its members pass no product kernel
         return [core.extract(n) for n in range(n_max + 1)]
     return core.product_members(small, n_max + 1)

@@ -281,8 +281,7 @@ def _symmetry_left_side(spec: FamilySpec, c: Fraction, d: Fraction,
     """
     order = n_max + 1
     x, zero = MultiPoly.var(VarId.X), MultiPoly.zero()
-    core = unified_series(spec.replace(phi=Unit()), order + spec.unit_alpha_count,
-                          exp_argument=zero)
+    core = unified_series(spec.replace(phi=Unit()), order, exp_argument=zero)
     cores = _rescaled(core, c) * _rescaled(core, d)
     smalls = (_rescaled(general_series(spec.phi, order, exp_argument=x * d), c)
               * _rescaled(general_series(spec.phi, order, exp_argument=zero), d))

@@ -255,8 +255,8 @@ def test_unused_aux_flags_are_named_by_their_first_reader(capsys):
 
 @pytest.mark.parametrize("identity", [i.value for i in IdentityId] + ["all"])
 def test_negative_n_names_n_max_for_every_verifier(identity, capsys):
-    # A unit alpha costs one order, so a verifier that expanded at order
-    # n + 2 before checking n would complain about the order instead.
+    # Every verifier checks n first, so the error names n_max, not a table
+    # or series order, on a unit-alpha preset too.
     assert main(["verify", "--identity", identity, "--preset", "bernoulli", "--n", "-1"]) == 2
     assert capsys.readouterr().err == "error: n_max must be an int >= 0, got -1\n"
 
@@ -286,6 +286,33 @@ def test_a_flag_given_twice_exits_2_and_names_it(argv, flag, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[-1].endswith(f"error: argument {flag}: given more than once")
+
+
+def test_an_unambiguous_abbreviation_is_the_flag_and_an_ambiguous_one_exits_2(capsys):
+    # argparse abbreviations are kept: --pre is --preset, and --p names both candidates.
+    assert main(["expand", "--preset", "euler", "--n", "2"]) == 0
+    full = capsys.readouterr().out
+    assert main(["expand", "--pre", "euler", "--n", "2"]) == 0
+    assert capsys.readouterr().out == full
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--p", "euler", "--n", "1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "ambiguous option: --p could match --preset, --phi" in err
+
+
+def test_rationals_read_as_fraction_reads_them(capsys):
+    # A decimal is read exactly, not as a float; nan is no rational and exits 2.
+    argv = ["expand", "--r", "1", "--n", "3", "--format", "csv"]
+    assert main([*argv, "--alphas=3/2"]) == 0
+    exact = capsys.readouterr().out
+    assert main([*argv, "--alphas=1.5"]) == 0
+    assert capsys.readouterr().out == exact
+    assert main([*argv, "--alphas=nan"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: not a rational number: 'nan'\n"
 
 
 def test_exit_code_1_on_identity_failure(monkeypatch, capsys):

@@ -165,12 +165,13 @@ def test_unified_euler_generating_series():
 
 
 def test_unified_bernoulli_generating_series():
-    # r=1, k=1, alpha=1: -t e^(xt) / (e^t - 1), one order lost to the valuation
+    # r=1, k=1, alpha=1: -t e^(xt) / (e^t - 1); the core absorbs the order the
+    # valuation costs, so the reference is built one order deeper.
     spec = PRESETS["bernoulli"]
     got = unified_series(spec, 6)
-    assert len(got.coeffs) == 5
-    num = PowerSeries.t_power(1, 6) * PowerSeries.exp_linear(X, 6)
-    den = PowerSeries.exp_linear(ONE, 6) - PowerSeries.one(6)
+    assert len(got.coeffs) == 6
+    num = PowerSeries.t_power(1, 7) * PowerSeries.exp_linear(X, 7)
+    den = PowerSeries.exp_linear(ONE, 7) - PowerSeries.one(7)
     assert got == num.divide_with_valuation(den, 1).scale(-1)
 
 
@@ -179,34 +180,45 @@ def test_unit_alpha_needs_bases_one_e():
         FamilySpec(1, 1, LogBase.SYMBOLIC_A, LogBase.SYMBOLIC_B, (Fraction(1),))
 
 
-@pytest.mark.parametrize("order", [1, 2])
-def test_unified_series_order_precondition(order):
-    # Two unit alphas cost the division two orders; no order up to 2 leaves one,
-    # neither on a cold cache nor once a larger order is cached.
-    spec = spec_one_e(2, 1, [1, 1])
-    error = f"^order {order} must exceed the unit-alpha count 2$"
+@pytest.mark.parametrize("units", [1, 2])
+def test_unified_series_has_every_order_asked_for(units):
+    # Each unit alpha costs the division one order, and the core absorbs it:
+    # every order 1..5 has that many coefficients, on a cold cache and once
+    # the order-5 series is cached, and each is a prefix of the order-5 series.
+    spec = spec_one_e(2, 1, [1] * units + [-3] * (2 - units))
     with cold_factor_caches():
-        for _ in range(2):
-            with pytest.raises(ValueError, match=error):
-                unified_series(spec, order)
-            assert len(unified_series(spec, 5).coeffs) == 3
-    assert len(unified_series(spec, 3).coeffs) == 1
+        full = unified_series(spec, 5).coeffs
+    assert len(full) == 5
+    for order in range(1, 6):
+        with cold_factor_caches():
+            assert unified_series(spec, order).coeffs == full[:order]
+    unified_series(spec, 5)
+    for order in range(1, 6):
+        assert unified_series(spec, order).coeffs == full[:order]
 
 
 @pytest.mark.parametrize("alphas, extra", [([2, -3], 0), ([1, -3], 1), ([1, 1], 2)])
 def test_unified_members_expands_one_order_past_each_unit_alpha(monkeypatch, alphas, extra):
-    # The numerator t^(rk) costs no order; only the division by unit-alpha factors does.
-    orders = []
+    # The numerator t^(rk) costs no order; only the division by unit-alpha
+    # factors does, and the core pays it by building its denominator deeper.
+    core_orders, denominator_orders = [], []
 
-    def logged(spec, order):
-        orders.append(order)
+    def logged_core(spec, order):
+        core_orders.append(order)
         return _core_quotient(spec, order)
 
-    monkeypatch.setattr("apostol.family._core_quotient", logged)
-    for n_max in (0, 4):
-        members = unified_members(spec_one_e(2, 1, alphas), n_max)
-        assert len(members) == n_max + 1
-    assert orders == [1 + extra, 5 + extra]
+    def logged_denominator(spec, order):
+        denominator_orders.append(order)
+        return denominator_series(spec, order)
+
+    with cold_factor_caches():  # entered first: it clears the real caches
+        monkeypatch.setattr("apostol.family._core_quotient", logged_core)
+        monkeypatch.setattr("apostol.family.denominator_series", logged_denominator)
+        for n_max in (0, 4):
+            members = unified_members(spec_one_e(2, 1, alphas), n_max)
+            assert len(members) == n_max + 1
+    assert core_orders == [1, 5]
+    assert denominator_orders == [1 + extra, 5 + extra]
 
 
 def test_genocchi_series_below_the_numerator_power_is_zero():

@@ -224,10 +224,9 @@ def test_fuzzed_specs_pass_every_identity(spec):
 
 @settings(max_examples=25, deadline=None, database=None)
 @given(small_specs(), st.sampled_from([None, X + Z, Z, X + 1, 3 * X, ZERO]), st.integers(1, 4))
-def test_tables_reassociate_the_generating_product(spec, arg, extra):
+def test_tables_reassociate_the_generating_product(spec, arg, order):
     # unified_series builds core * (e^(arg t) * phi) for the verifiers'
     # arguments (None is x); the left-to-right product must equal it.
-    order = spec.unit_alpha_count + extra
     core = _core_quotient(spec.replace(phi=Unit()), order)
     exp = PowerSeries.exp_linear(X if arg is None else arg, order)
     assert unified_series(spec, order, exp_argument=arg) == (
@@ -242,12 +241,22 @@ def test_tables_reassociate_the_generating_product(spec, arg, extra):
         assert denominator_series(wider, order) == from_one
 
 
+@settings(max_examples=25, deadline=None, database=None)
+@given(small_specs(), st.integers(1, 6), st.integers(1, 3))
+def test_unified_series_has_the_order_asked_for(spec, order, extra):
+    # Unit alphas included: the core absorbs the order its division loses,
+    # so the series has every order asked for, and a deeper one extends it.
+    series = unified_series(spec, order).coeffs
+    assert len(series) == order
+    assert unified_series(spec, order + extra).coeffs[:order] == series
+
+
 ARGUMENTS = [None, X + Z, ZERO, X + 1, 2 * X, Z]
 
 
 def _members_by_extract(spec: FamilySpec, n_max: int, arg) -> list[MultiPoly]:
     """The reference route: the generating series built whole, each member extracted."""
-    series = unified_series(spec, n_max + spec.unit_alpha_count + 1, exp_argument=arg)
+    series = unified_series(spec, n_max + 1, exp_argument=arg)
     return [series.extract(j) for j in range(n_max + 1)]
 
 
@@ -269,8 +278,7 @@ def test_members_at_expand_deep_size_equal_the_extracted_members():
 @given(small_specs(), st.integers(0, 6))
 def test_symmetry_left_side_equals_its_extracted_series_product(spec, n_max):
     order = n_max + 1
-    core = unified_series(spec.replace(phi=Unit()), order + spec.unit_alpha_count,
-                          exp_argument=ZERO)
+    core = unified_series(spec.replace(phi=Unit()), order, exp_argument=ZERO)
     for c, d in [(Fraction(2), Fraction(3)), (Fraction(1, 2), Fraction(-5))]:
         cores = identities_mod._rescaled(core, c) * identities_mod._rescaled(core, d)
         smalls = (identities_mod._rescaled(general_series(spec.phi, order, exp_argument=X * d), c)
@@ -345,8 +353,8 @@ def test_verdicts_survive_copy_and_pickle():
 
 
 @pytest.mark.parametrize("j", [0, 3, 5])
-def test_double_index_memo_reports_the_unmemoized_counterexample(monkeypatch, j):
-    # Perturb one member of the x-table only; the memoized verifier must fail
+def test_double_index_reports_the_first_mismatch_of_the_literal_double_sum(monkeypatch, j):
+    # Perturb one member of the x-table only; the per-N verifier must fail
     # at the same (n, m), with the same sides, as the double sum as stated.
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
     n_max, m_max = 3, 4
@@ -381,7 +389,7 @@ def test_double_index_memo_reports_the_unmemoized_counterexample(monkeypatch, j)
     assert verdict.counterexample == expected
 
 
-def test_double_index_compares_each_distinct_weight_vector_once(monkeypatch):
+def test_double_index_compares_once_per_n_at_its_first_pair(monkeypatch):
     # The weights of (n, m) are C(n+m, s), so the 20 pairs make one check per N = 0 .. 7.
     triples = []
     verdict = identities_mod._verdict
