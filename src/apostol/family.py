@@ -346,7 +346,7 @@ def unified_members(spec: FamilySpec, n_max: int, *,
     core, small = _factors(spec, check_int("n_max", n_max, 0) + 1, exp_argument)
     if small is None:  # the core alone: its members pass no product kernel
         return [core.extract(n) for n in range(n_max + 1)]
-    return core.product_members(small, n_max + 1)
+    return core.product_members(small)
 
 
 def general_series(phi: Phi, order: int, *,

@@ -36,9 +36,11 @@ polyring.linear_combination, which multiplies each (c, a, b) triple in its
 own loop and normalizes once per right side.  It shares no code with
 polyring.sum_of_products, the left-side kernel behind ring * and every series
 product, so a fault in either shows as a FAIL instead of cancelling out.
-The double-index identity is checked after the automorphism z -> x + h, once
-per N = n + m, as the convolution of monomial shifts h^s with P(x); a
-counterexample is mapped back with MultiPoly.substitute({Z: z - x}).
+After the automorphism z -> x + h, the double-index identity at (n, m) is the
+shift identity at N = n + m, so double-index runs the shift check at
+n_max + m_max and reports a FAIL at the first pair with that N, both sides
+mapped back with MultiPoly.substitute({Z: z - x}).  Every comparison of two
+sides happens in one loop, _convolution_verdict.
 
 On failure the verdict carries the smallest failing index tuple in
 lexicographic order together with both polynomials, so a broken identity
@@ -47,7 +49,7 @@ is reproducible from the report alone.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 from math import comb
@@ -105,20 +107,6 @@ class Verdict(Record):
         super().__init__(identity, spec, max_n, passed, counterexample)
 
 
-def _verdict(identity: IdentityId, spec: FamilySpec, max_n: int,
-             pairs: Iterable[tuple[tuple[int, ...], MultiPoly, MultiPoly]]) -> Verdict:
-    """Fold index/lhs/rhs triples into a verdict; first mismatch wins.
-
-    Callers yield indices in lexicographic order, so the reported
-    counterexample is the smallest failing tuple.
-    """
-    for indices, lhs, rhs in pairs:
-        if lhs != rhs:
-            return Verdict(identity, spec, max_n, False,
-                           Counterexample(indices, lhs, rhs))
-    return Verdict(identity, spec, max_n, True)
-
-
 def _table(tables: Mapping, build, of: FamilySpec | Phi, n_max: int, **kwargs) -> list[MultiPoly]:
     """Entries 0 .. n_max of the table build(of, n_max, **kwargs).
 
@@ -138,10 +126,12 @@ def binomial_convolution(a: Sequence[MultiPoly], b: Sequence[MultiPoly], n: int)
 def _convolution_verdict(identity: IdentityId, spec: FamilySpec, n_max: int,
                          lhs: Sequence[MultiPoly], a: Sequence[MultiPoly],
                          b: Sequence[MultiPoly]) -> Verdict:
-    """Check lhs[n] == binomial_convolution(a, b, n) for n = 0 .. n_max."""
-    return _verdict(identity, spec, n_max, (
-        ((n,), lhs[n], binomial_convolution(a, b, n)) for n in range(n_max + 1)
-    ))
+    """Check lhs[n] == binomial_convolution(a, b, n) for n = 0 .. n_max; first mismatch wins."""
+    for n in range(n_max + 1):
+        rhs = binomial_convolution(a, b, n)
+        if lhs[n] != rhs:
+            return Verdict(identity, spec, n_max, False, Counterexample((n,), lhs[n], rhs))
+    return Verdict(identity, spec, n_max, True)
 
 
 def verify_series_def(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> Verdict:
@@ -187,31 +177,23 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
                         _tables: Mapping = {}) -> Verdict:
     """P_(n+m)(z,y) = sum_{p<=n, q<=m} C(n,p) C(m,q) (z-x)^(p+q) P_(n+m-p-q)(x,y).
 
-    Checked for every pair (n, m) with n <= n_max and m <= m_max, after the
-    ring automorphism z -> x + h (h in the z slot).  Grouped by s = p + q, the
-    pair's weights are sum_p C(n,p) C(m,s-p) = C(n+m, s) (Vandermonde), so the
-    pair holds exactly when P_N(x+h, y) = sum_s C(N,s) h^s P_(N-s)(x,y),
-    N = n + m, holds: the left side is the x+h table, the right side a binomial
-    convolution of monomial shifts.  That is one comparison per N, reported at
-    the first pair in lexicographic order with that N,
-    (max(0, N - m_max), min(N, m_max)).  A counterexample is mapped back to (x, z).
+    Checked for every pair (n, m) with n <= n_max and m <= m_max.  After the
+    ring automorphism z -> x + h (h in the z slot), the pair's weights grouped
+    by s = p + q are sum_p C(n,p) C(m,s-p) = C(n+m, s) (Vandermonde): the pair
+    is the shift identity at N = n + m, so it runs the shift check at
+    n_max + m_max.  A FAIL at N is reported at the first pair in lexicographic
+    order with that N, (max(0, N - m_max), min(N, m_max)), in (x, z).
     """
     check_int("n_max", n_max, 0)
     check_int("m_max", m_max, 0)
-    total = n_max + m_max
-    shifted = _table(_tables, unified_members, spec, total, exp_argument=_x_plus_z())
-    in_x = _table(_tables, unified_members, spec, total)
-    h_powers = _powers(MultiPoly.var(VarId.Z), total)
-    unshift = {VarId.Z: MultiPoly.var(VarId.Z) - MultiPoly.var(VarId.X)}
-
-    def pairs():
-        for nm in range(total + 1):  # N = n + m
-            lhs, rhs = shifted[nm], binomial_convolution(h_powers, in_x, nm)
-            if lhs != rhs:  # report the mismatch in (x, z)
-                lhs, rhs = lhs.substitute(unshift), rhs.substitute(unshift)
-            yield (max(0, nm - m_max), min(nm, m_max)), lhs, rhs
-
-    return _verdict(IdentityId.DOUBLE_INDEX, spec, n_max, pairs())
+    shift = verify_shift(spec, n_max + m_max, _tables=_tables)
+    fail = shift.counterexample
+    if fail is not None:  # report the mismatch in (x, z)
+        (nm,) = fail.indices
+        unshift = {VarId.Z: MultiPoly.var(VarId.Z) - MultiPoly.var(VarId.X)}
+        fail = Counterexample((max(0, nm - m_max), min(nm, m_max)),
+                              fail.lhs.substitute(unshift), fail.rhs.substitute(unshift))
+    return Verdict(IdentityId.DOUBLE_INDEX, spec, n_max, shift.passed, fail)
 
 
 def verify_shift_one(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> Verdict:
@@ -285,7 +267,7 @@ def _symmetry_left_side(spec: FamilySpec, c: Fraction, d: Fraction,
     cores = _rescaled(core, c) * _rescaled(core, d)
     smalls = (_rescaled(general_series(spec.phi, order, exp_argument=x * d), c)
               * _rescaled(general_series(spec.phi, order, exp_argument=zero), d))
-    return cores.product_members(smalls, order)
+    return cores.product_members(smalls)
 
 
 def _symmetry_scalars(c: Scalar, d: Scalar) -> tuple[Fraction, Fraction]:

@@ -125,21 +125,17 @@ class PowerSeries:
             for k in range(min(len(a), len(b)))
         ])
 
-    def product_members(self, other: PowerSeries, count: int) -> list[MultiPoly]:
-        """The members n! [t^n] (self * other) for n < count, read off the Cauchy sum.
+    def product_members(self, other: PowerSeries) -> list[MultiPoly]:
+        """The members n! [t^n] (self * other) for every n the product knows.
 
         Each member is one sum_of_products call that is passed n!, so the
         factorial cancels against the sum's denominator before its single
-        normalization.  The result equals
-        [(self * other).extract(n) for n in range(count)], the reference route.
+        normalization.  Member n equals (self * other).extract(n), the
+        reference route.
         """
         a, b = self._coeffs, other._coeffs
-        if check_int("count", count, 0) > min(len(a), len(b)):
-            raise OrderExceededError(
-                f"{count} members requested from a product of order {min(len(a), len(b))}"
-            )
         return [sum_of_products(((1, a[i], b[n - i]) for i in range(n + 1)), factorial(n))
-                for n in range(count)]
+                for n in range(min(len(a), len(b)))]
 
     def scale(self, c: MultiPoly | Scalar) -> PowerSeries:
         """Multiply every coefficient by the same ring element."""

@@ -233,7 +233,7 @@ def test_pole_when_unit_alphas_exceed_numerator():
         unified_members(spec_one_e(1, 0, [1]), 3)
     with pytest.raises(ValuationExceedsNumeratorError):
         unified_members(spec_one_e(2, 0, [1, 2]), 3)
-    # The pole is named even at an order the division could not serve anyway.
+    # The pole is named at every order, the smallest included.
     with pytest.raises(ValuationExceedsNumeratorError):
         unified_series(spec_one_e(1, 0, [1]), 1)
 

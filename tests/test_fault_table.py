@@ -172,7 +172,7 @@ def test_each_fault_is_caught_by_exactly_its_pinned_checks(monkeypatch, fault):
 
 
 def test_the_table_keeps_its_structure():
-    # Double-index at m = 0 is the shift identity, so on every row the two
+    # Double-index runs the shift check at n + m_max, so on every row the two
     # are caught or missed together.  Symmetry's product is symmetric for
     # any core and any phi, so it passes every fault in either.
     for fault, (_, expected) in FAULTS.items():

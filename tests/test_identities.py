@@ -38,7 +38,7 @@ from apostol.identities import (
     Counterexample,
     IdentityId,
     Verdict,
-    _verdict,
+    _convolution_verdict,
     verify_all,
     verify_double_index,
     verify_series_def,
@@ -298,13 +298,14 @@ def test_unit_alpha_specs_pass():
 
 
 def test_verdict_reports_first_lex_mismatch():
+    # With a = (1, 0, 0) the right side at n is b[n].
     spec = PRESETS["euler"]
-    pairs = [((0,), X, X), ((1,), X, Z), ((2,), X, Z)]
-    v = _verdict(IdentityId.SHIFT, spec, 2, iter(pairs))
+    a = [MultiPoly.one(), ZERO, ZERO]
+    v = _convolution_verdict(IdentityId.SHIFT, spec, 2, [X, X, X], a, [X, Z, Z])
     assert not v.passed
     assert v.counterexample == Counterexample((1,), X, Z)
 
-    ok = _verdict(IdentityId.SHIFT, spec, 1, iter([((0,), X, X)]))
+    ok = _convolution_verdict(IdentityId.SHIFT, spec, 1, [X, X], a, [X, X])
     assert ok.passed and ok.counterexample is None
     assert isinstance(ok, Verdict)
 
@@ -315,7 +316,9 @@ FAILING = Verdict(IdentityId.SHIFT, PRESETS["euler"], 2, False, Counterexample((
 
 
 def test_verdicts_compare_by_their_fields():
-    assert _verdict(IdentityId.SHIFT, PRESETS["euler"], 2, [((1,), X, X + 1)]) == FAILING
+    # With a = (1, 0, 0) the right side at n is b[n], so the first mismatch is at n = 1.
+    assert _convolution_verdict(IdentityId.SHIFT, PRESETS["euler"], 2, [X, X, X],
+                                [MultiPoly.one(), ZERO, ZERO], [X, X + 1, X]) == FAILING
     assert FAILING != FAILING.replace(max_n=3) and FAILING != FAILING.counterexample
     assert Counterexample((1,), X, X + 1) != ((1,), X, X + 1)
     passing = verify_shift(PRESETS["hermite"], 2)
@@ -371,7 +374,7 @@ def test_double_index_reports_the_first_mismatch_of_the_literal_double_sum(monke
     in_z = unified_members(spec, n_max + m_max, exp_argument=Z)
     in_x = faulty_members(spec, n_max + m_max)
 
-    def first_unmemoized_mismatch():
+    def first_literal_mismatch():
         for n in range(n_max + 1):
             for m in range(m_max + 1):
                 rhs = MultiPoly.zero()
@@ -383,7 +386,7 @@ def test_double_index_reports_the_first_mismatch_of_the_literal_double_sum(monke
                     return Counterexample((n, m), in_z[n + m], rhs)
         return None
 
-    expected = first_unmemoized_mismatch()
+    expected = first_literal_mismatch()
     assert expected is not None
     assert not verdict.passed
     assert verdict.counterexample == expected
@@ -391,16 +394,16 @@ def test_double_index_reports_the_first_mismatch_of_the_literal_double_sum(monke
 
 def test_double_index_compares_once_per_n_at_its_first_pair(monkeypatch):
     # The weights of (n, m) are C(n+m, s), so the 20 pairs make one check per N = 0 .. 7.
-    triples = []
-    verdict = identities_mod._verdict
+    checked = []
+    convolution = identities_mod.binomial_convolution
 
-    def counting(identity, spec, max_n, pairs):
-        return verdict(identity, spec, max_n, (triples.append(t) or t for t in pairs))
+    def logged(a, b, n):
+        checked.append(n)
+        return convolution(a, b, n)
 
-    monkeypatch.setattr(identities_mod, "_verdict", counting)
+    monkeypatch.setattr(identities_mod, "binomial_convolution", logged)
     assert verify_double_index(SYM_GH2, 4, 3).passed
-    assert [indices for indices, _, _ in triples] == [
-        (0, 0), (0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (3, 3), (4, 3)]
+    assert checked == list(range(8))
 
 
 def test_double_index_catches_a_wrong_binomial_at_the_first_pair_of_its_n(monkeypatch):
