@@ -79,17 +79,14 @@ def render_table(table: PolyTable, fmt: str, *, preset: str | None = None) -> st
         doc["n_max"] = table.n_max
         doc["entries"] = [{"n": n, "terms": json_terms(p)} for n, p in table]
         return json.dumps(doc, indent=2) + "\n"
+    header = [text for text in (table.label, note) if text]
     if fmt == CSV:
-        lines = [f"# {table.label}"]
-        if note:
-            lines.append(f"# {note}")
+        lines = [f"# {text}" for text in header]
         lines.append("n,polynomial")
         lines.extend(f"{n},{row}" for n, row in enumerate(render_terms(p for _, p in table)))
         return "\n".join(lines) + "\n"
     if fmt == LATEX:
-        lines = [f"% {table.label}"]
-        if note:
-            lines.append(f"% {note}")
+        lines = [f"% {text}" for text in header]
         lines += [r"\begin{tabular}{rl}", r"\hline", r"$n$ & $P_n$ \\", r"\hline"]
         rows = render_terms((p for _, p in table), LATEX_SPELLING)
         lines.extend(rf"{n} & ${row}$ \\" for n, row in enumerate(rows))

@@ -280,10 +280,8 @@ def _core_quotient(spec: FamilySpec, order: int) -> PowerSeries:
     loses one order per unit alpha, so the denominator is built that many
     orders deeper.  The numerator is a monomial, so no product is taken: the
     inverted, valuation-shifted denominator is shifted by t^(rk) less the
-    valuation and scaled.  The order is checked first (the cache keys it by
-    type, so True or 1.0 misses and arrives here), then the pole.
+    valuation and scaled.
     """
-    check_int("order", order, 1)
     rk = spec.r * spec.k
     unit_count = spec.unit_alpha_count
     if unit_count > rk:

@@ -70,21 +70,23 @@ __all__ = [
 class IdentityId(Enum):
     """The one list of identities, in verify_all's order: a new one is a verifier and a member.
 
-    A member is its CLI slug, its verifier's name here (looked up at call
-    time, so a patched verifier runs) and the verifier's arguments after spec.
+    A member is its CLI slug and its verifier's arguments after spec.  The
+    verifier is named after the slug (shift-one: verify_shift_one) and looked
+    up here at call time, so a patched verifier runs.
     """
 
-    SERIES_DEF = "series-def", "verify_series_def"
-    SHIFT = "shift", "verify_shift"
-    SHIFT_MIXED = "shift-mixed", "verify_shift_mixed"
-    DOUBLE_INDEX = "double-index", "verify_double_index", ("n_max", "m_max")
-    SHIFT_ONE = "shift-one", "verify_shift_one"
-    SHIFT_GENERAL = "shift-general", "verify_shift_general"
-    SYMMETRY = "symmetry", "verify_symmetry", ("c", "d", "n_max")
+    SERIES_DEF = "series-def"
+    SHIFT = "shift"
+    SHIFT_MIXED = "shift-mixed"
+    DOUBLE_INDEX = "double-index", ("n_max", "m_max")
+    SHIFT_ONE = "shift-one"
+    SHIFT_GENERAL = "shift-general"
+    SYMMETRY = "symmetry", ("c", "d", "n_max")
 
-    def __new__(cls, slug: str, verifier: str, args: tuple[str, ...] = ("n_max",)):
+    def __new__(cls, slug: str, args: tuple[str, ...] = ("n_max",)):
         member = object.__new__(cls)
-        member._value_, member.verifier, member.args = slug, verifier, args
+        member._value_, member.args = slug, args
+        member.verifier = "verify_" + slug.replace("-", "_")
         return member
 
 

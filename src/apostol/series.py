@@ -186,8 +186,8 @@ class PowerSeries:
     def _shifted_inverse(self, valuation: int) -> PowerSeries:
         """1 / (self / t^valuation), of order len(self) - valuation.
 
-        self must vanish to order exactly valuation (ValuationMismatchError)
-        and its lowest coefficient must be a rational constant (NotAUnitError).
+        self must vanish to order exactly valuation (ValuationMismatchError);
+        invert refuses a lowest coefficient that is not a rational constant.
         divide_with_valuation multiplies the shifted numerator by it; the
         family core, whose numerator is a monomial, shifts and scales it.
         """
@@ -196,10 +196,6 @@ class PowerSeries:
         if actual != v:
             raise ValuationMismatchError(
                 f"denominator has valuation {actual}, expected {v}"
-            )
-        if self._coeffs[v].constant_value() is None:
-            raise NotAUnitError(
-                f"denominator leading coefficient {self._coeffs[v]} is not a rational unit"
             )
         return PowerSeries(self._coeffs[v:]).invert()
 

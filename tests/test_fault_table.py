@@ -2,18 +2,18 @@
 
 Each fault is patched on cold caches and changes one thing: five below the
 factor caches, one in the step that reads the members off the product of
-the two factors, which extract no longer guards, two in the product
-kernels, and one in the verifiers' exponential argument x+z.  The
-left-side kernel, as the series products call it, drops the last of 3 or
-more triples; the right-side kernel drops its last triple, which changes
-no table, only every right side.  Reading x+z as x changes no table either,
-only the verifiers that read P(x+z).
-The checks are the seven verdicts of
-verify_all at n = 5, plus, for the (1, e) spec, its phi-free table against
-special_case_oracle, which builds the Apostol-Euler table from its own
-generating function.  FAULTS pins every cell as measured, and README prints
-the same table, so a change that turns a catch into a miss, or a miss into
-a catch, fails here and shows there.
+the two factors (the n! that PowerSeries.product_members passes to the
+kernel), two in the product kernels, and one in the verifiers' exponential
+argument x+z.  The left-side kernel, as the series products call it, drops
+the last of 3 or more triples; the right-side kernel drops its last triple,
+which changes no table, only every right side.  Reading x+z as x changes no
+table either, only the verifiers that read P(x+z).
+The checks are the seven verdicts of verify_all at n = 5, plus, for the
+(1, e) spec, its phi-free table against special_case_oracle, which builds
+the Apostol-Euler table from its own generating function.  FAULTS pins
+every cell as measured, and README prints the same table, so a change that
+turns a catch into a miss, or a miss into a catch, fails here and shows
+there.
 """
 
 from __future__ import annotations
