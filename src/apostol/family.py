@@ -34,7 +34,10 @@ core * (e^(arg t) * phi(y, t)), where arg defaults to x: the small factor
 holds only x, y and z and is built first, so the large core enters one
 product.  No product series is built: each member P_n is read off the
 Cauchy sum of the two factors with n! cancelled against the sum's
-denominator, so it is normalized once (PowerSeries.product_members).
+denominator, so it is normalized once.  unified_members lists these
+members from _members, a stream that builds each member when it is read;
+identities.verify_double_index reads members past a shared prefix from
+the same stream, one at a time.
 unified_series(spec, order).extract(n) stays the public series route to
 the same member, and the tests' reference.  A zero arg drops e^(xt), and
 spec.replace(phi=Unit()) drops phi; both together give the number sequence
@@ -50,13 +53,14 @@ and misses.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial
-from operator import add, mul
+from operator import mul
 
-from .polyring import MultiPoly, Record, Scalar, VarId, check_int, is_exact_scalar
+from .polyring import MultiPoly, Record, Scalar, VarId, check_int, is_exact_scalar, sum_of_products
 from .series import PowerSeries
 
 __all__ = [
@@ -261,14 +265,17 @@ def denominator_series(spec: FamilySpec, order: int) -> PowerSeries:
     of z^j in prod_i (alpha_i z - 1) it is the sum of r+1 exponentials
     sum_j c_j e^((j Lb + (r-j) La) t).  Each exponential is a cached small
     factor, keyed on its argument alone, so every spec with the same r and
-    bases shares them.
+    bases shares them.  Each coefficient of the sum is one left-side-kernel
+    call over the r+1 exponentials' coefficients, normalized once.
     """
     coeffs = [Fraction(1)]  # of prod_i (alpha_i z - 1), lowest power of z first
     for alpha in spec.alphas:  # times (alpha z - 1): c_j becomes alpha c_(j-1) - c_j
         coeffs = [alpha * below - c for c, below in zip([*coeffs, 0], [0, *coeffs])]
     la, lb = spec.a.log_poly(), spec.b.log_poly()
-    return reduce(add, (_small_factor(lb * j + la * (spec.r - j), Unit(), order).scale(c)
-                        for j, c in enumerate(coeffs) if c))
+    one = MultiPoly.one()
+    exps = [(c, _small_factor(lb * j + la * (spec.r - j), Unit(), order).coeffs)
+            for j, c in enumerate(coeffs) if c]
+    return PowerSeries([sum_of_products((c, e[i], one) for c, e in exps) for i in range(order)])
 
 
 @lru_cache(maxsize=512, typed=True)
@@ -336,15 +343,27 @@ def unified_members(spec: FamilySpec, n_max: int, *,
     unified_series, and both factors come from their caches at order
     n_max + 1, for every spec.  No series product is built: each member is
     one Cauchy sum with n! cancelled against its denominator before the
-    single normalization (PowerSeries.product_members).  A table with
-    neither e^(arg t) nor phi is the core's own members.
+    single normalization (_members, the member stream it lists from 0).
+    A table with neither e^(arg t) nor phi is the core's own members.
     unified_series(...).extract(n) is the same member by the public series
     route.
     """
-    core, small = _factors(spec, check_int("n_max", n_max, 0) + 1, exp_argument)
-    if small is None:  # the core alone: its members pass no product kernel
-        return [core.extract(n) for n in range(n_max + 1)]
-    return core.product_members(small)
+    return list(_members(spec, 0, check_int("n_max", n_max, 0), exp_argument))
+
+
+def _members(spec: FamilySpec, n_min: int, n_max: int,
+             exp_argument: MultiPoly | Scalar | None = None) -> Iterator[MultiPoly]:
+    """Members n_min .. n_max of unified_members(spec, n_max, ...), each built when it is read.
+
+    The one left-side path: unified_members lists it from 0, and a verifier
+    that needs one member at a time past a shared prefix streams the rest.
+    Both factors come from _factors at order n_max + 1, and each member is
+    one PowerSeries._product_member call; a table with neither e^(arg t)
+    nor phi reads the core's own members, which pass no product kernel.
+    """
+    core, small = _factors(spec, n_max + 1, exp_argument)
+    for n in range(n_min, n_max + 1):
+        yield core.extract(n) if small is None else core._product_member(small, n)
 
 
 def general_series(phi: Phi, order: int, *,

@@ -20,8 +20,8 @@ single normalization (PowerSeries.product_members), not through extract.
 
 Every verifier reads its tables through _table.  Run alone, it builds
 each of them.  verify_all first builds its four shared tables, each once
-at the largest n any reader needs: P(x) and P(x+z) at n_max + m_max, the
-general polynomials p(x) at n_max, and P(0) at n_max.  It keys them by
+at the largest n any reader holds as a table: P(x) at n_max + m_max, and
+P(x+z), the general polynomials p(x) and P(0) at n_max.  It keys them by
 (spec or phi, exp_argument), which compare by value, so when phi is unit
 the phi-free M(x) and numbers M are found as P(x) and P(0).  _table hands
 each reader a prefix of a shared table and builds any other table
@@ -39,8 +39,13 @@ product, so a fault in either shows as a FAIL instead of cancelling out.
 After the automorphism z -> x + h, the double-index identity at (n, m) is the
 shift identity at N = n + m, so double-index runs the shift check at
 n_max + m_max and reports a FAIL at the first pair with that N, both sides
-mapped back with MultiPoly.substitute({Z: z - x}).  Every comparison of two
-sides happens in one loop, _convolution_verdict.
+mapped back with MultiPoly.substitute({Z: z - x}).  It is the one reader of
+P_N(x+z) past n_max, and it holds none of those members as a table: run
+alone or under verify_all, it reads the P(x+z) table up to n_max and then
+family's member stream (_members, the path unified_members lists), which
+builds each P_N when the check reads it and drops it after.  Every
+comparison of two sides happens in one loop, _convolution_verdict, which
+reads each left side once, in ascending n.
 
 On failure the verdict carries the smallest failing index tuple in
 lexicographic order together with both polynomials, so a broken identity
@@ -49,13 +54,14 @@ is reproducible from the report alone.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
-from .family import (FamilySpec, Phi, Unit, general_members, general_series, unified_members,
-                     unified_series)
+from .family import (FamilySpec, Phi, Unit, _members, general_members, general_series,
+                     unified_members, unified_series)
 from .polyring import (MultiPoly, Record, Scalar, VarId, check_int, is_exact_scalar,
                        linear_combination)
 from .series import PowerSeries
@@ -109,15 +115,22 @@ class Verdict(Record):
         super().__init__(identity, spec, max_n, passed, counterexample)
 
 
-def _table(tables: Mapping, build, of: FamilySpec | Phi, n_max: int, **kwargs) -> list[MultiPoly]:
+def _table(tables: Mapping, build, of: FamilySpec | Phi, n_max: int,
+           **kwargs) -> Sequence[MultiPoly] | Iterator[MultiPoly]:
     """Entries 0 .. n_max of the table build(of, n_max, **kwargs).
 
-    tables holds verify_all's shared tables, keyed by (spec or phi,
-    exp_argument) and each at least n_max wide: a table found there is
-    handed out as a prefix, any other is built afresh.
+    tables holds shared tables keyed by (spec or phi, exp_argument): a table
+    found there is handed out as a prefix.  Only double-index asks for more
+    than one holds, and only of P(x+z): the entries past it then follow as
+    _members' stream, each built when it is read, so such a table can be
+    read once, in ascending n.  Any other table is built afresh.
     """
     table = tables.get((of, kwargs.get("exp_argument")))
-    return build(of, n_max, **kwargs) if table is None else table[:n_max + 1]
+    if table is None:
+        return build(of, n_max, **kwargs)
+    if len(table) > n_max:
+        return table[:n_max + 1]
+    return chain(table, _members(of, len(table), n_max, **kwargs))
 
 
 def binomial_convolution(a: Sequence[MultiPoly], b: Sequence[MultiPoly], n: int) -> MultiPoly:
@@ -126,13 +139,19 @@ def binomial_convolution(a: Sequence[MultiPoly], b: Sequence[MultiPoly], n: int)
 
 
 def _convolution_verdict(identity: IdentityId, spec: FamilySpec, n_max: int,
-                         lhs: Sequence[MultiPoly], a: Sequence[MultiPoly],
+                         lhs: Iterable[MultiPoly], a: Sequence[MultiPoly],
                          b: Sequence[MultiPoly]) -> Verdict:
-    """Check lhs[n] == binomial_convolution(a, b, n) for n = 0 .. n_max; first mismatch wins."""
-    for n in range(n_max + 1):
+    """Check lhs[n] == binomial_convolution(a, b, n) for n = 0 .. n_max; first mismatch wins.
+
+    lhs holds exactly n_max + 1 entries and is read once, in ascending n, so
+    it may be a stream: each entry is then built just before its comparison
+    and dropped after it, and a FAIL reports the entry it compared.
+    """
+    for n, left in zip(range(n_max + 1), lhs, strict=True):
         rhs = binomial_convolution(a, b, n)
-        if lhs[n] != rhs:
-            return Verdict(identity, spec, n_max, False, Counterexample((n,), lhs[n], rhs))
+        if left != rhs:
+            return Verdict(identity, spec, n_max, False, Counterexample((n,), left, rhs))
+        del rhs  # else it is held while entry n + 1 and its right side are built
     return Verdict(identity, spec, n_max, True)
 
 
@@ -185,10 +204,16 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
     is the shift identity at N = n + m, so it runs the shift check at
     n_max + m_max.  A FAIL at N is reported at the first pair in lexicographic
     order with that N, (max(0, N - m_max), min(N, m_max)), in (x, z).
+    The left side P_N(x+z) is the unified_members table up to n_max, shared
+    under verify_all, and past it the member stream: each P_N is built when
+    the check reads it and dropped after, so no x+z member past n_max is
+    held as a table, run alone or not.
     """
     check_int("n_max", n_max, 0)
     check_int("m_max", m_max, 0)
-    shift = verify_shift(spec, n_max + m_max, _tables=_tables)
+    x_plus_z = _x_plus_z()
+    prefix = _table(_tables, unified_members, spec, n_max, exp_argument=x_plus_z)
+    shift = verify_shift(spec, n_max + m_max, _tables={**_tables, (spec, x_plus_z): prefix})
     fail = shift.counterexample
     if fail is not None:  # report the mismatch in (x, z)
         (nm,) = fail.indices
@@ -287,6 +312,8 @@ def verify_all(spec: FamilySpec, n_max: int, *, c: Scalar = AUXILIARY["c"],
 
     Bounds and scalars are checked first; then the four shared tables below
     are built once, keyed as _table looks them up, and dropped on return.
+    Only P(x) is built past n_max: double-index reads P(x+z) past n_max as
+    a stream, one member at a time.
     """
     args = _arguments(n_max, c, d, m_max)
     check_int("n_max", n_max, 0)
@@ -294,10 +321,10 @@ def verify_all(spec: FamilySpec, n_max: int, *, c: Scalar = AUXILIARY["c"],
     _symmetry_scalars(c, d)
     x_plus_z, zero = _x_plus_z(), MultiPoly.zero()
     tables = {
-        # P(x): series-def, shift, double-index, shift-one
+        # P(x): series-def, shift, shift-one, and double-index's right side up to n_max + m_max
         (spec, None): unified_members(spec, total),
-        # P(x+z): shift, shift-mixed, double-index, shift-general
-        (spec, x_plus_z): unified_members(spec, total, exp_argument=x_plus_z),
+        # P(x+z): shift, shift-mixed, shift-general, and double-index's left side up to n_max
+        (spec, x_plus_z): unified_members(spec, n_max, exp_argument=x_plus_z),
         # p(x): series-def, shift-general
         (spec.phi, None): general_members(spec.phi, n_max),
         # P(0): symmetry, and series-def's numbers M when phi is unit

@@ -133,9 +133,17 @@ class PowerSeries:
         normalization.  Member n equals (self * other).extract(n), the
         reference route.
         """
+        return [self._product_member(other, n)
+                for n in range(min(len(self._coeffs), len(other._coeffs)))]
+
+    def _product_member(self, other: PowerSeries, n: int) -> MultiPoly:
+        """The member n! [t^n] (self * other) alone, for an n both operands know.
+
+        The one reader of a product member: product_members and the family's
+        member stream (family._members) both call it.
+        """
         a, b = self._coeffs, other._coeffs
-        return [sum_of_products(((1, a[i], b[n - i]) for i in range(n + 1)), factorial(n))
-                for n in range(min(len(a), len(b)))]
+        return sum_of_products(((1, a[i], b[n - i]) for i in range(n + 1)), factorial(n))
 
     def scale(self, c: MultiPoly | Scalar) -> PowerSeries:
         """Multiply every coefficient by the same ring element."""

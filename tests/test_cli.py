@@ -472,13 +472,14 @@ def test_verify_all_prints_what_verify_all_returns(flags, spec, capsys):
 @pytest.mark.parametrize("identity", [i.value for i in IdentityId])
 def test_a_single_identity_builds_only_its_own_tables(monkeypatch, capsys, identity):
     # Only verify_all shares tables; a single --identity builds what its
-    # verifier reads, at n, and only double-index reads up to n + m_max.
+    # verifier reads, at n.  Only double-index reads past n: P(x) as a table
+    # up to n + m_max, and P(x+z) up to n, streaming the rest.
     sizes = []
     for name in ("unified_members", "general_members"):
         build = getattr(identities_mod, name)
 
         def logged(of, n, _build=build, **kwargs):
-            sizes.append(n)
+            sizes.append((kwargs.get("exp_argument"), n))
             return _build(of, n, **kwargs)
 
         monkeypatch.setattr(identities_mod, name, logged)
@@ -486,4 +487,8 @@ def test_a_single_identity_builds_only_its_own_tables(monkeypatch, capsys, ident
     m_max = ["--m-max", "2"] if double else []
     assert main(["verify", "--identity", identity, *SYM_SYM_FLAGS, "--n", "3", *m_max]) == 0
     assert capsys.readouterr().out == f"{identity}: PASS\n"
-    assert sizes and set(sizes) == ({5} if double else {3})
+    if double:
+        x_plus_z = MultiPoly.var(VarId.X) + MultiPoly.var(VarId.Z)
+        assert sorted(sizes, key=lambda size: size[1]) == [(x_plus_z, 3), (None, 5)]
+    else:
+        assert sizes and {n for _, n in sizes} == {3}

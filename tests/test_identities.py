@@ -530,6 +530,35 @@ def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, ta
     assert verdict.counterexample.indices == (j0,)
 
 
+def _perturb_x_plus_z_member(monkeypatch, j0):
+    """Add y to P_j0(x+z) wherever identities builds it; the log of where it did.
+
+    The member is built in a unified_members table when j0 is within it,
+    and in the member stream that double-index reads past such a table
+    otherwise.
+    """
+    hits = []
+    build, stream = identities_mod.unified_members, identities_mod._members
+
+    def faulty_members(s, n, **kwargs):
+        members = build(s, n, **kwargs)
+        if kwargs == {"exp_argument": X + Z} and j0 <= n:
+            hits.append(("table", n))
+            members[j0] = members[j0] + Y
+        return members
+
+    def faulty_stream(s, n_min, n_max, **kwargs):
+        for n, member in enumerate(stream(s, n_min, n_max, **kwargs), n_min):
+            if kwargs == {"exp_argument": X + Z} and n == j0:
+                hits.append(("stream", n_max))
+                member = member + Y
+            yield member
+
+    monkeypatch.setattr(identities_mod, "unified_members", faulty_members)
+    monkeypatch.setattr(identities_mod, "_members", faulty_stream)
+    return hits
+
+
 @pytest.mark.parametrize("n_max, m_max, j0, expected", [
     (3, 4, 0, (0, 0)), (3, 4, 1, (0, 1)), (3, 4, 4, (0, 4)), (3, 4, 6, (2, 4)),
     (5, 0, 0, (0, 0)), (5, 0, 3, (3, 0)), (5, 0, 5, (5, 0)),
@@ -537,21 +566,12 @@ def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, ta
 ], ids=["0-expected0", "1-expected1", "4-expected2", "6-expected3",  # the (3, 4) ids as before
         "5x0-0", "5x0-3", "5x0-5", "0x5-0", "0x5-3", "0x5-5"])
 def test_double_index_fails_at_a_perturbed_left_side(monkeypatch, n_max, m_max, j0, expected):
-    # Adding y to entry j0 of the x+z table breaks every pair with n + m = j0
-    # and no other; the first in lexicographic order is (0, j0) when
-    # j0 <= m_max, and (j0 - m_max, m_max) beyond it.  m_max = 0 and
-    # n_max = 0 are the two edges of that map.
+    # Adding y to P_j0(x+z) breaks every pair with n + m = j0 and no other;
+    # the first in lexicographic order is (0, j0) when j0 <= m_max, and
+    # (j0 - m_max, m_max) beyond it.  m_max = 0 and n_max = 0 are the two
+    # edges of that map.  Past n_max the member comes from the stream.
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
-    hits = []
-
-    def faulty_members(s, n, **kwargs):
-        members = unified_members(s, n, **kwargs)
-        if kwargs == {"exp_argument": X + Z}:
-            hits.append(kwargs)
-            members[j0] = members[j0] + Y
-        return members
-
-    monkeypatch.setattr(identities_mod, "unified_members", faulty_members)
+    hits = _perturb_x_plus_z_member(monkeypatch, j0)
     verdict = verify_double_index(spec, n_max, m_max)
     assert len(hits) == 1
     assert not verdict.passed
@@ -716,8 +736,9 @@ def test_a_smaller_table_is_a_prefix_of_a_larger_one(spec, n, extra):
 
 
 def test_verify_all_builds_each_factor_once_per_order():
-    # verify_all(SYM_GH2, 6) reads the shared tables P(x) and P(x+z) at order
-    # n_max + m_max + 1 = 13 and every other table at order 7.
+    # verify_all(SYM_GH2, 6) reads the shared table P(x) and double-index's
+    # stream of P_N(x+z), N = 7 .. 12, at order n_max + m_max + 1 = 13, and
+    # every table, the shared P(x+z) included, at order 7.
     with cold_factor_caches():
         verify_all(SYM_GH2, 6)
         core, small = _core_quotient.cache_info(), _small_factor.cache_info()
@@ -725,9 +746,10 @@ def test_verify_all_builds_each_factor_once_per_order():
     assert (core.misses, core.currsize) == (2, 2)
     # At order 13: e^(arg t) phi at x and x+z, e^(arg t) alone at 2La, La+Lb
     # and 2Lb (the denominator's three exponentials, r = 2).  At order 7:
-    # e^(arg t) phi at x, z, x+1, 0, 2x (P(cx)) and 3x (symmetry's G(dx));
-    # e^(arg t) alone at x and z (phi-free tables) and at 2La, La+Lb and 2Lb.
-    assert (small.misses, small.currsize) == (16, 16)
+    # e^(arg t) phi at x, x+z, z, x+1, 0, 2x (P(cx)) and 3x (symmetry's
+    # G(dx)); e^(arg t) alone at x and z (phi-free tables) and at 2La, La+Lb
+    # and 2Lb.
+    assert (small.misses, small.currsize) == (17, 17)
 
 
 def _recording_builders(monkeypatch):
@@ -757,7 +779,7 @@ def _distinct_tables(requests):
 def test_verify_all_requests_each_table_once(monkeypatch, spec):
     requests = _recording_builders(monkeypatch)
     # m_max below n_max, zero (every shared table is n_max wide) and above
-    # n_max (P(x) and P(x+z) more than twice n_max wide).
+    # n_max (P(x) more than twice n_max wide).
     for n_max, m_max in [(3, 2), (3, 0), (2, 4)]:
         requests.clear()
         for identity in IdentityId:
@@ -770,9 +792,58 @@ def test_verify_all_requests_each_table_once(monkeypatch, spec):
         assert _distinct_tables(requests) == shared  # no table is built twice
         assert len(shared) == len(alone) and all(t in shared for t in alone)
         for name, of, arg, n in requests:
-            # only P(x) and P(x+z) are read beyond n_max, by double-index
-            wide = name == "unified_members" and of == spec and (arg is None or arg == X + Z)
+            # only P(x) is built beyond n_max, for double-index's right side;
+            # its left side streams P(x+z) past n_max
+            wide = name == "unified_members" and of == spec and arg is None
             assert n == (n_max + m_max if wide else n_max), (n_max, m_max, name, of, arg)
+
+
+@pytest.mark.parametrize("run", ["verify_all", "alone"])
+def test_the_left_side_stream_builds_each_member_once_just_before_its_check(monkeypatch, run):
+    # Double-index reads P_N(x+z) past n_max from the member stream: each is
+    # built once, after the check at N - 1 and before the check at N, and no
+    # x+z table of more than n_max + 1 entries is requested.
+    n_max, m_max = 3, 4
+    requests = _recording_builders(monkeypatch)
+    stream, convolution = identities_mod._members, identities_mod.binomial_convolution
+    events = []
+
+    def logged_stream(of, n_min, n_last, **kwargs):
+        assert (of, kwargs) == (SYM_GH2, {"exp_argument": X + Z})
+        for n, member in enumerate(stream(of, n_min, n_last, **kwargs), n_min):
+            events.append(("build", n))
+            yield member
+
+    def logged_convolution(a, b, n):
+        events.append(("check", n))
+        return convolution(a, b, n)
+
+    monkeypatch.setattr(identities_mod, "_members", logged_stream)
+    monkeypatch.setattr(identities_mod, "binomial_convolution", logged_convolution)
+    if run == "verify_all":
+        assert all(v.passed for v in verify_all(SYM_GH2, n_max, m_max=m_max))
+    else:
+        assert verify_double_index(SYM_GH2, n_max, m_max).passed
+    builds = [i for i, event in enumerate(events) if event[0] == "build"]
+    assert [events[i] for i in builds] == [("build", N) for N in range(4, 8)]
+    for i in builds:
+        N = events[i][1]
+        assert (events[i - 1], events[i + 1]) == (("check", N - 1), ("check", N))
+    assert [n for _, _, arg, n in requests if arg == X + Z] == [n_max]
+
+
+def test_a_fault_past_the_prefix_fails_only_double_index(monkeypatch):
+    # y added to P_6(x+z) at (n_max, m_max) = (3, 4): only double-index reads
+    # it, from its stream, so only double-index FAILs, at (2, 4), the first
+    # pair with n + m = 6, with the verdict it gives run alone.
+    hits = _perturb_x_plus_z_member(monkeypatch, 6)
+    failed = [v for v in verify_all(SYM_GH2, 3, m_max=4) if not v.passed]
+    assert hits == [("stream", 7)]
+    assert [v.identity for v in failed] == [IdentityId.DOUBLE_INDEX]
+    assert failed[0].counterexample.indices == (2, 4)
+    hits.clear()
+    assert verify_double_index(SYM_GH2, 3, 4) == failed[0]
+    assert hits == [("stream", 7)]
 
 
 def test_verify_all_rejects_a_bad_m_max_before_building_any_table(monkeypatch):
