@@ -358,12 +358,12 @@ def _members(spec: FamilySpec, n_min: int, n_max: int,
     The one left-side path: unified_members lists it from 0, and a verifier
     that needs one member at a time past a shared prefix streams the rest.
     Both factors come from _factors at order n_max + 1, and each member is
-    one PowerSeries._product_member call; a table with neither e^(arg t)
+    one PowerSeries.product_member call; a table with neither e^(arg t)
     nor phi reads the core's own members, which pass no product kernel.
     """
     core, small = _factors(spec, n_max + 1, exp_argument)
     for n in range(n_min, n_max + 1):
-        yield core.extract(n) if small is None else core._product_member(small, n)
+        yield core.extract(n) if small is None else core.product_member(small, n)
 
 
 def general_series(phi: Phi, order: int, *,

@@ -15,20 +15,20 @@ phi-free tables M(x), M(z) and the numbers M pass spec.replace(phi=Unit()).
 Symmetry's left side reads no table: it re-expands the product
 F(ct; dx) F(dt; 0) from the series family.unified_series (the phi-free core)
 and family.general_series, each at rescaled t.  Like unified_members, it
-reads its members off the last Cauchy sum with n! cancelled before the
-single normalization (PowerSeries.product_members), not through extract.
+reads each member off the last Cauchy sum with n! cancelled before the
+single normalization (PowerSeries.product_member), not through extract.
 
 Every verifier reads its tables through _table.  Run alone, it builds
-each of them.  verify_all first builds its four shared tables, each once
-at the largest n any reader holds as a table: P(x) at n_max + m_max, and
-P(x+z), the general polynomials p(x) and P(0) at n_max.  It keys them by
-(spec or phi, exp_argument), which compare by value, so when phi is unit
-the phi-free M(x) and numbers M are found as P(x) and P(0).  _table hands
-each reader a prefix of a shared table and builds any other table
-afresh.  No verifier reads one shared table on both of its sides, so the
-sides stay apart.  They may share the factor values family caches, the
-core and e^(arg t) phi, which both sides already computed with the same
-code, but never a table.
+each of them.  verify_all first builds the two tables that four verifiers
+each read, once at the largest n any reader holds as a table: P(x) at
+n_max + m_max and P(x+z) at n_max.  It keys them by (spec,
+exp_argument), which compare by value, so when phi is unit the phi-free
+M(x) is found as P(x).  _table hands each reader a prefix of a shared
+table and builds any other table afresh, as run alone.  No verifier
+reads one shared table on both of its sides, so the sides stay apart.
+They may share the factor values family caches, the core and
+e^(arg t) phi, which both sides already computed with the same code, but
+never a table.
 
 Every identity is checked as lhs[n] == binomial_convolution(a, b, n), and
 every right side takes its products inside the right-side kernel
@@ -119,7 +119,7 @@ def _table(tables: Mapping, build, of: FamilySpec | Phi, n_max: int,
            **kwargs) -> Sequence[MultiPoly] | Iterator[MultiPoly]:
     """Entries 0 .. n_max of the table build(of, n_max, **kwargs).
 
-    tables holds shared tables keyed by (spec or phi, exp_argument): a table
+    tables holds shared tables keyed by (spec, exp_argument): a table
     found there is handed out as a prefix.  Only double-index asks for more
     than one holds, and only of P(x+z): the entries past it then follow as
     _members' stream, each built when it is read, so such a table can be
@@ -285,8 +285,8 @@ def _symmetry_left_side(spec: FamilySpec, c: Fraction, d: Fraction,
     [M(ct) M(dt)] * [G(ct; dx) G(dt; 0)]: the factor in La, Lb and the factor
     in x, y are each multiplied first, and the large product happens once,
     last, as a Cauchy sum whose members are read off with n! cancelled
-    before their one normalization.  The series product of the two and
-    extract give the same members.
+    before their one normalization (PowerSeries.product_member).  The
+    series product of the two and extract give the same members.
     """
     order = n_max + 1
     x, zero = MultiPoly.var(VarId.X), MultiPoly.zero()
@@ -294,7 +294,7 @@ def _symmetry_left_side(spec: FamilySpec, c: Fraction, d: Fraction,
     cores = _rescaled(core, c) * _rescaled(core, d)
     smalls = (_rescaled(general_series(spec.phi, order, exp_argument=x * d), c)
               * _rescaled(general_series(spec.phi, order, exp_argument=zero), d))
-    return cores.product_members(smalls)
+    return [cores.product_member(smalls, n) for n in range(order)]
 
 
 def _symmetry_scalars(c: Scalar, d: Scalar) -> tuple[Fraction, Fraction]:
@@ -310,25 +310,22 @@ def verify_all(spec: FamilySpec, n_max: int, *, c: Scalar = AUXILIARY["c"],
                d: Scalar = AUXILIARY["d"], m_max: int | None = None) -> list[Verdict]:
     """Run every identity with the same auxiliary arguments, one verdict each.
 
-    Bounds and scalars are checked first; then the four shared tables below
+    Bounds and scalars are checked first; then the two shared tables below
     are built once, keyed as _table looks them up, and dropped on return.
     Only P(x) is built past n_max: double-index reads P(x+z) past n_max as
-    a stream, one member at a time.
+    a stream, one member at a time.  Every other table has at most two
+    readers, each of which builds it as it does run alone.
     """
     args = _arguments(n_max, c, d, m_max)
     check_int("n_max", n_max, 0)
     total = n_max + check_int("m_max", args["m_max"], 0)
     _symmetry_scalars(c, d)
-    x_plus_z, zero = _x_plus_z(), MultiPoly.zero()
+    x_plus_z = _x_plus_z()
     tables = {
         # P(x): series-def, shift, shift-one, and double-index's right side up to n_max + m_max
         (spec, None): unified_members(spec, total),
         # P(x+z): shift, shift-mixed, shift-general, and double-index's left side up to n_max
         (spec, x_plus_z): unified_members(spec, n_max, exp_argument=x_plus_z),
-        # p(x): series-def, shift-general
-        (spec.phi, None): general_members(spec.phi, n_max),
-        # P(0): symmetry, and series-def's numbers M when phi is unit
-        (spec, zero): unified_members(spec, n_max, exp_argument=zero),
     }
     return [_run(identity, spec, args, tables) for identity in IdentityId]
 

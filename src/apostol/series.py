@@ -89,16 +89,13 @@ class PowerSeries:
     def coeffs(self) -> tuple[MultiPoly, ...]:
         return self._coeffs
 
-    def coefficient(self, n: int) -> MultiPoly:
+    def extract(self, n: int) -> MultiPoly:
+        """The n-th family member n! * [t^n], as generating functions define it."""
         if check_int("n", n, 0) >= len(self._coeffs):
             raise OrderExceededError(
                 f"coefficient of t^{n} requested from a series of order {len(self._coeffs)}"
             )
-        return self._coeffs[n]
-
-    def extract(self, n: int) -> MultiPoly:
-        """The n-th family member n! * [t^n], as generating functions define it."""
-        return self.coefficient(n) * factorial(n)
+        return self._coeffs[n] * factorial(n)
 
     def valuation(self) -> int | None:
         """Index of the lowest nonzero coefficient, or None for the zero series."""
@@ -125,24 +122,20 @@ class PowerSeries:
             for k in range(min(len(a), len(b)))
         ])
 
-    def product_members(self, other: PowerSeries) -> list[MultiPoly]:
-        """The members n! [t^n] (self * other) for every n the product knows.
+    def product_member(self, other: PowerSeries, n: int) -> MultiPoly:
+        """The member n! [t^n] (self * other), for an n both operands know.
 
-        Each member is one sum_of_products call that is passed n!, so the
-        factorial cancels against the sum's denominator before its single
-        normalization.  Member n equals (self * other).extract(n), the
-        reference route.
-        """
-        return [self._product_member(other, n)
-                for n in range(min(len(self._coeffs), len(other._coeffs)))]
-
-    def _product_member(self, other: PowerSeries, n: int) -> MultiPoly:
-        """The member n! [t^n] (self * other) alone, for an n both operands know.
-
-        The one reader of a product member: product_members and the family's
-        member stream (family._members) both call it.
+        One sum_of_products call that is passed n!, so the factorial cancels
+        against the sum's denominator before its single normalization; no
+        product series is built.  It equals (self * other).extract(n), the
+        reference route, and refuses the same indices.
         """
         a, b = self._coeffs, other._coeffs
+        order = min(len(a), len(b))
+        if check_int("n", n, 0) >= order:
+            raise OrderExceededError(
+                f"coefficient of t^{n} requested from a product of order {order}"
+            )
         return sum_of_products(((1, a[i], b[n - i]) for i in range(n + 1)), factorial(n))
 
     def scale(self, c: MultiPoly | Scalar) -> PowerSeries:

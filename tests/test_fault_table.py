@@ -2,15 +2,16 @@
 
 Each fault is patched on cold caches and changes one thing: five below the
 factor caches, one in the step that reads the members off the product of
-the two factors (the n! that PowerSeries.product_members passes to the
+the two factors (the n! that PowerSeries.product_member passes to the
 kernel), two in the product kernels, and one in the verifiers' exponential
 argument x+z.  The left-side kernel, as the series products call it, drops
 the last of 3 or more triples; the right-side kernel drops its last triple,
 which changes no table, only every right side.  Reading x+z as x changes no
 table either, only the verifiers that read P(x+z).
 The checks are the seven verdicts of verify_all at n = 5, plus, for the
-(1, e) spec, its phi-free table against special_case_oracle, which builds
-the Apostol-Euler table from its own generating function.  FAULTS pins
+(1, e) spec, its phi-free table against classical_oracle.apostol_euler,
+which divides the Apostol-Euler generating function out on plain Fractions
+and shares no code with the package.  FAULTS pins
 every cell as measured, and README prints the same table, so a change that
 turns a catch into a miss, or a miss into a catch, fails here and shows
 there.
@@ -25,20 +26,12 @@ from pathlib import Path
 import pytest
 
 from apostol import family, identities, series
-from apostol.family import (
-    PHI_KINDS,
-    ClassicalFamily,
-    FamilySpec,
-    GouldHopper,
-    LogBase,
-    Unit,
-    extract_table,
-    special_case_oracle,
-)
+from apostol.family import PHI_KINDS, FamilySpec, GouldHopper, LogBase, Unit, extract_table
 from apostol.identities import IdentityId, verify_all
 from apostol.polyring import MultiPoly, VarId
 
-from helpers import cold_factor_caches
+import classical_oracle
+from helpers import cold_factor_caches, xpoly_to_multipoly
 
 N = 5
 SPECS = {
@@ -46,7 +39,7 @@ SPECS = {
     "(1, e)": FamilySpec(2, 0, LogBase.ONE, LogBase.E, (-2, -2), GouldHopper(2)),
 }
 # k = 0 and alphas -lambda make the (1, e) spec's phi-free table Apostol-Euler, order 2, lambda 2.
-ORACLE = (ClassicalFamily.APOSTOL_EULER, 2, 2)
+ORACLE = [xpoly_to_multipoly(p) for p in classical_oracle.apostol_euler(2, 2, N)]
 CHECKS = [*(identity.value for identity in IdentityId), "oracle"]
 # The checks whose two sides need e^((x+z)t) = e^(xt) e^(zt) or e^((x+1)t) = e^(xt) e^t.
 SHIFTS = {"shift", "shift-mixed", "double-index", "shift-one", "shift-general"}
@@ -144,7 +137,7 @@ def _caught(spec: FamilySpec) -> set[str]:
     caught = {v.identity.value for v in verify_all(spec, N) if not v.passed}
     if spec.a is LogBase.ONE:
         phi_free = extract_table(spec.replace(phi=Unit()), N)
-        if phi_free.entries != special_case_oracle(*ORACLE, N).entries:
+        if [poly for _, poly in phi_free] != ORACLE:
             caught.add("oracle")
     return caught
 

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import copy
 import inspect
+import os
 import pickle
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -766,31 +771,30 @@ def _recording_builders(monkeypatch):
     return requests
 
 
-def _distinct_tables(requests):
-    """The (builder, spec or phi, argument) triples of a request log, once each, in order."""
-    out = []
-    for name, of, arg, _ in requests:
-        if not any(t == (name, of, arg) for t in out):
-            out.append((name, of, arg))
-    return out
+def _table_counts(requests):
+    """How often a request log asks for each (builder, spec or phi, argument) table."""
+    return Counter((name, of, arg) for name, of, arg, _ in requests)
 
 
 @pytest.mark.parametrize("spec", [*PRESETS.values(), SYM_GH2], ids=[*PRESETS, "sym-sym-gh2"])
 def test_verify_all_requests_each_table_once(monkeypatch, spec):
+    # verify_all shares P(x) and P(x+z), so each is requested once; every other
+    # table is requested as often as the seven verifiers request it run alone.
     requests = _recording_builders(monkeypatch)
+    shared = {("unified_members", spec, None), ("unified_members", spec, X + Z)}
     # m_max below n_max, zero (every shared table is n_max wide) and above
     # n_max (P(x) more than twice n_max wide).
     for n_max, m_max in [(3, 2), (3, 0), (2, 4)]:
         requests.clear()
         for identity in IdentityId:
             identities_mod.verify_identity(identity, spec, n_max, m_max=m_max)
-        alone = _distinct_tables(requests)
+        alone = _table_counts(requests)
+        assert shared <= alone.keys()
 
         requests.clear()
         verify_all(spec, n_max, m_max=m_max)
-        shared = [(name, of, arg) for name, of, arg, _ in requests]
-        assert _distinct_tables(requests) == shared  # no table is built twice
-        assert len(shared) == len(alone) and all(t in shared for t in alone)
+        assert _table_counts(requests) == Counter(
+            {table: 1 if table in shared else count for table, count in alone.items()})
         for name, of, arg, n in requests:
             # only P(x) is built beyond n_max, for double-index's right side;
             # its left side streams P(x+z) past n_max
@@ -846,6 +850,29 @@ def test_a_fault_past_the_prefix_fails_only_double_index(monkeypatch):
     assert hits == [("stream", 7)]
 
 
+MEMORY_GUARD = """
+import resource
+from apostol.family import FamilySpec, GouldHopper, LogBase
+from apostol.identities import verify_all
+spec = FamilySpec(2, 0, LogBase.SYMBOLIC_A, LogBase.SYMBOLIC_B, (2, -3), GouldHopper(2))
+print(*(v.passed for v in verify_all(spec, 20, m_max=20)))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)  # KiB on Linux
+"""
+
+
+def test_verify_all_at_n_and_m_max_20_passes_under_100_mb():
+    # In a new interpreter, so that no earlier test's caches count.  Double-index
+    # streams P_N(x+z) past n_max, so this run peaks near 57 MB; building the
+    # whole x+z table to n_max + m_max again (140 MB) fails here.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", MEMORY_GUARD], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    passed, peak_mb = run.stdout.splitlines()
+    assert passed.split() == ["True"] * len(IdentityId)
+    assert float(peak_mb) < 100, f"peak RSS {peak_mb} MB"
+
+
 def test_verify_all_rejects_a_bad_m_max_before_building_any_table(monkeypatch):
     requests = _recording_builders(monkeypatch)
     with pytest.raises(ValueError, match="^m_max must be an int >= 0, got -1$"):
@@ -876,22 +903,23 @@ def test_verify_all_returns_the_verdicts_of_the_verifiers_run_alone(spec):
         assert verify_all(spec, n_max, m_max=m_max) == alone, (n_max, m_max)
 
 
-# (shared table, builder, phi kind, kwargs, the verifiers that read it under verify_all)
+# (table, builder, phi kind, kwargs, its builds under verify_all, the verifiers that read it):
+# verify_all shares P(x) and P(x+z), and each reader of p(x) or P(0) builds its own.
 SHARED_FAULTS = [
-    ("P(x)", "unified_members", GH, {}, {"series-def", "shift", "double-index", "shift-one"}),
-    ("P(x+z)", "unified_members", GH, {"exp_argument": X + Z},
+    ("P(x)", "unified_members", GH, {}, 1, {"series-def", "shift", "double-index", "shift-one"}),
+    ("P(x+z)", "unified_members", GH, {"exp_argument": X + Z}, 1,
      {"shift", "shift-mixed", "double-index", "shift-general"}),
-    ("p(x)", "general_members", GH, {}, {"series-def", "shift-general"}),
-    ("P(0)", "unified_members", GH, {"exp_argument": ZERO}, {"symmetry"}),
+    ("p(x)", "general_members", GH, {}, 2, {"series-def", "shift-general"}),
+    ("P(0)", "unified_members", GH, {"exp_argument": ZERO}, 1, {"symmetry"}),
 ]
 
 
 @pytest.mark.parametrize("j0", [1, 4])
-@pytest.mark.parametrize("table, name, kind, match, readers", SHARED_FAULTS,
+@pytest.mark.parametrize("table, name, kind, match, builds, readers", SHARED_FAULTS,
                          ids=[table for table, *_ in SHARED_FAULTS])
 def test_a_fault_in_a_shared_table_fails_every_reader(monkeypatch, table, name, kind, match,
-                                                      readers, j0):
-    """The shared table is built once; each reader FAILs as it does alone, the rest PASS."""
+                                                      builds, readers, j0):
+    """A shared table is built once, any other per reader; each reader FAILs as alone."""
     original = getattr(identities_mod, name)
     hits = []
 
@@ -904,7 +932,7 @@ def test_a_fault_in_a_shared_table_fails_every_reader(monkeypatch, table, name, 
 
     monkeypatch.setattr(identities_mod, name, faulty)
     verdicts = verify_all(SYM_GH2, 5, m_max=2)
-    assert len(hits) == 1
+    assert len(hits) == builds
     assert {v.identity.value for v in verdicts if not v.passed} == readers
     for v in verdicts:
         if not v.passed and v.identity is not IdentityId.DOUBLE_INDEX:

@@ -206,7 +206,7 @@ def test_mul_against_naive_convolution():
             assert prod.coeffs[n] == acc
 
 
-def test_product_members_are_the_extracted_members_of_the_product():
+def test_product_member_is_the_extracted_member_of_the_product():
     # Random coefficients carry denominators that n! cancels in part, in full
     # or not at all; orders differ, so the product truncates to the smaller.
     rng = random.Random(505)
@@ -214,7 +214,8 @@ def test_product_members_are_the_extracted_members_of_the_product():
         f = random_series(rng, rng.randint(1, 8), max_degree=2, max_terms=3)
         g = random_series(rng, rng.randint(1, 8), max_degree=2, max_terms=3)
         prod = f * g
-        assert f.product_members(g) == [prod.extract(n) for n in range(len(prod.coeffs))]
+        for n in range(len(prod.coeffs)):
+            assert f.product_member(g, n) == prod.extract(n), n
 
 
 def test_exp_derivative_recurrence():
@@ -273,16 +274,18 @@ def test_t_power_takes_only_non_negative_int_exponents():
     assert PowerSeries.t_power(2, 3).valuation() == 2
 
 
-def test_coefficient_takes_only_non_negative_int_indices():
+def test_member_readers_take_only_non_negative_int_indices_below_the_order():
     # Unchecked, -1 would read the last known coefficient and True the one of t^1.
     series = PowerSeries.exp_linear(X, 3)
-    for bad in (-1, True, False, 1.0, Fraction(1), "1", None):
-        for read in (series.coefficient, series.extract):
+    longer = PowerSeries.exp_linear(Z, 4)
+    for read in (series.extract, lambda n: series.product_member(longer, n)):
+        for bad in (-1, True, False, 1.0, Fraction(1), "1", None):
             with pytest.raises(ValueError, match="^n must be an int >= 0, got "):
                 read(bad)
-    assert series.coefficient(2) == X * X * Fraction(1, 2)
-    with pytest.raises(OrderExceededError):
-        series.coefficient(3)
+        with pytest.raises(OrderExceededError, match="^coefficient of t\\^3 requested from a "):
+            read(3)
+    assert series.extract(2) == X * X
+    assert series.product_member(longer, 2) == (X + Z) ** 2
 
 
 def test_valuation():
