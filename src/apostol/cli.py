@@ -77,8 +77,11 @@ def render_table(table: PolyTable, fmt: str, *, preset: str | None = None) -> st
         if note:
             doc["note"] = note
         doc["n_max"] = table.n_max
-        doc["entries"] = [{"n": n, "terms": json_terms(p)} for n, p in table]
-        return json.dumps(doc, indent=2) + "\n"
+        text = json.dumps({**doc, "entries": []}, indent=2)  # ends in '"entries": []\n}'
+        # json.dumps of the whole document, one entry at a time: only its term dicts are held
+        entries = ",\n".join("    " + json.dumps({"n": n, "terms": json_terms(p)}, indent=2)
+                             .replace("\n", "\n    ") for n, p in table)
+        return f"{text[:-3]}\n{entries}\n  ]\n}}\n" if entries else text + "\n"
     header = [text for text in (table.label, note) if text]
     if fmt == CSV:
         lines = [f"# {text}" for text in header]

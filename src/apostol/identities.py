@@ -18,17 +18,17 @@ and family.general_series, each at rescaled t.  Like unified_members, it
 reads each member off the last Cauchy sum with n! cancelled before the
 single normalization (PowerSeries.product_member), not through extract.
 
-Every verifier reads its tables through _table.  Run alone, it builds
-each of them.  verify_all first builds the two tables that four verifiers
-each read, once at the largest n any reader holds as a table: P(x) at
-n_max + m_max and P(x+z) at n_max.  It keys them by (spec,
-exp_argument), which compare by value, so when phi is unit the phi-free
-M(x) is found as P(x).  _table hands each reader a prefix of a shared
-table and builds any other table afresh, as run alone.  No verifier
-reads one shared table on both of its sides, so the sides stay apart.
-They may share the factor values family caches, the core and
-e^(arg t) phi, which both sides already computed with the same code, but
-never a table.
+Every verifier reads its unified_members tables through _table and builds
+its general_members tables itself: no general table is shared.  Run alone,
+_table builds each table it is asked for.  verify_all first builds the two
+tables that four verifiers each read, once at the largest n any reader holds
+as a table: P(x) at n_max + m_max and P(x+z) at n_max.  It keys them by
+(spec, exp_argument), which compare by value, so when phi is unit the
+phi-free M(x) is found as P(x).  _table hands each reader a prefix of a
+shared table and builds any other table afresh, as run alone.  No verifier
+reads one shared table on both of its sides, so the sides stay apart.  They
+may share the factor values family caches, the core and e^(arg t) phi, which
+both sides already computed with the same code, but never a table.
 
 Every identity is checked as lhs[n] == binomial_convolution(a, b, n), and
 every right side takes its products inside the right-side kernel
@@ -60,7 +60,7 @@ from fractions import Fraction
 from itertools import chain
 from math import comb
 
-from .family import (FamilySpec, Phi, Unit, _members, general_members, general_series,
+from .family import (FamilySpec, Unit, _members, general_members, general_series,
                      unified_members, unified_series)
 from .polyring import (MultiPoly, Record, Scalar, VarId, check_int, is_exact_scalar,
                        linear_combination)
@@ -115,9 +115,9 @@ class Verdict(Record):
         super().__init__(identity, spec, max_n, passed, counterexample)
 
 
-def _table(tables: Mapping, build, of: FamilySpec | Phi, n_max: int,
+def _table(tables: Mapping, spec: FamilySpec, n_max: int,
            **kwargs) -> Sequence[MultiPoly] | Iterator[MultiPoly]:
-    """Entries 0 .. n_max of the table build(of, n_max, **kwargs).
+    """Entries 0 .. n_max of the table unified_members(spec, n_max, **kwargs).
 
     tables holds shared tables keyed by (spec, exp_argument): a table
     found there is handed out as a prefix.  Only double-index asks for more
@@ -125,12 +125,12 @@ def _table(tables: Mapping, build, of: FamilySpec | Phi, n_max: int,
     _members' stream, each built when it is read, so such a table can be
     read once, in ascending n.  Any other table is built afresh.
     """
-    table = tables.get((of, kwargs.get("exp_argument")))
+    table = tables.get((spec, kwargs.get("exp_argument")))
     if table is None:
-        return build(of, n_max, **kwargs)
+        return unified_members(spec, n_max, **kwargs)
     if len(table) > n_max:
         return table[:n_max + 1]
-    return chain(table, _members(of, len(table), n_max, **kwargs))
+    return chain(table, _members(spec, len(table), n_max, **kwargs))
 
 
 def binomial_convolution(a: Sequence[MultiPoly], b: Sequence[MultiPoly], n: int) -> MultiPoly:
@@ -163,10 +163,9 @@ def verify_series_def(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) ->
     """
     return _convolution_verdict(
         IdentityId.SERIES_DEF, spec, n_max,
-        _table(_tables, unified_members, spec, n_max),
-        _table(_tables, unified_members, spec.replace(phi=Unit()), n_max,
-               exp_argument=MultiPoly.zero()),
-        _table(_tables, general_members, spec.phi, n_max),
+        _table(_tables, spec, n_max),
+        _table(_tables, spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.zero()),
+        general_members(spec.phi, n_max),
     )
 
 
@@ -174,9 +173,9 @@ def verify_shift(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> Verd
     """P_n(x+z, y) = sum_m C(n,m) * P_m(x,y) * z^(n-m)."""
     return _convolution_verdict(
         IdentityId.SHIFT, spec, n_max,
-        _table(_tables, unified_members, spec, n_max, exp_argument=_x_plus_z()),
+        _table(_tables, spec, n_max, exp_argument=_x_plus_z()),
         _powers(MultiPoly.var(VarId.Z), n_max),
-        _table(_tables, unified_members, spec, n_max),
+        _table(_tables, spec, n_max),
     )
 
 
@@ -188,9 +187,9 @@ def verify_shift_mixed(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -
     """
     return _convolution_verdict(
         IdentityId.SHIFT_MIXED, spec, n_max,
-        _table(_tables, unified_members, spec, n_max, exp_argument=_x_plus_z()),
-        _table(_tables, general_members, spec.phi, n_max, exp_argument=MultiPoly.var(VarId.Z)),
-        _table(_tables, unified_members, spec.replace(phi=Unit()), n_max),
+        _table(_tables, spec, n_max, exp_argument=_x_plus_z()),
+        general_members(spec.phi, n_max, exp_argument=MultiPoly.var(VarId.Z)),
+        _table(_tables, spec.replace(phi=Unit()), n_max),
     )
 
 
@@ -212,7 +211,7 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
     check_int("n_max", n_max, 0)
     check_int("m_max", m_max, 0)
     x_plus_z = _x_plus_z()
-    prefix = _table(_tables, unified_members, spec, n_max, exp_argument=x_plus_z)
+    prefix = _table(_tables, spec, n_max, exp_argument=x_plus_z)
     shift = verify_shift(spec, n_max + m_max, _tables={**_tables, (spec, x_plus_z): prefix})
     fail = shift.counterexample
     if fail is not None:  # report the mismatch in (x, z)
@@ -231,9 +230,9 @@ def verify_shift_one(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> 
     """
     return _convolution_verdict(
         IdentityId.SHIFT_ONE, spec, n_max,
-        _table(_tables, unified_members, spec, n_max, exp_argument=MultiPoly.var(VarId.X) + 1),
+        _table(_tables, spec, n_max, exp_argument=MultiPoly.var(VarId.X) + 1),
         [MultiPoly.one()] * (n_max + 1),
-        _table(_tables, unified_members, spec, n_max),
+        _table(_tables, spec, n_max),
     )
 
 
@@ -245,10 +244,9 @@ def verify_shift_general(spec: FamilySpec, n_max: int, *, _tables: Mapping = {})
     """
     return _convolution_verdict(
         IdentityId.SHIFT_GENERAL, spec, n_max,
-        _table(_tables, unified_members, spec, n_max, exp_argument=_x_plus_z()),
-        _table(_tables, unified_members, spec.replace(phi=Unit()), n_max,
-               exp_argument=MultiPoly.var(VarId.Z)),
-        _table(_tables, general_members, spec.phi, n_max),
+        _table(_tables, spec, n_max, exp_argument=_x_plus_z()),
+        _table(_tables, spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.var(VarId.Z)),
+        general_members(spec.phi, n_max),
     )
 
 
@@ -270,9 +268,8 @@ def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int, *,
     check_int("n_max", n_max, 0)
     return _convolution_verdict(
         IdentityId.SYMMETRY, spec, n_max, _symmetry_left_side(spec, c, d, n_max),
-        _scaled(_table(_tables, unified_members, spec, n_max,
-                       exp_argument=MultiPoly.var(VarId.X) * c), d),
-        _scaled(_table(_tables, unified_members, spec, n_max, exp_argument=MultiPoly.zero()), c),
+        _scaled(_table(_tables, spec, n_max, exp_argument=MultiPoly.var(VarId.X) * c), d),
+        _scaled(_table(_tables, spec, n_max, exp_argument=MultiPoly.zero()), c),
     )
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,11 +15,11 @@ import pytest
 import apostol.identities as identities_mod
 from apostol.cli import TABLE_PRESET_NOTES, main, render_table, render_verdict
 from apostol.family import (
-    PHI_KINDS, PRESETS, ClassicalFamily, FamilySpec, GouldHopper, LogBase, Phi, PolyTable,
-    TruncatedExp, extract_table, general_members, special_case_oracle,
+    PHI_KINDS, PRESETS, ClassicalFamily, FamilySpec, GouldHopper, Laguerre, LogBase, Phi,
+    PolyTable, TruncatedExp, extract_table, general_members, special_case_oracle,
 )
 from apostol.identities import Counterexample, IdentityId, Verdict, verify_all
-from apostol.polyring import MultiPoly, VarId
+from apostol.polyring import MultiPoly, VarId, json_terms
 
 from reference_ring import RefPoly, format_ref, latex_ref
 
@@ -60,11 +61,33 @@ def test_golden_json_round_trip(name):
     assert json.dumps(json.loads(text), indent=2) + "\n" == text
 
 
+# Tables no preset reaches, where writing entry by entry could part from one
+# json.dumps of the whole document: no entries, a zero member, no spec (without a
+# preset, with one, and with one that has a note) and a deep expand table.
+JSON_TABLES = [
+    (lambda: PolyTable("empty", ()), None),
+    (lambda: PolyTable("zero member", ((0, MultiPoly.one()), (1, MultiPoly.zero()))), None),
+    (lambda: PolyTable("gh", tuple(enumerate(general_members(GouldHopper(2), 3)))), None),
+    (lambda: PolyTable("gh", tuple(enumerate(general_members(GouldHopper(2), 3)))), "hermite"),
+    (lambda: special_case_oracle(ClassicalFamily.APOSTOL_BERNOULLI, 1, 1, 4), "bernoulli"),
+    (lambda: extract_table(FamilySpec(2, 1, LogBase.ONE, LogBase.E, (Fraction(5, 7),) * 2,
+                                      Laguerre(1)), 48), None),
+]
+
+
 def test_emitted_json_round_trips_for_every_preset(capsys):
     for preset in sorted(PRESETS):
         assert main(["expand", "--preset", preset, "--n", "3"]) == 0
         text = capsys.readouterr().out
         assert json.dumps(json.loads(text), indent=2) + "\n" == text
+    for build, preset in JSON_TABLES:
+        table = build()
+        text = render_table(table, "json", preset=preset)
+        doc = json.loads(text)
+        assert json.dumps(doc, indent=2) + "\n" == text
+        # the same bytes as the whole document, its entries from json_terms, in one json.dumps
+        doc["entries"] = [{"n": n, "terms": json_terms(p)} for n, p in table]
+        assert json.dumps(doc, indent=2) + "\n" == text, table.label
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
@@ -175,6 +198,20 @@ def test_a_json_table_names_a_preset_only_when_one_is_passed():
     named = json.loads(render_table(table, "json", preset="hermite"))
     assert list(named) == ["preset", "label", "n_max", "entries"]
     assert named["preset"] == "hermite"
+
+
+def test_a_json_table_renders_within_five_times_the_size_of_its_text():
+    # 2,925 terms in 248 KB of text.  Each entry is dumped alone, so the render
+    # peaks near 2.2x the text; one json.dumps of the whole document, which holds
+    # every term dict and encoder chunk at once, peaks near 11x.
+    table = extract_table(FamilySpec(2, 1, LogBase.ONE, LogBase.E, (1, 1), Laguerre(1)), 24)
+    tracemalloc.start()
+    try:
+        text = render_table(table, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * len(text), f"peak {peak} B for {len(text)} B of text"
 
 
 def test_exit_code_2_on_spec_errors(capsys):
