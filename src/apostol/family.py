@@ -36,8 +36,7 @@ product.  No product series is built: each member P_n is read off the
 Cauchy sum of the two factors with n! cancelled against the sum's
 denominator, so it is normalized once.  unified_members lists these
 members from _members, a stream that builds each member when it is read;
-identities.verify_double_index reads members past a shared prefix from
-the same stream, one at a time.
+every left side in identities reads the same stream.
 unified_series(spec, order).extract(n) stays the public series route to
 the same member, and the tests' reference.  A zero arg drops e^(xt), and
 spec.replace(phi=Unit()) drops phi; both together give the number sequence
@@ -355,12 +354,14 @@ def _members(spec: FamilySpec, n_min: int, n_max: int,
              exp_argument: MultiPoly | Scalar | None = None) -> Iterator[MultiPoly]:
     """Members n_min .. n_max of unified_members(spec, n_max, ...), each built when it is read.
 
-    The one left-side path: unified_members lists it from 0, and a verifier
-    that needs one member at a time past a shared prefix streams the rest.
-    Both factors come from _factors at order n_max + 1, and each member is
-    one PowerSeries.product_member call; a table with neither e^(arg t)
+    The one member path: unified_members lists it from 0, and each left side
+    in identities streams it past any shared prefix.  Both factors come from
+    _factors at order n_max + 1, unless the range is empty, and each member
+    is one PowerSeries.product_member call; a table with neither e^(arg t)
     nor phi reads the core's own members, which pass no product kernel.
     """
+    if n_min > n_max:
+        return
     core, small = _factors(spec, n_max + 1, exp_argument)
     for n in range(n_min, n_max + 1):
         yield core.extract(n) if small is None else core.product_member(small, n)

@@ -18,14 +18,15 @@ and family.general_series, each at rescaled t.  Like unified_members, it
 reads each member off the last Cauchy sum with n! cancelled before the
 single normalization (PowerSeries.product_member), not through extract.
 
-Every verifier reads its unified_members tables through _table and builds
-its general_members tables itself: no general table is shared.  Run alone,
-_table builds each table it is asked for.  verify_all first builds the two
-tables that four verifiers each read, once at the largest n any reader holds
-as a table: P(x) at n_max + m_max and P(x+z) at n_max.  It keys them by
-(spec, exp_argument), which compare by value, so when phi is unit the
-phi-free M(x) is found as P(x).  _table hands each reader a prefix of a
-shared table and builds any other table afresh, as run alone.  No verifier
+Every left side is a stream and every right side a list.  _stream serves
+the left sides of series-def and the shifts: any prefix of a table
+verify_all shares, then family's member stream _members, which builds each
+member when the check reads it, so a verifier run alone holds no left-side
+table.  Right sides read unified_members tables through _table and build
+general_members tables themselves.  verify_all first builds the two tables
+four verifiers each read, at the largest n any reader holds: P(x) at
+n_max + m_max and P(x+z) at n_max, keyed by (spec, exp_argument), which
+compare by value (so when phi is unit, M(x) is found as P(x)).  No verifier
 reads one shared table on both of its sides, so the sides stay apart.  They
 may share the factor values family caches, the core and e^(arg t) phi, which
 both sides already computed with the same code, but never a table.
@@ -39,13 +40,11 @@ product, so a fault in either shows as a FAIL instead of cancelling out.
 After the automorphism z -> x + h, the double-index identity at (n, m) is the
 shift identity at N = n + m, so double-index runs the shift check at
 n_max + m_max and reports a FAIL at the first pair with that N, both sides
-mapped back with MultiPoly.substitute({Z: z - x}).  It is the one reader of
-P_N(x+z) past n_max, and it holds none of those members as a table: run
-alone or under verify_all, it reads the P(x+z) table up to n_max and then
-family's member stream (_members, the path unified_members lists), which
-builds each P_N when the check reads it and drops it after.  Every
-comparison of two sides happens in one loop, _convolution_verdict, which
-reads each left side once, in ascending n.
+mapped back with MultiPoly.substitute({Z: z - x}).  Its left side is
+shift's stream, so under verify_all it reads the shared P(x+z) up to n_max
+and streams the members past it.  Every comparison of two sides happens in
+one loop, _convolution_verdict, which reads each left side once, in
+ascending n.
 
 On failure the verdict carries the smallest failing index tuple in
 lexicographic order together with both polynomials, so a broken identity
@@ -115,22 +114,25 @@ class Verdict(Record):
         super().__init__(identity, spec, max_n, passed, counterexample)
 
 
-def _table(tables: Mapping, spec: FamilySpec, n_max: int,
-           **kwargs) -> Sequence[MultiPoly] | Iterator[MultiPoly]:
-    """Entries 0 .. n_max of the table unified_members(spec, n_max, **kwargs).
+def _table(tables: Mapping, spec: FamilySpec, n_max: int, **kwargs) -> Sequence[MultiPoly]:
+    """The right-side table unified_members(spec, n_max, **kwargs).
 
-    tables holds shared tables keyed by (spec, exp_argument): a table
-    found there is handed out as a prefix.  Only double-index asks for more
-    than one holds, and only of P(x+z): the entries past it then follow as
-    _members' stream, each built when it is read, so such a table can be
-    read once, in ascending n.  Any other table is built afresh.
+    tables holds shared tables keyed by (spec, exp_argument), each at least
+    n_max + 1 entries long: a table found there is handed out as a prefix.
+    Any other table is built afresh.
     """
     table = tables.get((spec, kwargs.get("exp_argument")))
-    if table is None:
-        return unified_members(spec, n_max, **kwargs)
-    if len(table) > n_max:
-        return table[:n_max + 1]
-    return chain(table, _members(spec, len(table), n_max, **kwargs))
+    return unified_members(spec, n_max, **kwargs) if table is None else table[:n_max + 1]
+
+
+def _stream(tables: Mapping, spec: FamilySpec, n_max: int, **kwargs) -> Iterator[MultiPoly]:
+    """Members 0 .. n_max of unified_members(spec, n_max, **kwargs): a left side, read once.
+
+    Any prefix of a shared table comes first; _members builds each member past it when read.
+    """
+    check_int("n_max", n_max, 0)
+    prefix = tables.get((spec, kwargs.get("exp_argument")), [])[:n_max + 1]
+    return chain(prefix, _members(spec, len(prefix), n_max, **kwargs))
 
 
 def binomial_convolution(a: Sequence[MultiPoly], b: Sequence[MultiPoly], n: int) -> MultiPoly:
@@ -143,9 +145,10 @@ def _convolution_verdict(identity: IdentityId, spec: FamilySpec, n_max: int,
                          b: Sequence[MultiPoly]) -> Verdict:
     """Check lhs[n] == binomial_convolution(a, b, n) for n = 0 .. n_max; first mismatch wins.
 
-    lhs holds exactly n_max + 1 entries and is read once, in ascending n, so
-    it may be a stream: each entry is then built just before its comparison
-    and dropped after it, and a FAIL reports the entry it compared.
+    lhs is a _stream, or symmetry's list.  It holds exactly n_max + 1
+    entries and is read once, in ascending n: a streamed entry is built just
+    before its comparison and dropped after it, and a FAIL reports the entry
+    it compared.
     """
     for n, left in zip(range(n_max + 1), lhs, strict=True):
         rhs = binomial_convolution(a, b, n)
@@ -163,7 +166,7 @@ def verify_series_def(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) ->
     """
     return _convolution_verdict(
         IdentityId.SERIES_DEF, spec, n_max,
-        _table(_tables, spec, n_max),
+        _stream(_tables, spec, n_max),
         _table(_tables, spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.zero()),
         general_members(spec.phi, n_max),
     )
@@ -173,7 +176,7 @@ def verify_shift(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> Verd
     """P_n(x+z, y) = sum_m C(n,m) * P_m(x,y) * z^(n-m)."""
     return _convolution_verdict(
         IdentityId.SHIFT, spec, n_max,
-        _table(_tables, spec, n_max, exp_argument=_x_plus_z()),
+        _stream(_tables, spec, n_max, exp_argument=_x_plus_z()),
         _powers(MultiPoly.var(VarId.Z), n_max),
         _table(_tables, spec, n_max),
     )
@@ -187,7 +190,7 @@ def verify_shift_mixed(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -
     """
     return _convolution_verdict(
         IdentityId.SHIFT_MIXED, spec, n_max,
-        _table(_tables, spec, n_max, exp_argument=_x_plus_z()),
+        _stream(_tables, spec, n_max, exp_argument=_x_plus_z()),
         general_members(spec.phi, n_max, exp_argument=MultiPoly.var(VarId.Z)),
         _table(_tables, spec.replace(phi=Unit()), n_max),
     )
@@ -203,16 +206,11 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
     is the shift identity at N = n + m, so it runs the shift check at
     n_max + m_max.  A FAIL at N is reported at the first pair in lexicographic
     order with that N, (max(0, N - m_max), min(N, m_max)), in (x, z).
-    The left side P_N(x+z) is the unified_members table up to n_max, shared
-    under verify_all, and past it the member stream: each P_N is built when
-    the check reads it and dropped after, so no x+z member past n_max is
-    held as a table, run alone or not.
+    Its left side is shift's stream of P_N(x+z): it holds no table of its own.
     """
     check_int("n_max", n_max, 0)
     check_int("m_max", m_max, 0)
-    x_plus_z = _x_plus_z()
-    prefix = _table(_tables, spec, n_max, exp_argument=x_plus_z)
-    shift = verify_shift(spec, n_max + m_max, _tables={**_tables, (spec, x_plus_z): prefix})
+    shift = verify_shift(spec, n_max + m_max, _tables=_tables)
     fail = shift.counterexample
     if fail is not None:  # report the mismatch in (x, z)
         (nm,) = fail.indices
@@ -230,7 +228,7 @@ def verify_shift_one(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> 
     """
     return _convolution_verdict(
         IdentityId.SHIFT_ONE, spec, n_max,
-        _table(_tables, spec, n_max, exp_argument=MultiPoly.var(VarId.X) + 1),
+        _stream(_tables, spec, n_max, exp_argument=MultiPoly.var(VarId.X) + 1),
         [MultiPoly.one()] * (n_max + 1),
         _table(_tables, spec, n_max),
     )
@@ -244,7 +242,7 @@ def verify_shift_general(spec: FamilySpec, n_max: int, *, _tables: Mapping = {})
     """
     return _convolution_verdict(
         IdentityId.SHIFT_GENERAL, spec, n_max,
-        _table(_tables, spec, n_max, exp_argument=_x_plus_z()),
+        _stream(_tables, spec, n_max, exp_argument=_x_plus_z()),
         _table(_tables, spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.var(VarId.Z)),
         general_members(spec.phi, n_max),
     )
@@ -309,8 +307,8 @@ def verify_all(spec: FamilySpec, n_max: int, *, c: Scalar = AUXILIARY["c"],
 
     Bounds and scalars are checked first; then the two shared tables below
     are built once, keyed as _table looks them up, and dropped on return.
-    Only P(x) is built past n_max: double-index reads P(x+z) past n_max as
-    a stream, one member at a time.  Every other table has at most two
+    Only P(x) is built past n_max: double-index's left side streams P(x+z)
+    past n_max, one member at a time.  Every other table has at most two
     readers, each of which builds it as it does run alone.
     """
     args = _arguments(n_max, c, d, m_max)

@@ -110,10 +110,6 @@ class PowerSeries:
         n = min(len(self._coeffs), len(other._coeffs))
         return PowerSeries([self._coeffs[i] + other._coeffs[i] for i in range(n)])
 
-    def __sub__(self, other: PowerSeries) -> PowerSeries:
-        n = min(len(self._coeffs), len(other._coeffs))
-        return PowerSeries([self._coeffs[i] - other._coeffs[i] for i in range(n)])
-
     def __mul__(self, other: PowerSeries) -> PowerSeries:
         """Cauchy product, truncated to the smaller operand order."""
         a, b = self._coeffs, other._coeffs

@@ -509,15 +509,15 @@ def test_verify_all_prints_what_verify_all_returns(flags, spec, capsys):
 @pytest.mark.parametrize("identity", [i.value for i in IdentityId])
 def test_a_single_identity_builds_only_its_own_tables(monkeypatch, capsys, identity):
     # Only verify_all shares tables; a single --identity builds what its
-    # verifier reads, at n.  Only double-index reads past n: P(x) as a table
-    # up to n + m_max, and P(x+z) up to n, streaming the rest.
+    # verifier reads, at n.  Only double-index reads past n, to n + m_max:
+    # P(x) as a table, P(x+z) as a member stream.
     sizes = []
-    for name in ("unified_members", "general_members"):
+    for name in ("unified_members", "general_members", "_members"):
         build = getattr(identities_mod, name)
 
-        def logged(of, n, _build=build, **kwargs):
-            sizes.append((kwargs.get("exp_argument"), n))
-            return _build(of, n, **kwargs)
+        def logged(of, *n, _build=build, **kwargs):
+            sizes.append((kwargs.get("exp_argument"), n[-1]))
+            return _build(of, *n, **kwargs)
 
         monkeypatch.setattr(identities_mod, name, logged)
     double = identity == IdentityId.DOUBLE_INDEX.value
@@ -526,6 +526,6 @@ def test_a_single_identity_builds_only_its_own_tables(monkeypatch, capsys, ident
     assert capsys.readouterr().out == f"{identity}: PASS\n"
     if double:
         x_plus_z = MultiPoly.var(VarId.X) + MultiPoly.var(VarId.Z)
-        assert sorted(sizes, key=lambda size: size[1]) == [(x_plus_z, 3), (None, 5)]
+        assert sorted(sizes, key=lambda size: size[1]) == [(x_plus_z, 5), (None, 5)]
     else:
         assert sizes and {n for _, n in sizes} == {3}

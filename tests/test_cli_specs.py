@@ -1,15 +1,21 @@
 """CLI runs on specs no golden command covers: symbolic bases, edge bounds, unit alphas.
 
 Each case is an argv of `apostol verify` that must exit 0 with a PASS on
-every printed line, one line per identity checked.
+every printed line, one line per identity checked.  The last test checks
+the installed script's entry point and exit code without installing it.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
+from apostol import cli
 from apostol.cli import main
 
 SYM_SYM = "--a sym --b sym --r 2 --alphas=2,-3 --phi gould-hopper"
@@ -59,3 +65,20 @@ def test_symbolic_bases_expand_to_json_and_latex(capsys):
     assert main([*argv, "latex"]) == 0
     latex = capsys.readouterr().out
     assert r"\log a" in latex and r"\log b" in latex
+
+
+def test_the_console_script_is_cli_run_and_exits_2_on_a_bad_bound(monkeypatch, capsys):
+    # The installed `apostol` script calls the [project.scripts] entry, which
+    # resolves to apostol.cli.run.  pyproject.toml is read without tomllib,
+    # which Python 3.10 lacks.  run() exits with main's code and the error
+    # on stderr, as the script does.
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    scripts = dict(re.findall(r'^(\S+) = "([^"]+)"$', section.group(1), re.M))
+    module, attr = scripts["apostol"].split(":")
+    assert getattr(importlib.import_module(module), attr) is cli.run
+    monkeypatch.setattr(sys, "argv", ["apostol", "expand", "--preset", "euler", "--n", "-1"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.run()
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.splitlines()[0].startswith("error: n_max must be an int >= 0")

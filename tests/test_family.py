@@ -136,7 +136,7 @@ def _denominator_product(spec, order):
     at = PowerSeries.exp_linear(spec.a.log_poly(), order)
     product = PowerSeries.one(order)
     for alpha in spec.alphas:
-        product = product * (bt.scale(alpha) - at)
+        product = product * (bt.scale(alpha) + at.scale(-1))
     return product
 
 
@@ -171,7 +171,7 @@ def test_unified_bernoulli_generating_series():
     got = unified_series(spec, 6)
     assert len(got.coeffs) == 6
     num = PowerSeries.t_power(1, 7) * PowerSeries.exp_linear(X, 7)
-    den = PowerSeries.exp_linear(ONE, 7) - PowerSeries.one(7)
+    den = PowerSeries.exp_linear(ONE, 7) + PowerSeries.one(7).scale(-1)
     assert got == num.divide_with_valuation(den, 1).scale(-1)
 
 

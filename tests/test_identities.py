@@ -9,6 +9,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -242,7 +243,7 @@ def test_tables_reassociate_the_generating_product(spec, arg, order):
         bt, at = (PowerSeries.exp_linear(base.log_poly(), order) for base in (wider.b, wider.a))
         from_one = PowerSeries.one(order)
         for alpha in wider.alphas:
-            from_one = from_one * (bt.scale(alpha) - at)
+            from_one = from_one * (bt.scale(alpha) + at.scale(-1))
         assert denominator_series(wider, order) == from_one
 
 
@@ -444,21 +445,22 @@ def test_the_product_of_binomial_rows_n_and_m_is_row_n_plus_m():
 
 
 # (verifier slug, perturbed table or series, name the verifier calls it by,
-# phi kind of the spec or phi passed, kwargs of that call).  The numbers M and
-# P(0) both pass a zero exp_argument and differ only in the phi of the spec.
+# phi kind of the spec or phi passed, kwargs of that call).  Each table left
+# side is the member stream _members.  The numbers M and P(0) both pass a
+# zero exp_argument and differ only in the phi of the spec.
 GH, UNIT = "gould-hopper", "unit"
 FAULTS = [
-    ("series-def", "lhs P(x)", "unified_members", GH, {}),
+    ("series-def", "lhs P(x)", "_members", GH, {}),
     ("series-def", "numbers M", "unified_members", UNIT, {"exp_argument": ZERO}),
     ("series-def", "general p(x)", "general_members", GH, {}),
-    ("shift", "lhs P(x+z)", "unified_members", GH, {"exp_argument": X + Z}),
+    ("shift", "lhs P(x+z)", "_members", GH, {"exp_argument": X + Z}),
     ("shift", "P(x)", "unified_members", GH, {}),
-    ("shift-mixed", "lhs P(x+z)", "unified_members", GH, {"exp_argument": X + Z}),
+    ("shift-mixed", "lhs P(x+z)", "_members", GH, {"exp_argument": X + Z}),
     ("shift-mixed", "general p(z)", "general_members", GH, {"exp_argument": Z}),
     ("shift-mixed", "phi-free M(x)", "unified_members", UNIT, {}),
-    ("shift-one", "lhs P(x+1)", "unified_members", GH, {"exp_argument": X + 1}),
+    ("shift-one", "lhs P(x+1)", "_members", GH, {"exp_argument": X + 1}),
     ("shift-one", "P(x)", "unified_members", GH, {}),
-    ("shift-general", "lhs P(x+z)", "unified_members", GH, {"exp_argument": X + Z}),
+    ("shift-general", "lhs P(x+z)", "_members", GH, {"exp_argument": X + Z}),
     ("shift-general", "phi-free M(z)", "unified_members", UNIT, {"exp_argument": Z}),
     ("shift-general", "general p(x)", "general_members", GH, {}),
     ("symmetry", "lhs G(dx)", "general_series", GH, {"exp_argument": 3 * X}),
@@ -476,6 +478,18 @@ VERIFIERS = {
 }
 
 
+def _faulty_stream(stream, kind, match, j0, hits):
+    """stream (a _members) with y added to member j0 of each matching left side, logged in hits."""
+    def faulty(spec, n_min, n_max, **kwargs):
+        for n, member in enumerate(stream(spec, n_min, n_max, **kwargs), n_min):
+            if n == j0 and spec.phi.kind == kind and kwargs == match:
+                hits.append(("stream", n_max))
+                member = member + Y
+            yield member
+
+    return faulty
+
+
 def _plus_y_at(out, j0):
     """out with y added to entry j0: a table's member, or a series' coefficient of t^j0."""
     if isinstance(out, PowerSeries):
@@ -491,7 +505,8 @@ def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, ta
                                                          kind, match, j0):
     """Adding y to entry j0 of one table (or series) a verifier reads makes it FAIL at n = j0.
 
-    Every table is perturbed through the name the verifier calls.  Entry 0
+    Every table is perturbed through the name the verifier calls, and each
+    table left side is read from the member stream _members.  Entry 0
     of each other table is a nonzero constant (1, or P_0 = -1 for this
     spec), so the fault cannot cancel at n = j0 and cannot show earlier.
 
@@ -528,6 +543,8 @@ def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, ta
             out = _plus_y_at(out, j0)
         return out
 
+    if name == "_members":
+        faulty = _faulty_stream(original, kind, match, j0, hits)
     monkeypatch.setattr(identities_mod, name, faulty)
     verdict = VERIFIERS[slug](spec, 5)
     assert len(hits) == 1
@@ -538,12 +555,11 @@ def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, ta
 def _perturb_x_plus_z_member(monkeypatch, j0):
     """Add y to P_j0(x+z) wherever identities builds it; the log of where it did.
 
-    The member is built in a unified_members table when j0 is within it,
-    and in the member stream that double-index reads past such a table
-    otherwise.
+    The member is built in the shared unified_members table when verify_all
+    holds j0 there, and in the member stream of a left side otherwise.
     """
     hits = []
-    build, stream = identities_mod.unified_members, identities_mod._members
+    build = identities_mod.unified_members
 
     def faulty_members(s, n, **kwargs):
         members = build(s, n, **kwargs)
@@ -552,15 +568,9 @@ def _perturb_x_plus_z_member(monkeypatch, j0):
             members[j0] = members[j0] + Y
         return members
 
-    def faulty_stream(s, n_min, n_max, **kwargs):
-        for n, member in enumerate(stream(s, n_min, n_max, **kwargs), n_min):
-            if kwargs == {"exp_argument": X + Z} and n == j0:
-                hits.append(("stream", n_max))
-                member = member + Y
-            yield member
-
     monkeypatch.setattr(identities_mod, "unified_members", faulty_members)
-    monkeypatch.setattr(identities_mod, "_members", faulty_stream)
+    monkeypatch.setattr(identities_mod, "_members", _faulty_stream(
+        identities_mod._members, GH, {"exp_argument": X + Z}, j0, hits))
     return hits
 
 
@@ -574,7 +584,7 @@ def test_double_index_fails_at_a_perturbed_left_side(monkeypatch, n_max, m_max, 
     # Adding y to P_j0(x+z) breaks every pair with n + m = j0 and no other;
     # the first in lexicographic order is (0, j0) when j0 <= m_max, and
     # (j0 - m_max, m_max) beyond it.  m_max = 0 and n_max = 0 are the two
-    # edges of that map.  Past n_max the member comes from the stream.
+    # edges of that map.  Run alone, every member comes from the stream.
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
     hits = _perturb_x_plus_z_member(monkeypatch, j0)
     verdict = verify_double_index(spec, n_max, m_max)
@@ -758,7 +768,12 @@ def test_verify_all_builds_each_factor_once_per_order():
 
 
 def _recording_builders(monkeypatch):
-    """Route identities' table builders through a log of (builder, spec or phi, argument, n)."""
+    """Route identities' table builders through a log of (builder, spec or phi, argument, n).
+
+    A left side's member stream from 0 lists the table unified_members(spec,
+    n) and is logged as it; a stream past a shared prefix is the rest of
+    that shared table and is not.
+    """
     requests = []
     for name in ("unified_members", "general_members"):
         build = getattr(identities_mod, name)
@@ -768,6 +783,14 @@ def _recording_builders(monkeypatch):
             return _build(of, n, **kwargs)
 
         monkeypatch.setattr(identities_mod, name, logged)
+    stream = identities_mod._members
+
+    def logged_stream(of, n_min, n, **kwargs):
+        if n_min == 0:
+            requests.append(("unified_members", of, kwargs.get("exp_argument"), n))
+        return stream(of, n_min, n, **kwargs)
+
+    monkeypatch.setattr(identities_mod, "_members", logged_stream)
     return requests
 
 
@@ -802,38 +825,80 @@ def test_verify_all_requests_each_table_once(monkeypatch, spec):
             assert n == (n_max + m_max if wide else n_max), (n_max, m_max, name, of, arg)
 
 
-@pytest.mark.parametrize("run", ["verify_all", "alone"])
+# The exp_argument of each convolution verifier's left side, by slug.
+LEFT_SIDES = {"series-def": None, "shift": X + Z, "shift-mixed": X + Z, "double-index": X + Z,
+              "shift-one": X + 1, "shift-general": X + Z}
+
+
+@pytest.mark.parametrize("run", ["verify_all", *LEFT_SIDES])
 def test_the_left_side_stream_builds_each_member_once_just_before_its_check(monkeypatch, run):
-    # Double-index reads P_N(x+z) past n_max from the member stream: each is
-    # built once, after the check at N - 1 and before the check at N, and no
-    # x+z table of more than n_max + 1 entries is requested.
+    # Every left side is the member stream: each member is built once, after
+    # the check at n - 1 and before the check at n, and never in a table.
+    # Under verify_all, double-index reads the shared P(x+z) table up to n_max
+    # and streams P_N(x+z) past it; shift-one streams all of P(x+1).
     n_max, m_max = 3, 4
-    requests = _recording_builders(monkeypatch)
+    build = identities_mod.unified_members
     stream, convolution = identities_mod._members, identities_mod.binomial_convolution
-    events = []
+    events, tables = [], []
+
+    def logged_table(of, n, **kwargs):
+        tables.append((of, kwargs.get("exp_argument"), n))
+        return build(of, n, **kwargs)
 
     def logged_stream(of, n_min, n_last, **kwargs):
-        assert (of, kwargs) == (SYM_GH2, {"exp_argument": X + Z})
         for n, member in enumerate(stream(of, n_min, n_last, **kwargs), n_min):
-            events.append(("build", n))
+            events.append(("build", kwargs.get("exp_argument"), n))
             yield member
 
     def logged_convolution(a, b, n):
         events.append(("check", n))
         return convolution(a, b, n)
 
+    monkeypatch.setattr(identities_mod, "unified_members", logged_table)
     monkeypatch.setattr(identities_mod, "_members", logged_stream)
     monkeypatch.setattr(identities_mod, "binomial_convolution", logged_convolution)
     if run == "verify_all":
         assert all(v.passed for v in verify_all(SYM_GH2, n_max, m_max=m_max))
+        expected = [*((X + Z, N) for N in range(n_max + 1, n_max + m_max + 1)),
+                    *((X + 1, n) for n in range(n_max + 1))]
+        left_tables = [(SYM_GH2, X + Z, n_max)]
     else:
-        assert verify_double_index(SYM_GH2, n_max, m_max).passed
+        identity = IdentityId(run)
+        assert identities_mod.verify_identity(identity, SYM_GH2, n_max, m_max=m_max).passed
+        top = n_max + m_max if identity is IdentityId.DOUBLE_INDEX else n_max
+        expected = [(LEFT_SIDES[run], n) for n in range(top + 1)]
+        left_tables = []
     builds = [i for i, event in enumerate(events) if event[0] == "build"]
-    assert [events[i] for i in builds] == [("build", N) for N in range(4, 8)]
+    assert [events[i][1:] for i in builds] == expected
     for i in builds:
-        N = events[i][1]
-        assert (events[i - 1], events[i + 1]) == (("check", N - 1), ("check", N))
-    assert [n for _, _, arg, n in requests if arg == X + Z] == [n_max]
+        n = events[i][2]
+        assert events[i + 1] == ("check", n)
+        if n:
+            assert events[i - 1] == ("check", n - 1)
+    left = {(SYM_GH2, arg) for arg, _ in expected}
+    assert [table for table in tables if table[:2] in left] == left_tables
+
+
+@pytest.mark.parametrize("slug", ["series-def", "shift", "shift-mixed", "shift-one",
+                                  "shift-general"])
+def test_a_verifier_run_alone_holds_less_than_its_left_side_table(slug):
+    # Its left side is a stream, so a verifier run alone peaks below building
+    # that left side as one unified_members table: 0.65-0.92 of it at n = 12,
+    # against 1.19-1.52 when the verifier held the table.  Both run with cold
+    # factor caches, so each peak includes building the factors.
+    def peak(run):
+        with cold_factor_caches():
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    verifier = getattr(identities_mod, IdentityId(slug).verifier)
+    table = peak(lambda: unified_members(SYM_GH2, 12, exp_argument=LEFT_SIDES[slug]))
+    alone = peak(lambda: verifier(SYM_GH2, 12))
+    assert alone < table, f"peak {alone} B run alone, {table} B for the table"
 
 
 def test_a_fault_past_the_prefix_fails_only_double_index(monkeypatch):
@@ -919,7 +984,11 @@ SHARED_FAULTS = [
                          ids=[table for table, *_ in SHARED_FAULTS])
 def test_a_fault_in_a_shared_table_fails_every_reader(monkeypatch, table, name, kind, match,
                                                       builds, readers, j0):
-    """A shared table is built once, any other per reader; each reader FAILs as alone."""
+    """A shared table is built once, any other per reader; each reader FAILs as alone.
+
+    Run alone, a left side reads a family table's members from the stream,
+    perturbed too.
+    """
     original = getattr(identities_mod, name)
     hits = []
 
@@ -931,6 +1000,9 @@ def test_a_fault_in_a_shared_table_fails_every_reader(monkeypatch, table, name, 
         return out
 
     monkeypatch.setattr(identities_mod, name, faulty)
+    if name == "unified_members":
+        monkeypatch.setattr(identities_mod, "_members", _faulty_stream(
+            identities_mod._members, kind, match, j0, hits))
     verdicts = verify_all(SYM_GH2, 5, m_max=2)
     assert len(hits) == builds
     assert {v.identity.value for v in verdicts if not v.passed} == readers

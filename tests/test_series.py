@@ -79,7 +79,7 @@ def test_invert_constant():
 
 def test_invert_minus_exp_minus_one():
     # -(e^t) - 1 = -2 - t - t^2/2; solve (f * g = 1) by hand forward substitution
-    f = exp_t(3).scale(-1) - PowerSeries.one(3)
+    f = exp_t(3).scale(-1) + PowerSeries.one(3).scale(-1)
     g = f.invert()
     f0, f1, f2 = (c.constant_value() for c in f.coeffs)
     g0 = 1 / f0
@@ -105,7 +105,7 @@ def test_divide_bernoulli_generating_series():
     import classical_oracle as co
 
     num = PowerSeries.t_power(1, 6)
-    den = exp_t(6) - PowerSeries.one(6)
+    den = exp_t(6) + PowerSeries.one(6).scale(-1)
     q = num.divide_with_valuation(den, 1)
     numbers = co.bernoulli_numbers(4)
     got = [q.extract(n).constant_value() for n in range(5)]
@@ -130,7 +130,7 @@ def test_divide_valuation_mismatch():
 def test_divide_takes_only_non_negative_int_valuations():
     # Unchecked, True acted as valuation 1 and 0.0 failed with a bare TypeError.
     num = PowerSeries.t_power(1, 5)
-    den = exp_t(5) - PowerSeries.one(5)  # valuation 1
+    den = exp_t(5) + PowerSeries.one(5).scale(-1)  # valuation 1
     for bad in (-1, True, 0.0, 1.0, Fraction(1), "1", None):
         with pytest.raises(ValueError, match="^expected_valuation must be an int >= 0, got "):
             num.divide_with_valuation(den, bad)
@@ -139,7 +139,7 @@ def test_divide_takes_only_non_negative_int_valuations():
 
 def test_divide_checks_numerator_valuation():
     num = PowerSeries.one(5)
-    den = exp_t(5) - PowerSeries.one(5)
+    den = exp_t(5) + PowerSeries.one(5).scale(-1)
     with pytest.raises(ValuationMismatchError):
         num.divide_with_valuation(den, 1)
 
