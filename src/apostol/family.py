@@ -36,7 +36,8 @@ product.  No product series is built: each member P_n is read off the
 Cauchy sum of the two factors with n! cancelled against the sum's
 denominator, so it is normalized once.  unified_members lists these
 members from _members, a stream that builds each member when it is read;
-every left side in identities reads the same stream.
+every family table on either side of an identity in identities reads the
+same stream.
 unified_series(spec, order).extract(n) stays the public series route to
 the same member, and the tests' reference.  A zero arg drops e^(xt), and
 spec.replace(phi=Unit()) drops phi; both together give the number sequence
@@ -354,8 +355,8 @@ def _members(spec: FamilySpec, n_min: int, n_max: int,
              exp_argument: MultiPoly | Scalar | None = None) -> Iterator[MultiPoly]:
     """Members n_min .. n_max of unified_members(spec, n_max, ...), each built when it is read.
 
-    The one member path: unified_members lists it from 0, and each left side
-    in identities streams it past any shared prefix.  Both factors come from
+    The one member path: unified_members lists it from 0, and each side of
+    an identity in identities streams it past any shared prefix.  Both factors come from
     _factors at order n_max + 1, unless the range is empty, and each member
     is one PowerSeries.product_member call; a table with neither e^(arg t)
     nor phi reads the core's own members, which pass no product kernel.

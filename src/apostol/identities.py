@@ -18,18 +18,19 @@ and family.general_series, each at rescaled t.  Like unified_members, it
 reads each member off the last Cauchy sum with n! cancelled before the
 single normalization (PowerSeries.product_member), not through extract.
 
-Every left side is a stream and every right side a list.  _stream serves
-the left sides of series-def and the shifts: any prefix of a table
-verify_all shares, then family's member stream _members, which builds each
-member when the check reads it, so a verifier run alone holds no left-side
-table.  Right sides read unified_members tables through _table and build
-general_members tables themselves.  verify_all first builds the two tables
-four verifiers each read, at the largest n any reader holds: P(x) at
-n_max + m_max and P(x+z) at n_max, keyed by (spec, exp_argument), which
-compare by value (so when phi is unit, M(x) is found as P(x)).  No verifier
-reads one shared table on both of its sides, so the sides stay apart.  They
-may share the factor values family caches, the core and e^(arg t) phi, which
-both sides already computed with the same code, but never a table.
+Every side is a stream of members, read once in ascending n.  _stream
+serves every family table on either side: any prefix of a table verify_all
+shares, then family's member stream _members, which builds each member when
+the check reads it, so a verifier run alone holds only the members it has
+compared, and a FAIL at n builds no member past n.  general_members tables
+are lists of members extracted from one cached series.  verify_all first
+builds the two tables four verifiers each read, at the largest n any reader
+holds: P(x) at n_max + m_max and P(x+z) at n_max, keyed by (spec,
+exp_argument), which compare by value (so when phi is unit, M(x) is found as
+P(x)).  No verifier reads one shared table on both of its sides, so the
+sides stay apart.  They may share the factor values family caches, the core
+and e^(arg t) phi, which both sides already computed with the same code, but
+never a table.
 
 Every identity is checked as lhs[n] == binomial_convolution(a, b, n), and
 every right side takes its products inside the right-side kernel
@@ -40,11 +41,11 @@ product, so a fault in either shows as a FAIL instead of cancelling out.
 After the automorphism z -> x + h, the double-index identity at (n, m) is the
 shift identity at N = n + m, so double-index runs the shift check at
 n_max + m_max and reports a FAIL at the first pair with that N, both sides
-mapped back with MultiPoly.substitute({Z: z - x}).  Its left side is
-shift's stream, so under verify_all it reads the shared P(x+z) up to n_max
-and streams the members past it.  Every comparison of two sides happens in
-one loop, _convolution_verdict, which reads each left side once, in
-ascending n.
+mapped back with MultiPoly.substitute({Z: z - x}).  Its sides are
+shift's streams, so under verify_all it reads the shared P(x+z) up to n_max
+and the shared P(x) up to n_max + m_max, and streams the members past them.
+Every comparison of two sides happens in one loop, _convolution_verdict,
+which reads each side once, in ascending n.
 
 On failure the verdict carries the smallest failing index tuple in
 lexicographic order together with both polynomials, so a broken identity
@@ -56,8 +57,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import comb
+from operator import mul
 
 from .family import (FamilySpec, Unit, _members, general_members, general_series,
                      unified_members, unified_series)
@@ -114,19 +116,8 @@ class Verdict(Record):
         super().__init__(identity, spec, max_n, passed, counterexample)
 
 
-def _table(tables: Mapping, spec: FamilySpec, n_max: int, **kwargs) -> Sequence[MultiPoly]:
-    """The right-side table unified_members(spec, n_max, **kwargs).
-
-    tables holds shared tables keyed by (spec, exp_argument), each at least
-    n_max + 1 entries long: a table found there is handed out as a prefix.
-    Any other table is built afresh.
-    """
-    table = tables.get((spec, kwargs.get("exp_argument")))
-    return unified_members(spec, n_max, **kwargs) if table is None else table[:n_max + 1]
-
-
 def _stream(tables: Mapping, spec: FamilySpec, n_max: int, **kwargs) -> Iterator[MultiPoly]:
-    """Members 0 .. n_max of unified_members(spec, n_max, **kwargs): a left side, read once.
+    """Members 0 .. n_max of unified_members(spec, n_max, **kwargs): one side, read once.
 
     Any prefix of a shared table comes first; _members builds each member past it when read.
     """
@@ -141,17 +132,21 @@ def binomial_convolution(a: Sequence[MultiPoly], b: Sequence[MultiPoly], n: int)
 
 
 def _convolution_verdict(identity: IdentityId, spec: FamilySpec, n_max: int,
-                         lhs: Iterable[MultiPoly], a: Sequence[MultiPoly],
-                         b: Sequence[MultiPoly]) -> Verdict:
+                         lhs: Iterable[MultiPoly], a: Iterable[MultiPoly],
+                         b: Iterable[MultiPoly]) -> Verdict:
     """Check lhs[n] == binomial_convolution(a, b, n) for n = 0 .. n_max; first mismatch wins.
 
-    lhs is a _stream, or symmetry's list.  It holds exactly n_max + 1
-    entries and is read once, in ascending n: a streamed entry is built just
-    before its comparison and dropped after it, and a FAIL reports the entry
-    it compared.
+    lhs, a and b each hold exactly n_max + 1 entries and are read once, in
+    ascending n: entry n of each is built just before the comparison at n, so
+    a FAIL at n builds no entry past n and reports the entries it compared.
+    A left entry is dropped after its comparison; a and b entries are kept,
+    since every later right side reads them.
     """
-    for n, left in zip(range(n_max + 1), lhs, strict=True):
-        rhs = binomial_convolution(a, b, n)
+    a_read, b_read = [], []
+    for n, left, a_n, b_n in zip(range(n_max + 1), lhs, a, b, strict=True):
+        a_read.append(a_n)
+        b_read.append(b_n)
+        rhs = binomial_convolution(a_read, b_read, n)
         if left != rhs:
             return Verdict(identity, spec, n_max, False, Counterexample((n,), left, rhs))
         del rhs  # else it is held while entry n + 1 and its right side are built
@@ -167,7 +162,7 @@ def verify_series_def(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) ->
     return _convolution_verdict(
         IdentityId.SERIES_DEF, spec, n_max,
         _stream(_tables, spec, n_max),
-        _table(_tables, spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.zero()),
+        _stream(_tables, spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.zero()),
         general_members(spec.phi, n_max),
     )
 
@@ -177,8 +172,8 @@ def verify_shift(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> Verd
     return _convolution_verdict(
         IdentityId.SHIFT, spec, n_max,
         _stream(_tables, spec, n_max, exp_argument=_x_plus_z()),
-        _powers(MultiPoly.var(VarId.Z), n_max),
-        _table(_tables, spec, n_max),
+        accumulate(repeat(MultiPoly.var(VarId.Z), n_max), mul, initial=MultiPoly.one()),
+        _stream(_tables, spec, n_max),
     )
 
 
@@ -192,7 +187,7 @@ def verify_shift_mixed(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -
         IdentityId.SHIFT_MIXED, spec, n_max,
         _stream(_tables, spec, n_max, exp_argument=_x_plus_z()),
         general_members(spec.phi, n_max, exp_argument=MultiPoly.var(VarId.Z)),
-        _table(_tables, spec.replace(phi=Unit()), n_max),
+        _stream(_tables, spec.replace(phi=Unit()), n_max),
     )
 
 
@@ -229,8 +224,8 @@ def verify_shift_one(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> 
     return _convolution_verdict(
         IdentityId.SHIFT_ONE, spec, n_max,
         _stream(_tables, spec, n_max, exp_argument=MultiPoly.var(VarId.X) + 1),
-        [MultiPoly.one()] * (n_max + 1),
-        _table(_tables, spec, n_max),
+        repeat(MultiPoly.one(), n_max + 1),
+        _stream(_tables, spec, n_max),
     )
 
 
@@ -243,7 +238,7 @@ def verify_shift_general(spec: FamilySpec, n_max: int, *, _tables: Mapping = {})
     return _convolution_verdict(
         IdentityId.SHIFT_GENERAL, spec, n_max,
         _stream(_tables, spec, n_max, exp_argument=_x_plus_z()),
-        _table(_tables, spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.var(VarId.Z)),
+        _stream(_tables, spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.var(VarId.Z)),
         general_members(spec.phi, n_max),
     )
 
@@ -266,14 +261,14 @@ def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int, *,
     check_int("n_max", n_max, 0)
     return _convolution_verdict(
         IdentityId.SYMMETRY, spec, n_max, _symmetry_left_side(spec, c, d, n_max),
-        _scaled(_table(_tables, spec, n_max, exp_argument=MultiPoly.var(VarId.X) * c), d),
-        _scaled(_table(_tables, spec, n_max, exp_argument=MultiPoly.zero()), c),
+        _scaled(_stream(_tables, spec, n_max, exp_argument=MultiPoly.var(VarId.X) * c), d),
+        _scaled(_stream(_tables, spec, n_max, exp_argument=MultiPoly.zero()), c),
     )
 
 
 def _symmetry_left_side(spec: FamilySpec, c: Fraction, d: Fraction,
-                        n_max: int) -> list[MultiPoly]:
-    """n! [t^n] F(ct; dx) F(dt; 0) for n = 0 .. n_max, one series product.
+                        n_max: int) -> Iterator[MultiPoly]:
+    """n! [t^n] F(ct; dx) F(dt; 0) for n = 0 .. n_max, one series product, each when read.
 
     F(t; a) = M(t) G(t; a), with M the cached phi-free core and
     G = e^(at) phi(y, t) the general series, so the product is
@@ -289,7 +284,8 @@ def _symmetry_left_side(spec: FamilySpec, c: Fraction, d: Fraction,
     cores = _rescaled(core, c) * _rescaled(core, d)
     smalls = (_rescaled(general_series(spec.phi, order, exp_argument=x * d), c)
               * _rescaled(general_series(spec.phi, order, exp_argument=zero), d))
-    return [cores.product_member(smalls, n) for n in range(order)]
+    for n in range(order):
+        yield cores.product_member(smalls, n)
 
 
 def _symmetry_scalars(c: Scalar, d: Scalar) -> tuple[Fraction, Fraction]:
@@ -306,10 +302,10 @@ def verify_all(spec: FamilySpec, n_max: int, *, c: Scalar = AUXILIARY["c"],
     """Run every identity with the same auxiliary arguments, one verdict each.
 
     Bounds and scalars are checked first; then the two shared tables below
-    are built once, keyed as _table looks them up, and dropped on return.
+    are built once, keyed as _stream looks them up, and dropped on return.
     Only P(x) is built past n_max: double-index's left side streams P(x+z)
-    past n_max, one member at a time.  Every other table has at most two
-    readers, each of which builds it as it does run alone.
+    past n_max, one member at a time.  Every other family table is streamed
+    by each reader, and each reader builds its own general_members lists.
     """
     args = _arguments(n_max, c, d, m_max)
     check_int("n_max", n_max, 0)
@@ -346,19 +342,12 @@ def _x_plus_z() -> MultiPoly:
     return MultiPoly.var(VarId.X) + MultiPoly.var(VarId.Z)
 
 
-def _scaled(table: Sequence[MultiPoly], u: Fraction) -> list[MultiPoly]:
-    """Entry i times u^i."""
-    return [p * u ** i for i, p in enumerate(table)]
+def _scaled(members: Iterable[MultiPoly], u: Fraction) -> Iterator[MultiPoly]:
+    """Entry i times u^i, each when read."""
+    return (p * u ** i for i, p in enumerate(members))
 
 
 def _rescaled(series: PowerSeries, u: Fraction) -> PowerSeries:
     """The series at u*t: the coefficient of t^i times u^i."""
-    return PowerSeries(_scaled(series.coeffs, u))
-
-
-def _powers(p: MultiPoly, max_power: int) -> list[MultiPoly]:
-    out = [MultiPoly.one()]
-    for _ in range(max_power):
-        out.append(out[-1] * p)
-    return out
+    return PowerSeries(list(_scaled(series.coeffs, u)))
 

@@ -510,7 +510,7 @@ def test_verify_all_prints_what_verify_all_returns(flags, spec, capsys):
 def test_a_single_identity_builds_only_its_own_tables(monkeypatch, capsys, identity):
     # Only verify_all shares tables; a single --identity builds what its
     # verifier reads, at n.  Only double-index reads past n, to n + m_max:
-    # P(x) as a table, P(x+z) as a member stream.
+    # P(x+z) and P(x), each as a member stream.
     sizes = []
     for name in ("unified_members", "general_members", "_members"):
         build = getattr(identities_mod, name)

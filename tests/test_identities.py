@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import apostol.family as family_mod
 import apostol.identities as identities_mod
 import apostol.series as series_mod
 
@@ -144,11 +145,11 @@ def test_symmetry_fails_on_random_tables(monkeypatch, c, d):
     # that passes them would hold for any tables at all.
     rng = random.Random(99)
 
-    def random_members(spec, n, **kwargs):
-        return [random_poly(rng, max_degree=3, variables=(VarId.X, VarId.Y)) + 1
-                for _ in range(n + 1)]
+    def random_members(spec, n_min, n_max, **kwargs):
+        for _ in range(n_min, n_max + 1):
+            yield random_poly(rng, max_degree=3, variables=(VarId.X, VarId.Y)) + 1
 
-    monkeypatch.setattr(identities_mod, "unified_members", random_members)
+    monkeypatch.setattr(identities_mod, "_members", random_members)
     assert not verify_symmetry(PRESETS["hermite"], c, d, 6).passed
 
 
@@ -290,7 +291,7 @@ def test_symmetry_left_side_equals_its_extracted_series_product(spec, n_max):
         smalls = (identities_mod._rescaled(general_series(spec.phi, order, exp_argument=X * d), c)
                   * identities_mod._rescaled(general_series(spec.phi, order, exp_argument=ZERO), d))
         series = cores * smalls
-        assert identities_mod._symmetry_left_side(spec, c, d, n_max) == [
+        assert list(identities_mod._symmetry_left_side(spec, c, d, n_max)) == [
             series.extract(j) for j in range(order)], (c, d)
 
 
@@ -311,7 +312,7 @@ def test_verdict_reports_first_lex_mismatch():
     assert not v.passed
     assert v.counterexample == Counterexample((1,), X, Z)
 
-    ok = _convolution_verdict(IdentityId.SHIFT, spec, 1, [X, X], a, [X, X])
+    ok = _convolution_verdict(IdentityId.SHIFT, spec, 1, [X, X], a[:2], [X, X])
     assert ok.passed and ok.counterexample is None
     assert isinstance(ok, Verdict)
 
@@ -367,18 +368,13 @@ def test_double_index_reports_the_first_mismatch_of_the_literal_double_sum(monke
     # at the same (n, m), with the same sides, as the double sum as stated.
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
     n_max, m_max = 3, 4
-
-    def faulty_members(s, n, **kwargs):
-        members = unified_members(s, n, **kwargs)
-        if "exp_argument" not in kwargs:
-            members[j] = members[j] + X
-        return members
-
-    monkeypatch.setattr(identities_mod, "unified_members", faulty_members)
+    monkeypatch.setattr(identities_mod, "_members", _faulty_stream(
+        identities_mod._members, GH, {}, j, [], plus=X))
     verdict = verify_double_index(spec, n_max, m_max)
 
     in_z = unified_members(spec, n_max + m_max, exp_argument=Z)
-    in_x = faulty_members(spec, n_max + m_max)
+    in_x = unified_members(spec, n_max + m_max)
+    in_x[j] = in_x[j] + X
 
     def first_literal_mismatch():
         for n in range(n_max + 1):
@@ -445,27 +441,27 @@ def test_the_product_of_binomial_rows_n_and_m_is_row_n_plus_m():
 
 
 # (verifier slug, perturbed table or series, name the verifier calls it by,
-# phi kind of the spec or phi passed, kwargs of that call).  Each table left
-# side is the member stream _members.  The numbers M and P(0) both pass a
-# zero exp_argument and differ only in the phi of the spec.
+# phi kind of the spec or phi passed, kwargs of that call).  Each family
+# table, on either side, is the member stream _members.  The numbers M and
+# P(0) both pass a zero exp_argument and differ only in the phi of the spec.
 GH, UNIT = "gould-hopper", "unit"
 FAULTS = [
     ("series-def", "lhs P(x)", "_members", GH, {}),
-    ("series-def", "numbers M", "unified_members", UNIT, {"exp_argument": ZERO}),
+    ("series-def", "numbers M", "_members", UNIT, {"exp_argument": ZERO}),
     ("series-def", "general p(x)", "general_members", GH, {}),
     ("shift", "lhs P(x+z)", "_members", GH, {"exp_argument": X + Z}),
-    ("shift", "P(x)", "unified_members", GH, {}),
+    ("shift", "P(x)", "_members", GH, {}),
     ("shift-mixed", "lhs P(x+z)", "_members", GH, {"exp_argument": X + Z}),
     ("shift-mixed", "general p(z)", "general_members", GH, {"exp_argument": Z}),
-    ("shift-mixed", "phi-free M(x)", "unified_members", UNIT, {}),
+    ("shift-mixed", "phi-free M(x)", "_members", UNIT, {}),
     ("shift-one", "lhs P(x+1)", "_members", GH, {"exp_argument": X + 1}),
-    ("shift-one", "P(x)", "unified_members", GH, {}),
+    ("shift-one", "P(x)", "_members", GH, {}),
     ("shift-general", "lhs P(x+z)", "_members", GH, {"exp_argument": X + Z}),
-    ("shift-general", "phi-free M(z)", "unified_members", UNIT, {"exp_argument": Z}),
+    ("shift-general", "phi-free M(z)", "_members", UNIT, {"exp_argument": Z}),
     ("shift-general", "general p(x)", "general_members", GH, {}),
     ("symmetry", "lhs G(dx)", "general_series", GH, {"exp_argument": 3 * X}),
-    ("symmetry", "rhs P(cx)", "unified_members", GH, {"exp_argument": 2 * X}),
-    ("symmetry", "rhs P(0)", "unified_members", GH, {"exp_argument": ZERO}),
+    ("symmetry", "rhs P(cx)", "_members", GH, {"exp_argument": 2 * X}),
+    ("symmetry", "rhs P(0)", "_members", GH, {"exp_argument": ZERO}),
 ]
 
 VERIFIERS = {
@@ -478,13 +474,22 @@ VERIFIERS = {
 }
 
 
-def _faulty_stream(stream, kind, match, j0, hits):
-    """stream (a _members) with y added to member j0 of each matching left side, logged in hits."""
-    def faulty(spec, n_min, n_max, **kwargs):
-        for n, member in enumerate(stream(spec, n_min, n_max, **kwargs), n_min):
-            if n == j0 and spec.phi.kind == kind and kwargs == match:
+def _faulty_stream(stream, kind=None, match={}, j0=None, hits=None, *, log=None, plus=Y):
+    """stream (a _members) with plus added to member j0 of each matching stream, logged in hits.
+
+    A stream matches when its phi kind is kind and its exp_argument is the
+    one in match, a verifier's keyword arguments.  log, when given, gets
+    (phi kind, exp_argument, n) of every member the stream builds.
+    """
+    arg = match.get("exp_argument")
+
+    def faulty(spec, n_min, n_max, exp_argument=None):
+        for n, member in enumerate(stream(spec, n_min, n_max, exp_argument), n_min):
+            if log is not None:
+                log.append((spec.phi.kind, exp_argument, n))
+            if n == j0 and spec.phi.kind == kind and exp_argument == arg:
                 hits.append(("stream", n_max))
-                member = member + Y
+                member = member + plus
             yield member
 
     return faulty
@@ -506,7 +511,7 @@ def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, ta
     """Adding y to entry j0 of one table (or series) a verifier reads makes it FAIL at n = j0.
 
     Every table is perturbed through the name the verifier calls, and each
-    table left side is read from the member stream _members.  Entry 0
+    family table, on either side, is read from the member stream _members.  Entry 0
     of each other table is a nonzero constant (1, or P_0 = -1 for this
     spec), so the fault cannot cancel at n = j0 and cannot show earlier.
 
@@ -660,7 +665,7 @@ def test_symmetry_left_side_is_the_literal_double_sum(spec):
     at_zero = unified_members(spec, 8, exp_argument=ZERO)
     for c, d in [(2, 3), (Fraction(1, 2), -5), (-3, Fraction(5, 7)), (2, 2)]:
         at_d = unified_members(spec, 8, exp_argument=X * d)
-        lhs = identities_mod._symmetry_left_side(spec, Fraction(c), Fraction(d), 8)
+        lhs = list(identities_mod._symmetry_left_side(spec, Fraction(c), Fraction(d), 8))
         for n in range(9):
             total = MultiPoly.zero()
             for m in range(n + 1):
@@ -770,9 +775,9 @@ def test_verify_all_builds_each_factor_once_per_order():
 def _recording_builders(monkeypatch):
     """Route identities' table builders through a log of (builder, spec or phi, argument, n).
 
-    A left side's member stream from 0 lists the table unified_members(spec,
-    n) and is logged as it; a stream past a shared prefix is the rest of
-    that shared table and is not.
+    A member stream from 0, on either side, lists the table
+    unified_members(spec, n) and is logged as it; a stream past a shared
+    prefix is the rest of that shared table and is not.
     """
     requests = []
     for name in ("unified_members", "general_members"):
@@ -825,58 +830,107 @@ def test_verify_all_requests_each_table_once(monkeypatch, spec):
             assert n == (n_max + m_max if wide else n_max), (n_max, m_max, name, of, arg)
 
 
-# The exp_argument of each convolution verifier's left side, by slug.
-LEFT_SIDES = {"series-def": None, "shift": X + Z, "shift-mixed": X + Z, "double-index": X + Z,
-              "shift-one": X + 1, "shift-general": X + Z}
+# The family tables each verifier reads as member streams, (phi kind, exp_argument)
+# in the order it reads them at each n, left side first, for SYM_GH2 at c = 2.
+STREAMS = {
+    "series-def": [(GH, None), (UNIT, ZERO)],
+    "shift": [(GH, X + Z), (GH, None)],
+    "shift-mixed": [(GH, X + Z), (UNIT, None)],
+    "double-index": [(GH, X + Z), (GH, None)],
+    "shift-one": [(GH, X + 1), (GH, None)],
+    "shift-general": [(GH, X + Z), (UNIT, Z)],
+    "symmetry": [(GH, 2 * X), (GH, ZERO)],
+}
 
 
-@pytest.mark.parametrize("run", ["verify_all", *LEFT_SIDES])
-def test_the_left_side_stream_builds_each_member_once_just_before_its_check(monkeypatch, run):
-    # Every left side is the member stream: each member is built once, after
-    # the check at n - 1 and before the check at n, and never in a table.
-    # Under verify_all, double-index reads the shared P(x+z) table up to n_max
-    # and streams P_N(x+z) past it; shift-one streams all of P(x+1).
+@pytest.mark.parametrize("run", ["verify_all", *STREAMS])
+def test_each_stream_builds_each_member_once_just_before_its_check(monkeypatch, run):
+    # Every family table on either side is a member stream: member n is built
+    # once, after the check at n - 1 and before the check at n, and never in a
+    # table.  Under verify_all the shared P(x) (to n_max + m_max) and P(x+z)
+    # (to n_max) are the only tables, and double-index streams P_N(x+z) past n_max.
     n_max, m_max = 3, 4
-    build = identities_mod.unified_members
-    stream, convolution = identities_mod._members, identities_mod.binomial_convolution
+    build, convolution = identities_mod.unified_members, identities_mod.binomial_convolution
     events, tables = [], []
 
     def logged_table(of, n, **kwargs):
         tables.append((of, kwargs.get("exp_argument"), n))
         return build(of, n, **kwargs)
 
-    def logged_stream(of, n_min, n_last, **kwargs):
-        for n, member in enumerate(stream(of, n_min, n_last, **kwargs), n_min):
-            events.append(("build", kwargs.get("exp_argument"), n))
-            yield member
-
     def logged_convolution(a, b, n):
         events.append(("check", n))
         return convolution(a, b, n)
 
     monkeypatch.setattr(identities_mod, "unified_members", logged_table)
-    monkeypatch.setattr(identities_mod, "_members", logged_stream)
+    monkeypatch.setattr(identities_mod, "_members",
+                        _faulty_stream(identities_mod._members, log=events))
     monkeypatch.setattr(identities_mod, "binomial_convolution", logged_convolution)
     if run == "verify_all":
         assert all(v.passed for v in verify_all(SYM_GH2, n_max, m_max=m_max))
-        expected = [*((X + Z, N) for N in range(n_max + 1, n_max + m_max + 1)),
-                    *((X + 1, n) for n in range(n_max + 1))]
-        left_tables = [(SYM_GH2, X + Z, n_max)]
+        runs = [identity.value for identity in IdentityId]
+        shared = {(GH, None): n_max + m_max, (GH, X + Z): n_max}
+        assert tables == [(SYM_GH2, None, n_max + m_max), (SYM_GH2, X + Z, n_max)]
     else:
-        identity = IdentityId(run)
-        assert identities_mod.verify_identity(identity, SYM_GH2, n_max, m_max=m_max).passed
-        top = n_max + m_max if identity is IdentityId.DOUBLE_INDEX else n_max
-        expected = [(LEFT_SIDES[run], n) for n in range(top + 1)]
-        left_tables = []
-    builds = [i for i, event in enumerate(events) if event[0] == "build"]
-    assert [events[i][1:] for i in builds] == expected
+        assert identities_mod.verify_identity(IdentityId(run), SYM_GH2, n_max,
+                                              m_max=m_max).passed
+        runs, shared = [run], {}
+        assert tables == []
+    expected = [(kind, arg, n) for slug in runs
+                for n in range(n_max + (m_max if slug == "double-index" else 0) + 1)
+                for kind, arg in STREAMS[slug] if n > shared.get((kind, arg), -1)]
+    builds = [i for i, event in enumerate(events) if event[0] != "check"]
+    assert [events[i] for i in builds] == expected
     for i in builds:
         n = events[i][2]
-        assert events[i + 1] == ("check", n)
+        assert next(e for e in events[i + 1:] if e[0] == "check") == ("check", n)
         if n:
-            assert events[i - 1] == ("check", n - 1)
-    left = {(SYM_GH2, arg) for arg, _ in expected}
-    assert [table for table in tables if table[:2] in left] == left_tables
+            assert next(e for e in reversed(events[:i]) if e[0] == "check") == ("check", n - 1)
+
+
+# (run, perturbed table (phi kind, keyword arguments), j0, the members built in all).
+STOPS = [
+    ("double-index", GH, {}, 1, 4),  # right side P(x): P_0, P_1 on each side
+    ("double-index", GH, {"exp_argument": X + Z}, 1, 4),  # left side P(x+z)
+    ("series-def", UNIT, {"exp_argument": ZERO}, 2, 6),
+    ("symmetry", GH, {"exp_argument": ZERO}, 2, 6),  # the left side is a series product
+]
+
+
+@pytest.mark.parametrize("run, kind, match, j0, built", STOPS,
+                         ids=["double-index:rhs", "double-index:lhs", "series-def:rhs",
+                              "symmetry:rhs"])
+def test_a_fail_at_j_builds_no_member_past_j(monkeypatch, run, kind, match, j0, built):
+    # y added to member j0 of one table: both the stream identities reads and
+    # the list unified_members makes pass through the log, so a table built
+    # whole before the first check shows as members past j0.
+    log = _logged_members(monkeypatch, kind, match, j0)
+    verdict = identities_mod.verify_identity(IdentityId(run), SYM_GH2, 14, m_max=14)
+    assert not verdict.passed
+    assert max(n for *_, n in log) == j0
+    assert len(log) == built
+
+
+def test_a_fail_under_verify_all_builds_no_member_past_it_in_its_stream(monkeypatch):
+    # M_1(z) is read by shift-general alone: its stream stops at the FAIL, while
+    # the shared P(x) and P(x+z) are built whole before any check.
+    log = _logged_members(monkeypatch, UNIT, {"exp_argument": Z}, 1)
+    failed = [v for v in verify_all(SYM_GH2, 5, m_max=2) if not v.passed]
+    assert [(v.identity, v.counterexample.indices) for v in failed] == [
+        (IdentityId.SHIFT_GENERAL, (1,))]
+    assert [n for kind, arg, n in log if (kind, arg) == (UNIT, Z)] == [0, 1]
+
+
+def _logged_members(monkeypatch, kind, match, j0):
+    """Log (phi kind, exp_argument, n) of every member family builds; y added to one, j0.
+
+    identities' member stream and family's, which unified_members lists, are
+    both replaced.
+    """
+    log = []
+    logged = _faulty_stream(family_mod._members, kind, match, j0, [], log=log)
+    monkeypatch.setattr(family_mod, "_members", logged)
+    monkeypatch.setattr(identities_mod, "_members", logged)
+    return log
 
 
 @pytest.mark.parametrize("slug", ["series-def", "shift", "shift-mixed", "shift-one",
@@ -896,7 +950,7 @@ def test_a_verifier_run_alone_holds_less_than_its_left_side_table(slug):
                 tracemalloc.stop()
 
     verifier = getattr(identities_mod, IdentityId(slug).verifier)
-    table = peak(lambda: unified_members(SYM_GH2, 12, exp_argument=LEFT_SIDES[slug]))
+    table = peak(lambda: unified_members(SYM_GH2, 12, exp_argument=STREAMS[slug][0][1]))
     alone = peak(lambda: verifier(SYM_GH2, 12))
     assert alone < table, f"peak {alone} B run alone, {table} B for the table"
 
@@ -915,13 +969,16 @@ def test_a_fault_past_the_prefix_fails_only_double_index(monkeypatch):
     assert hits == [("stream", 7)]
 
 
+# The peak is VmHWM, this process's own resident high-water mark: ru_maxrss
+# can carry the parent's peak over across exec.
 MEMORY_GUARD = """
-import resource
+from pathlib import Path
 from apostol.family import FamilySpec, GouldHopper, LogBase
 from apostol.identities import verify_all
 spec = FamilySpec(2, 0, LogBase.SYMBOLIC_A, LogBase.SYMBOLIC_B, (2, -3), GouldHopper(2))
 print(*(v.passed for v in verify_all(spec, 20, m_max=20)))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)  # KiB on Linux
+status = Path("/proc/self/status").read_text().splitlines()
+print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024)  # kB
 """
 
 
@@ -969,7 +1026,8 @@ def test_verify_all_returns_the_verdicts_of_the_verifiers_run_alone(spec):
 
 
 # (table, builder, phi kind, kwargs, its builds under verify_all, the verifiers that read it):
-# verify_all shares P(x) and P(x+z), and each reader of p(x) or P(0) builds its own.
+# verify_all shares P(x) and P(x+z), each reader of p(x) builds its own, and
+# symmetry streams P(0).
 SHARED_FAULTS = [
     ("P(x)", "unified_members", GH, {}, 1, {"series-def", "shift", "double-index", "shift-one"}),
     ("P(x+z)", "unified_members", GH, {"exp_argument": X + Z}, 1,
@@ -986,8 +1044,8 @@ def test_a_fault_in_a_shared_table_fails_every_reader(monkeypatch, table, name, 
                                                       builds, readers, j0):
     """A shared table is built once, any other per reader; each reader FAILs as alone.
 
-    Run alone, a left side reads a family table's members from the stream,
-    perturbed too.
+    Run alone, a verifier reads each family table's members from the
+    stream, perturbed too.
     """
     original = getattr(identities_mod, name)
     hits = []
