@@ -299,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, SeriesError) as exc:
+    except (ValueError, SeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

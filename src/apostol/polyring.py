@@ -18,8 +18,9 @@ degree does, so products check the degree alone and raise ValueError beyond
 MAX_DEGREE.
 
 Two kernels multiply numerator maps and share no code: sum_of_products (ring
-* and **, every series product, so every identity's left side) and
-linear_combination (substitute and every identity's right side).
+*, every series product, so every identity's left side) and
+linear_combination (substitute and every identity's right side).  Ring ** is
+a running product of *.
 
 Every value is kept in canonical form: no zero numerators, and
 gcd(den, *numerators) == 1, with den == 1 for the zero polynomial (the empty
@@ -319,14 +320,7 @@ class MultiPoly:
             raise TypeError(f"polynomial powers must be ints, got {n!r}")
         if n < 0:
             raise ValueError("negative polynomial powers are not defined in this ring")
-        result = MultiPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return prod(repeat(self, n), start=MultiPoly.one())
 
     def substitute(self, bindings: Mapping[VarId, MultiPoly | Scalar]) -> MultiPoly:
         """Replace each bound variable by its value, all at once; others untouched.
@@ -380,7 +374,7 @@ def sum_of_products(triples: Iterable[tuple[Scalar, MultiPoly, MultiPoly]],
                     times: int = 1) -> MultiPoly:
     """times * the sum of c * a * b over the triples, the left-side kernel.
 
-    Ring * and ** (one triple) and every series product multiply here.  All
+    Ring * (one triple) and every series product multiply here.  All
     products go into one integer map over the lcm D of the triples'
     denominators, so a Cauchy-product coefficient costs one degree check and
     one canonicalization instead of one per addition.  times is a positive

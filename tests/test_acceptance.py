@@ -16,7 +16,6 @@ from fractions import Fraction
 import classical_oracle as co
 from apostol.cli import main
 from apostol.family import (
-    ClassicalFamily,
     FamilySpec,
     GouldHopper,
     Laguerre,
@@ -25,7 +24,6 @@ from apostol.family import (
     TruncatedExp,
     Unit,
     extract_table,
-    special_case_oracle,
     unified_members,
 )
 from apostol.identities import verify_all
@@ -67,25 +65,22 @@ def _random_non_unit_alphas(rng: random.Random, r: int) -> tuple[Fraction, ...]:
 
 
 def test_criterion_1_reduction_suite():
+    # The three classical reductions against classical_oracle, which long-divides
+    # each generating function on plain Fractions and shares no code with apostol.
     with criterion("1 (reduction suite)"):
-        for lam in [Fraction(1), Fraction(2), Fraction(-3), Fraction(5, 7)]:
+        n_max = 8
+        for lam in [Fraction(1), Fraction(2), Fraction(-3), Fraction(5, 7), Fraction(-1, 2),
+                    Fraction(4)]:
             for r in [1, 2]:
-                n_max = 8
-                # Bernoulli-type: k=1, alphas = lam, factor (-1)^r
-                fam = dict(extract_table(FamilySpec(r, 1, *ONE_E, (lam,) * r), n_max))
-                oracle = dict(special_case_oracle(ClassicalFamily.APOSTOL_BERNOULLI, r, lam, n_max))
-                for n in range(n_max + 1):
-                    assert fam[n] == Fraction((-1) ** r) * oracle[n]
-                # Euler-type: k=0, alphas = -lam, factor 1
-                fam = dict(extract_table(FamilySpec(r, 0, *ONE_E, (-lam,) * r), n_max))
-                oracle = dict(special_case_oracle(ClassicalFamily.APOSTOL_EULER, r, lam, n_max))
-                for n in range(n_max + 1):
-                    assert fam[n] == oracle[n]
-                # Genocchi-type: k=1, alphas = -lam, factor 2^(-r)
-                fam = dict(extract_table(FamilySpec(r, 1, *ONE_E, (-lam,) * r), n_max))
-                oracle = dict(special_case_oracle(ClassicalFamily.APOSTOL_GENOCCHI, r, lam, n_max))
-                for n in range(n_max + 1):
-                    assert fam[n] == Fraction(1, 2 ** r) * oracle[n]
+                # Bernoulli-type: k=1, alphas = lam, factor (-1)^r; Euler-type: k=0,
+                # alphas = -lam, factor 1; Genocchi-type: k=1, alphas = -lam, factor 2^(-r).
+                for k, alpha, oracle, factor in [
+                        (1, lam, co.apostol_bernoulli, Fraction((-1) ** r)),
+                        (0, -lam, co.apostol_euler, Fraction(1)),
+                        (1, -lam, co.apostol_genocchi, Fraction(1, 2 ** r))]:
+                    fam = extract_table(FamilySpec(r, k, *ONE_E, (alpha,) * r), n_max)
+                    expected = [factor * xpoly_to_multipoly(p) for p in oracle(r, lam, n_max)]
+                    assert [poly for _, poly in fam] == expected, (oracle.__name__, lam, r)
 
 
 def test_criterion_2_classical_values():

@@ -15,8 +15,10 @@ import io
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from apostol import cli
 from apostol.cli import build_parser, main
 from apostol.family import PRESETS
 from apostol.identities import IdentityId
@@ -136,3 +138,14 @@ def test_every_argv_keeps_the_exit_code_contract(invocation):
     if code == 0:
         shortest = [(_shortest(command, _resolve(command, w)), v, j) for w, v, j in items]
         assert _run(_argv(command, shortest))[:2] == (0, out)
+
+
+def test_a_key_error_inside_a_command_propagates(monkeypatch):
+    # No argv reaches a KeyError, so one raised inside a command is an internal
+    # fault: it surfaces as a traceback, as every error but bad input does.
+    def failing(spec, n_max):
+        raise KeyError("raised inside expand")
+
+    monkeypatch.setattr(cli, "extract_table", failing)
+    with pytest.raises(KeyError, match="raised inside expand"):
+        main(["expand", "--n", "1"])

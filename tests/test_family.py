@@ -313,41 +313,6 @@ def test_special_case_oracle_rejects_a_which_that_is_no_classical_family():
 # -- reduction properties --------------------------------------------------------------
 
 
-REDUCTION_LAMBDAS = [Fraction(2), Fraction(-3), Fraction(5, 7), Fraction(-1, 2), Fraction(4)]
-
-
-@pytest.mark.parametrize("r", [1, 2])
-def test_reduction_bernoulli_type(r):
-    for lam in REDUCTION_LAMBDAS:
-        spec = spec_one_e(r, 1, [lam] * r)
-        fam = unified_members(spec, 8)
-        expected = co.apostol_bernoulli(r, lam, 8)
-        sign = Fraction((-1) ** r)
-        for n in range(9):
-            assert fam[n] == sign * xpoly_to_multipoly(expected[n])
-
-
-@pytest.mark.parametrize("r", [1, 2])
-def test_reduction_euler_type(r):
-    for lam in REDUCTION_LAMBDAS:
-        spec = spec_one_e(r, 0, [-lam] * r)
-        fam = unified_members(spec, 8)
-        expected = co.apostol_euler(r, lam, 8)
-        for n in range(9):
-            assert fam[n] == xpoly_to_multipoly(expected[n])
-
-
-@pytest.mark.parametrize("r", [1, 2])
-def test_reduction_genocchi_type(r):
-    for lam in REDUCTION_LAMBDAS:
-        spec = spec_one_e(r, 1, [-lam] * r)
-        fam = unified_members(spec, 8)
-        expected = co.apostol_genocchi(r, lam, 8)
-        factor = Fraction(1, 2 ** r)
-        for n in range(9):
-            assert fam[n] == factor * xpoly_to_multipoly(expected[n])
-
-
 def _apostol_type_series(r, k, lam, phi, order):
     """The two-variable Apostol-type generating function, built directly.
 
@@ -380,7 +345,7 @@ def test_reduction_two_variable_apostol_type(phi, r, k):
 @pytest.mark.parametrize("r", [1, 2])
 def test_symbolic_bases_specialize_to_one_e(phi, r):
     # La -> 0, Lb -> 1 is a ring map, so the sym/sym table must become the
-    # (1, e) table, which the reduction tests check against the oracle.
+    # (1, e) table, which the acceptance reduction suite checks against classical_oracle.
     alphas, k = [Fraction(-3, 2), Fraction(5, 7)][:r], r - 1
     sym = unified_members(FamilySpec(r, k, *SYM, tuple(alphas), phi), 10)
     one_e = unified_members(spec_one_e(r, k, alphas, phi), 10)

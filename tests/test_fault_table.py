@@ -11,7 +11,9 @@ table either, only the verifiers that read P(x+z).
 The checks are the seven verdicts of verify_all at n = 5, plus, for the
 (1, e) spec, its phi-free table against classical_oracle.apostol_euler,
 which divides the Apostol-Euler generating function out on plain Fractions
-and shares no code with the package.  FAULTS pins
+and shares no code with the package, and, for the sym/sym spec, its table
+against the (1, e) map: the same spec's (1, e) table, mapped term by term
+onto its bases with log a and log b spelled in this file.  FAULTS pins
 every cell as measured, and README prints the same table, so a change that
 turns a catch into a miss, or a miss into a catch, fails here and shows
 there.
@@ -26,7 +28,8 @@ from pathlib import Path
 import pytest
 
 from apostol import family, identities, series
-from apostol.family import PHI_KINDS, FamilySpec, GouldHopper, LogBase, Unit, extract_table
+from apostol.family import (PHI_KINDS, FamilySpec, GouldHopper, Laguerre, LogBase, TruncatedExp,
+                            Unit, extract_table, unified_members)
 from apostol.identities import IdentityId, verify_all
 from apostol.polyring import MultiPoly, VarId
 
@@ -34,15 +37,50 @@ import classical_oracle
 from helpers import cold_factor_caches, xpoly_to_multipoly
 
 N = 5
+SYM = (LogBase.SYMBOLIC_A, LogBase.SYMBOLIC_B)
 SPECS = {
-    "sym/sym": FamilySpec(2, 0, LogBase.SYMBOLIC_A, LogBase.SYMBOLIC_B, (2, -3), GouldHopper(2)),
+    "sym/sym": FamilySpec(2, 0, *SYM, (2, -3), GouldHopper(2)),
     "(1, e)": FamilySpec(2, 0, LogBase.ONE, LogBase.E, (-2, -2), GouldHopper(2)),
 }
 # k = 0 and alphas -lambda make the (1, e) spec's phi-free table Apostol-Euler, order 2, lambda 2.
 ORACLE = [xpoly_to_multipoly(p) for p in classical_oracle.apostol_euler(2, 2, N)]
-CHECKS = [*(identity.value for identity in IdentityId), "oracle"]
+MAP = "(1, e) map"
+CHECKS = [*(identity.value for identity in IdentityId), "oracle", MAP]
+VERDICTS = {identity.value for identity in IdentityId}
+# log a and log b of each base, spelled here: the La/Lb fault patches LogBase.log_poly,
+# and a map that read it would swap its own bases too.
+LOGS = {LogBase.ONE: MultiPoly.zero(), LogBase.E: MultiPoly.one(),
+        LogBase.SYMBOLIC_A: MultiPoly.var(VarId.LA), LogBase.SYMBOLIC_B: MultiPoly.var(VarId.LB)}
 # The checks whose two sides need e^((x+z)t) = e^(xt) e^(zt) or e^((x+1)t) = e^(xt) e^t.
 SHIFTS = {"shift", "shift-mixed", "double-index", "shift-one", "shift-general"}
+
+
+def one_e_map(spec: FamilySpec, n_max: int) -> list[MultiPoly]:
+    """P_0 .. P_n_max of a spec with no unit alpha, built from its (1, e) table.
+
+    With D = log b - log a, alpha b^t - a^t = a^t (alpha e^(Dt) - 1), so
+    P^(a,b)_n(x, y) = D^(n-rk) P^(1,e)_n((x - r log a) / D, y / D^s) for the
+    phi step s (0 for unit): each term c x^i y^j of P^(1,e)_n becomes
+    c (x - r log a)^i y^j D^(n - rk - i - s j).  A (1, e) table holds only x and y.
+    """
+    log_a, log_b = LOGS[spec.a], LOGS[spec.b]
+    x, y = MultiPoly.var(VarId.X) - spec.r * log_a, MultiPoly.var(VarId.Y)
+    d, s, rk = log_b - log_a, spec.phi.step or 0, spec.r * spec.k
+    members = []
+    for n, member in enumerate(unified_members(spec.replace(a=LogBase.ONE, b=LogBase.E), n_max)):
+        members.append(sum((c * x ** i * y ** j * d ** (n - rk - i - s * j)
+                            for (i, j, *_), c in member.terms.items()), MultiPoly.zero()))
+    return members
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec(2, 1, *SYM, (2, -3), GouldHopper(2)),
+    FamilySpec(2, 0, *SYM, (2, -3), GouldHopper(2)),
+    FamilySpec(1, 0, *SYM, (Fraction(5, 7),), TruncatedExp(2)),
+    FamilySpec(3, 2, *SYM, (-1, -1, 3), Laguerre(1)),
+], ids=["r2-k1-gh2", "r2-k0-gh2", "r1-k0-te2", "r3-k2-laguerre1"])
+def test_the_one_e_map_gives_the_symbolic_table(spec):
+    assert one_e_map(spec, 6) == unified_members(spec, 6)
 
 
 def _swap_log_bases(monkeypatch):
@@ -108,22 +146,21 @@ def _x_plus_z_read_as_x(monkeypatch):
 # fault -> (patch, {spec: the checks that catch it}); "none" patches nothing.
 FAULTS = {
     "none": (lambda monkeypatch: None, {"sym/sym": set(), "(1, e)": set()}),
-    "La and Lb swapped": (_swap_log_bases, {"sym/sym": set(), "(1, e)": set()}),
+    "La and Lb swapped": (_swap_log_bases, {"sym/sym": {MAP}, "(1, e)": set()}),
     "every alpha + 1/1000": (_shift_alphas, {"sym/sym": set(), "(1, e)": {"oracle"}}),
     "prefactor doubled": (_double_prefactor, {"sym/sym": set(), "(1, e)": {"oracle"}}),
     "Gould-Hopper weight 1/(j!)^2": (_square_gould_hopper_weights,
                                       {"sym/sym": set(), "(1, e)": set()}),
     "`exp_linear`'s 1/n read as 1/(n+1)": (
         _exp_linear_over_n_plus_one,
-        {"sym/sym": SHIFTS, "(1, e)": SHIFTS | {"oracle"}}),
+        {"sym/sym": SHIFTS | {MAP}, "(1, e)": SHIFTS | {"oracle"}}),
     "member n! folded as (n+1)!": (_fold_member_factorial_as_n_plus_one_factorial,
-                                   {"sym/sym": set(CHECKS) - {"oracle"}, "(1, e)": set(CHECKS)}),
+                                   {"sym/sym": VERDICTS, "(1, e)": VERDICTS | {"oracle"}}),
     "left-side kernel drops its last of 3+ triples": (
         _drop_last_left_side_triple,
-        {"sym/sym": set(CHECKS) - {"oracle"}, "(1, e)": set(CHECKS)}),
+        {"sym/sym": VERDICTS | {MAP}, "(1, e)": VERDICTS | {"oracle"}}),
     "right-side kernel drops its last triple": (
-        _drop_last_right_side_triple,
-        {"sym/sym": set(CHECKS) - {"oracle"}, "(1, e)": set(CHECKS) - {"oracle"}}),
+        _drop_last_right_side_triple, {"sym/sym": VERDICTS, "(1, e)": VERDICTS}),
     "x+z read as x": (_x_plus_z_read_as_x,
                       {"sym/sym": SHIFTS - {"shift-one"}, "(1, e)": SHIFTS - {"shift-one"}}),
 }
@@ -132,13 +169,21 @@ CORE_OR_PHI = ["La and Lb swapped", "every alpha + 1/1000", "prefactor doubled",
                "Gould-Hopper weight 1/(j!)^2"]
 
 
+def _applies(check: str, spec: FamilySpec) -> bool:
+    """Whether check reads spec: the oracle only the (1, e) spec, the (1, e) map every other."""
+    one_e = (spec.a, spec.b) == (LogBase.ONE, LogBase.E)
+    return {"oracle": one_e, MAP: not one_e}.get(check, True)
+
+
 def _caught(spec: FamilySpec) -> set[str]:
-    """The checks that fail on spec: verdicts by slug, and "oracle" for a (1, e) spec."""
+    """The checks that fail on spec: verdicts by slug, "oracle" and the (1, e) map."""
     caught = {v.identity.value for v in verify_all(spec, N) if not v.passed}
-    if spec.a is LogBase.ONE:
+    if _applies("oracle", spec):
         phi_free = extract_table(spec.replace(phi=Unit()), N)
         if [poly for _, poly in phi_free] != ORACLE:
             caught.add("oracle")
+    if _applies(MAP, spec) and one_e_map(spec, N) != unified_members(spec, N):
+        caught.add(MAP)
     return caught
 
 
@@ -182,8 +227,7 @@ def fault_table_markdown() -> str:
     for fault, (_, expected) in FAULTS.items():
         for name, spec in SPECS.items():
             cells = ["FAIL" if check in expected[name] else
-                     "n/a" if check == "oracle" and spec.a is not LogBase.ONE else "pass"
-                     for check in CHECKS]
+                     "pass" if _applies(check, spec) else "n/a" for check in CHECKS]
             rows.append(f"| {fault} | {name} | " + " | ".join(cells) + " |")
     return "\n".join(rows) + "\n"
 

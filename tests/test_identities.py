@@ -495,6 +495,24 @@ def _faulty_stream(stream, kind=None, match={}, j0=None, hits=None, *, log=None,
     return faulty
 
 
+def _faulty_table(build, kind, match, j0, hits):
+    """build (called as build(of, n, **kwargs)) with y added to entry j0 of each matching output.
+
+    The twin of _faulty_stream for list builders: an output matches when the
+    phi kind of its spec or phi is kind, its keyword arguments are match and
+    it holds entry j0; each perturbed output is logged in hits as ("table", n).
+    """
+    def faulty(of, n, **kwargs):
+        out = build(of, n, **kwargs)
+        if (getattr(of, "phi", of).kind == kind and kwargs == match
+                and j0 < len(getattr(out, "coeffs", out))):
+            hits.append(("table", n))
+            out = _plus_y_at(out, j0)
+        return out
+
+    return faulty
+
+
 def _plus_y_at(out, j0):
     """out with y added to entry j0: a table's member, or a series' coefficient of t^j0."""
     if isinstance(out, PowerSeries):
@@ -538,19 +556,10 @@ def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, ta
         P(0)           symmetry; series-def too when phi is unit (as M)
     """
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
-    original = getattr(identities_mod, name)
     hits = []
-
-    def faulty(spec_or_phi, n, **kwargs):
-        out = original(spec_or_phi, n, **kwargs)
-        if getattr(spec_or_phi, "phi", spec_or_phi).kind == kind and kwargs == match:
-            hits.append(kwargs)
-            out = _plus_y_at(out, j0)
-        return out
-
-    if name == "_members":
-        faulty = _faulty_stream(original, kind, match, j0, hits)
-    monkeypatch.setattr(identities_mod, name, faulty)
+    perturb = _faulty_stream if name == "_members" else _faulty_table
+    monkeypatch.setattr(identities_mod, name,
+                        perturb(getattr(identities_mod, name), kind, match, j0, hits))
     verdict = VERIFIERS[slug](spec, 5)
     assert len(hits) == 1
     assert not verdict.passed
@@ -563,19 +572,11 @@ def _perturb_x_plus_z_member(monkeypatch, j0):
     The member is built in the shared unified_members table when verify_all
     holds j0 there, and in the member stream of a left side otherwise.
     """
-    hits = []
-    build = identities_mod.unified_members
-
-    def faulty_members(s, n, **kwargs):
-        members = build(s, n, **kwargs)
-        if kwargs == {"exp_argument": X + Z} and j0 <= n:
-            hits.append(("table", n))
-            members[j0] = members[j0] + Y
-        return members
-
-    monkeypatch.setattr(identities_mod, "unified_members", faulty_members)
+    hits, match = [], {"exp_argument": X + Z}
+    monkeypatch.setattr(identities_mod, "unified_members", _faulty_table(
+        identities_mod.unified_members, GH, match, j0, hits))
     monkeypatch.setattr(identities_mod, "_members", _faulty_stream(
-        identities_mod._members, GH, {"exp_argument": X + Z}, j0, hits))
+        identities_mod._members, GH, match, j0, hits))
     return hits
 
 
@@ -1047,17 +1048,9 @@ def test_a_fault_in_a_shared_table_fails_every_reader(monkeypatch, table, name, 
     Run alone, a verifier reads each family table's members from the
     stream, perturbed too.
     """
-    original = getattr(identities_mod, name)
     hits = []
-
-    def faulty(spec_or_phi, n, **kwargs):
-        out = original(spec_or_phi, n, **kwargs)
-        if getattr(spec_or_phi, "phi", spec_or_phi).kind == kind and kwargs == match:
-            hits.append(n)
-            out[j0] = out[j0] + Y
-        return out
-
-    monkeypatch.setattr(identities_mod, name, faulty)
+    monkeypatch.setattr(identities_mod, name, _faulty_table(
+        getattr(identities_mod, name), kind, match, j0, hits))
     if name == "unified_members":
         monkeypatch.setattr(identities_mod, "_members", _faulty_stream(
             identities_mod._members, kind, match, j0, hits))

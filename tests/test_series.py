@@ -142,6 +142,10 @@ def test_divide_checks_numerator_valuation():
     den = exp_t(5) + PowerSeries.one(5).scale(-1)
     with pytest.raises(ValuationMismatchError):
         num.divide_with_valuation(den, 1)
+    # A numerator no longer than the valuation leaves no coefficient to divide.
+    den = exp_t(3) + PowerSeries.one(3).scale(-1)
+    with pytest.raises(OrderExceededError, match="^division by the valuation leaves no known "):
+        PowerSeries([ZERO]).divide_with_valuation(den, 1)
 
 
 def test_extract():
@@ -286,6 +290,15 @@ def test_member_readers_take_only_non_negative_int_indices_below_the_order():
             read(3)
     assert series.extract(2) == X * X
     assert series.product_member(longer, 2) == (X + Z) ** 2
+
+
+def test_series_equal_only_series_and_show_at_most_four_coefficients():
+    # Against any other value __eq__ defers, so a series equals no polynomial.
+    assert PowerSeries.one(1).__eq__(ONE) is NotImplemented
+    assert PowerSeries.one(1) != ONE
+    assert repr(PowerSeries.exp_linear(X, 2)) == "PowerSeries(order=2: [t^0] 1, [t^1] x)"
+    assert repr(PowerSeries.exp_linear(X, 5)) == (
+        "PowerSeries(order=5: [t^0] 1, [t^1] x, [t^2] 1/2*x^2, [t^3] 1/6*x^3, ...)")
 
 
 def test_valuation():
