@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 
 from .family import (
-    ClassicalFamily,
     FamilySpec,
     LogBase,
     PHI_KINDS,
@@ -23,11 +22,10 @@ from .family import (
     extract_table,
     general_members,
     phi_label,
-    special_case_oracle,
 )
 from .identities import AUXILIARY, IdentityId, Verdict, verify_all, verify_identity
 from .identities import verify_shift  # noqa: F401  (unused; the bench tracer test patches it)
-from .polyring import LATEX_SPELLING, format_poly, json_terms, render_terms
+from .polyring import LATEX_SPELLING, MAX_DEGREE, format_poly, json_terms, render_terms
 from .series import SeriesError
 
 # The table formats: the --format choices of expand and table, and render_table's cases.
@@ -37,7 +35,7 @@ FORMATS = JSON, CSV, LATEX = ("json", "csv", "latex")
 # their phi kind ("hermite" is Gould-Hopper at its fixed step m=2).
 TABLE_STEP_PRESETS = [name for name, spec in sorted(PRESETS.items()) if spec.phi.kind == name]
 
-# The classical presets, tabulated from their own generating functions.
+# The classical presets: each table is its preset's unified table, scaled as its note says.
 TABLE_PRESET_NOTES = {
     "bernoulli": "classical Bernoulli polynomials; the unified family at k=1, alpha=1 equals (-1)^r times these",
     "euler": "classical Euler polynomials; equal to the unified family at k=0, alpha=-1",
@@ -212,8 +210,10 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
 def _classical_table(preset: str, n_max: int, m: int | None) -> PolyTable:
     if m is not None and preset not in TABLE_STEP_PRESETS:
         raise ValueError(f"--m does not apply to --preset {preset}")
-    if preset in TABLE_PRESET_NOTES:
-        return special_case_oracle(ClassicalFamily(f"apostol-{preset}"), 1, 1, n_max)
+    if preset in TABLE_PRESET_NOTES:  # r = 1: the scales (-1)^r, 1 and 2^r of the notes
+        scale = {"bernoulli": -1, "euler": 1, "genocchi": 2}[preset]
+        return PolyTable(f"apostol-{preset}(r=1, lambda=1)",
+                         tuple((n, p * scale) for n, p in extract_table(PRESETS[preset], n_max)))
     phi = PRESETS[preset].phi
     if m is not None:
         phi = Phi(phi.kind, m)
@@ -240,6 +240,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if misused:  # name the first misused flag, with any other read by the same identities
         flags = _given(args, *(name for name, r in zip(misused, readers) if r == readers[0]))
         raise ValueError(f"{' and '.join(flags)}: only used by --identity {readers[0]} or all")
+    if "m_max" in reads and args.n + (args.n if args.m_max is None else args.m_max) > MAX_DEGREE:
+        raise ValueError(f"--m-max plus --n must be at most {MAX_DEGREE} (absent, --m-max is --n)")
     given = {name: _parse_rational(getattr(args, name)) for name in ("c", "d")
              if getattr(args, name) is not None}  # absent: AUXILIARY's defaults
     if args.identity == "all":
@@ -298,6 +300,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.n > MAX_DEGREE:  # no table holds a member of a larger degree
+            raise ValueError(f"--n must be at most {MAX_DEGREE}, got {args.n}")
         return args.func(args)
     except (ValueError, SeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,15 +6,14 @@ import apostol
 from apostol import family, identities, polyring, series
 
 PUBLIC_NAMES = [
-    "ClassicalFamily", "Counterexample", "FamilySpec", "GouldHopper", "IdentityId",
-    "InvalidFamilySpecError", "Laguerre", "LogBase", "MultiPoly", "NotAUnitError",
-    "OrderExceededError", "PRESETS", "Phi", "PolyTable", "PowerSeries", "SeriesError",
-    "TruncatedExp", "Unit", "ValuationExceedsNumeratorError", "ValuationMismatchError",
-    "VarId", "Verdict", "denominator_series", "extract_table", "format_poly",
-    "general_members", "general_series", "phi_label", "phi_series", "special_case_oracle",
-    "unified_members", "unified_series", "verify_all", "verify_double_index",
-    "verify_series_def", "verify_shift", "verify_shift_general", "verify_shift_mixed",
-    "verify_shift_one", "verify_symmetry",
+    "Counterexample", "FamilySpec", "GouldHopper", "IdentityId", "InvalidFamilySpecError",
+    "Laguerre", "LogBase", "MultiPoly", "NotAUnitError", "OrderExceededError", "PRESETS",
+    "Phi", "PolyTable", "PowerSeries", "SeriesError", "TruncatedExp", "Unit",
+    "ValuationExceedsNumeratorError", "ValuationMismatchError", "VarId", "Verdict",
+    "denominator_series", "extract_table", "format_poly", "general_members",
+    "general_series", "phi_label", "phi_series", "unified_members", "unified_series",
+    "verify_all", "verify_double_index", "verify_series_def", "verify_shift",
+    "verify_shift_general", "verify_shift_mixed", "verify_shift_one", "verify_symmetry",
 ]
 
 MODULES = (polyring, series, family, identities)

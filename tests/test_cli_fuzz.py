@@ -5,7 +5,8 @@ cli.main.  Every flag is present or absent and takes values from its valid
 pool, except at most one, which takes them from its malformed pool; each is
 written as `--flag value` or `--flag=value`, and may be abbreviated or repeated.  Sizes stay small (n <= 3, r <= 2, --m-max <= 2), so
 each example is cheap; the contract does not cover resource use, so no
-example is large on purpose.
+example is large on purpose.  An index above the ring's MAX_DEGREE is
+malformed: it exits 2 before any table is built.
 """
 
 from __future__ import annotations
@@ -22,12 +23,15 @@ from apostol import cli
 from apostol.cli import build_parser, main
 from apostol.family import PRESETS
 from apostol.identities import IdentityId
+from apostol.polyring import MAX_DEGREE
 
 # The values a rational flag must refuse (or read exactly, as ' 2' and '٣').
 BAD_RATIONALS = ["", "1/0", "nan", "inf", "2/-3", " 2", "٣", "1,,2"]
 BAD_INTS = ["", "-1", "x", "1/2", " 2", "٣"]
+# Indices no table can hold: refused before anything is built.
+HUGE_INDICES = [str(MAX_DEGREE + 1), str(10**20)]
 PRESET = (sorted(PRESETS), ["", "Euler"])
-INDEX = (["0", "1", "2", "3"], BAD_INTS)
+INDEX = (["0", "1", "2", "3"], [*BAD_INTS, *HUGE_INDICES])
 FORMAT = (["json", "csv", "latex"], ["", "xml"])
 STEP = (["1", "2", "3"], ["0", *BAD_INTS])
 SPEC = {
@@ -44,7 +48,7 @@ SCALAR = (["2", "3", "1/2", "-5"], ["0", *BAD_RATIONALS])
 # Each command's flags with their (valid, malformed) value pools.
 POOLS = {
     "expand": {**SPEC, "--n": INDEX, "--format": FORMAT},
-    "verify": {**SPEC, "--n": INDEX, "--m-max": (["0", "1", "2"], BAD_INTS),
+    "verify": {**SPEC, "--n": INDEX, "--m-max": (["0", "1", "2"], [*BAD_INTS, *HUGE_INDICES]),
                "--identity": ([i.value for i in IdentityId] + ["all"], ["", "Shift"]),
                "--c": SCALAR, "--d": SCALAR},
     "table": {"--preset": PRESET, "--n": INDEX, "--m": STEP, "--format": FORMAT},
@@ -149,3 +153,22 @@ def test_a_key_error_inside_a_command_propagates(monkeypatch):
     monkeypatch.setattr(cli, "extract_table", failing)
     with pytest.raises(KeyError, match="raised inside expand"):
         main(["expand", "--n", "1"])
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["expand", "--preset", "euler", "--n", str(10**20)], "--n"),
+    (["expand", "--preset", "euler", "--n", str(MAX_DEGREE + 1)], "--n"),
+    (["table", "--preset", "hermite", "--n", str(10**20)], "--n"),
+    (["verify", "--preset", "euler", "--n", str(10**20)], "--n"),
+    (["verify", "--preset", "euler", "--n", "3", "--m-max", str(10**20)], "--m-max"),
+    (["verify", "--preset", "euler", "--n", str(MAX_DEGREE // 2 + 1)], "--m-max"),  # m_max = n
+])
+def test_an_index_no_table_can_hold_exits_2_at_once(argv, flag, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    for name in ("extract_table", "general_members", "verify_all", "verify_identity"):
+        monkeypatch.setattr(cli, name, build)
+    code, out, err = _run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and flag in err.splitlines()[0], err

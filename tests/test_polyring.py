@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from apostol.family import PRESETS, PolyTable
+from apostol.identities import Counterexample, IdentityId, Verdict
 from apostol.polyring import NVARS, MultiPoly, VarId, format_poly
 
 from helpers import exps, random_poly, random_rational
@@ -207,3 +211,24 @@ def test_equality_with_non_scalars_is_false():
         assert (one == other) is False
         assert (one != other) is True
     assert (MultiPoly.zero() == False) is False  # noqa: E712
+
+
+def test_records_are_immutable_and_survive_copy_and_pickle():
+    # One value of each Record type; the verdict holds a spec and a counterexample.
+    spec = PRESETS["hermite"]
+    table = PolyTable("t", ((0, MultiPoly.one()), (1, X)))
+    counterexample = Counterexample((1,), X, X + 1)
+    verdict = Verdict(IdentityId.SHIFT, PRESETS["euler"], 2, False, counterexample)
+    for record, field in [(spec, "r"), (spec, "alphas"), (spec.phi, "step"), (spec, "extra"),
+                          (table, "entries"), (verdict, "passed"), (verdict, "counterexample"),
+                          (counterexample, "lhs"), (verdict, "extra")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert spec.r == 1 and spec.phi.step == 2 and table.n_max == 1
+    assert not verdict.passed and counterexample.lhs == X
+    for record in (spec.phi, spec, table, counterexample, verdict):
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record) and twin == record

@@ -17,7 +17,7 @@ from apostol.series import (
     ValuationMismatchError,
 )
 
-from helpers import random_invertible_series, random_poly, random_series
+from helpers import random_poly, random_series
 
 X = MultiPoly.var(VarId.X)
 Z = MultiPoly.var(VarId.Z)
@@ -167,47 +167,6 @@ def test_extract_euler_polynomial():
 
 
 # -- randomized properties ----------------------------------------------------
-
-
-def test_invert_round_trip():
-    rng = random.Random(101)
-    for _ in range(30):
-        order = rng.randint(2, 12)
-        f = random_invertible_series(rng, order)
-        assert f * f.invert() == PowerSeries.one(order)
-
-
-def test_divide_round_trip():
-    rng = random.Random(202)
-    for _ in range(30):
-        order = rng.randint(3, 10)
-        v = rng.randint(0, 2)
-        g_coeffs = [MultiPoly.zero()] * v
-        lead = Fraction(0)
-        while lead == 0:
-            lead = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-        g_coeffs.append(MultiPoly.const(lead))
-        g_coeffs += [random_poly(rng, max_degree=2, max_terms=2)
-                     for _ in range(order - v - 1)]
-        g = PowerSeries(g_coeffs)
-        f = random_series(rng, order, max_degree=2, max_terms=3)
-        assert (f * g).divide_with_valuation(g, v) == PowerSeries(f.coeffs[:order - v])
-
-
-def test_mul_against_naive_convolution():
-    rng = random.Random(303)
-    for _ in range(20):
-        order = rng.randint(1, 8)
-        f = random_series(rng, order, max_degree=2, max_terms=3)
-        g = random_series(rng, order, max_degree=2, max_terms=3)
-        prod = f * g
-        for n in range(order):
-            acc = MultiPoly.zero()
-            for i in range(order):
-                for j in range(order):
-                    if i + j == n:
-                        acc = acc + f.coeffs[i] * g.coeffs[j]
-            assert prod.coeffs[n] == acc
 
 
 def test_product_member_is_the_extracted_member_of_the_product():
