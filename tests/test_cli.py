@@ -49,6 +49,14 @@ GOLDEN_MANIFEST = [
 ]
 
 
+@pytest.mark.parametrize("name,argv", GOLDEN_MANIFEST, ids=[n for n, _ in GOLDEN_MANIFEST])
+def test_golden_output(name, argv, capsys):
+    rc = main(argv)
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == (GOLDEN_DIR / name).read_text()
+
+
 @pytest.mark.parametrize("name", [n for n, _ in GOLDEN_MANIFEST if n.endswith(".json")])
 def test_golden_json_round_trip(name):
     text = (GOLDEN_DIR / name).read_text()

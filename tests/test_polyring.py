@@ -213,22 +213,28 @@ def test_equality_with_non_scalars_is_false():
     assert (MultiPoly.zero() == False) is False  # noqa: E712
 
 
-def test_records_are_immutable_and_survive_copy_and_pickle():
-    # One value of each Record type; the verdict holds a spec and a counterexample.
-    spec = PRESETS["hermite"]
-    table = PolyTable("t", ((0, MultiPoly.one()), (1, X)))
-    counterexample = Counterexample((1,), X, X + 1)
-    verdict = Verdict(IdentityId.SHIFT, PRESETS["euler"], 2, False, counterexample)
-    for record, field in [(spec, "r"), (spec, "alphas"), (spec.phi, "step"), (spec, "extra"),
-                          (table, "entries"), (verdict, "passed"), (verdict, "counterexample"),
-                          (counterexample, "lhs"), (verdict, "extra")]:
+# One value of each Record type, with the fields whose assignment and deletion are
+# checked ("extra" is no field); the verdict holds a spec and a counterexample.
+RECORDS = [
+    pytest.param(PRESETS["hermite"].phi, ["step"], id="Phi"),
+    pytest.param(PRESETS["hermite"], ["r", "alphas", "extra"], id="FamilySpec"),
+    pytest.param(PolyTable("t", ((0, MultiPoly.one()), (1, X))), ["entries"], id="PolyTable"),
+    pytest.param(Counterexample((1,), X, X + 1), ["lhs"], id="Counterexample"),
+    pytest.param(Verdict(IdentityId.SHIFT, PRESETS["euler"], 2, False,
+                         Counterexample((1,), X, X + 1)),
+                 ["passed", "counterexample", "extra"], id="Verdict"),
+]
+
+
+@pytest.mark.parametrize("record,fields", RECORDS)
+def test_records_are_immutable_and_survive_copy_and_pickle(record, fields):
+    missing = object()
+    before = [getattr(record, field, missing) for field in fields]
+    for field in fields:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         with pytest.raises(AttributeError):
             delattr(record, field)
-    assert spec.r == 1 and spec.phi.step == 2 and table.n_max == 1
-    assert not verdict.passed and counterexample.lhs == X
-    for record in (spec.phi, spec, table, counterexample, verdict):
-        for twin in (copy.copy(record), copy.deepcopy(record),
-                     pickle.loads(pickle.dumps(record))):
-            assert type(twin) is type(record) and twin == record
+    assert [getattr(record, field, missing) for field in fields] == before
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record
