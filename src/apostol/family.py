@@ -35,9 +35,9 @@ holds only x, y and z and is built first, so the large core enters one
 product.  No product series is built: each member P_n is read off the
 Cauchy sum of the two factors with n! cancelled against the sum's
 denominator, so it is normalized once.  unified_members lists these
-members from _members, a stream that builds each member when it is read;
-every family table on either side of an identity in identities reads the
-same stream.
+members from _members, a stream that builds each member when it is read,
+and general_members lists a phi's p_n(x, y) from it; every table on either
+side of an identity in identities reads the same stream.
 unified_series(spec, order).extract(n) stays the public series route to
 the same member, and the tests' reference.  A zero arg drops e^(xt), and
 spec.replace(phi=Unit()) drops phi; both together give the number sequence
@@ -350,21 +350,24 @@ def unified_members(spec: FamilySpec, n_max: int, *,
     return list(_members(spec, 0, check_int("n_max", n_max, 0), exp_argument))
 
 
-def _members(spec: FamilySpec, n_min: int, n_max: int,
+def _members(table: FamilySpec | Phi, n_min: int, n_max: int,
              exp_argument: MultiPoly | Scalar | None = None) -> Iterator[MultiPoly]:
-    """Members n_min .. n_max of unified_members(spec, n_max, ...), each built when it is read.
+    """Members n_min .. n_max of a spec's family table or a phi's general polynomials, when read.
 
-    The one member path: unified_members lists it from 0, and each side of
-    an identity in identities streams it past any shared prefix.  Both factors come from
-    _factors at order n_max + 1, unless the range is empty, and each member
-    is one PowerSeries.product_member call; a table with neither e^(arg t)
-    nor phi reads the core's own members, which pass no product kernel.
+    The one member loop, listed from 0 by unified_members and general_members
+    and streamed by identities past any shared prefix.  A spec's factors come
+    from _factors at order n_max + 1 (none for an empty range); a member is
+    one product_member call, or the core's own member without e^(arg t) and
+    phi.  A phi's p_n are read off the cached general_series by extract.
     """
     if n_min > n_max:
         return
-    core, small = _factors(spec, n_max + 1, exp_argument)
+    if isinstance(table, Phi):
+        series, small = general_series(table, n_max + 1, exp_argument=exp_argument), None
+    else:
+        series, small = _factors(table, n_max + 1, exp_argument)
     for n in range(n_min, n_max + 1):
-        yield core.extract(n) if small is None else core.product_member(small, n)
+        yield series.extract(n) if small is None else series.product_member(small, n)
 
 
 def general_series(phi: Phi, order: int, *,
@@ -376,10 +379,10 @@ def general_series(phi: Phi, order: int, *,
 
 def general_members(phi: Phi, n_max: int, *,
                     exp_argument: MultiPoly | Scalar | None = None) -> list[MultiPoly]:
-    """The two-variable general polynomials p_0 .. p_n_max for the given phi."""
+    """The two-variable general polynomials p_0 .. p_n_max of the given phi, from _members."""
     check_int("n_max", n_max, 0)
-    series = general_series(phi, n_max + 1, exp_argument=exp_argument)
-    return [series.extract(n) for n in range(n_max + 1)]
+    arg = _exp_argument_poly(exp_argument)  # checked before phi, as general_series checks
+    return list(_members(_checked_phi(phi), 0, n_max, arg))
 
 
 # -- tables ---------------------------------------------------------------------

@@ -8,10 +8,10 @@ exponential argument), the right side from a finite binomial convolution of
 previously extracted tables.  A pass is exact equality in the ring; there
 is no numeric tolerance anywhere.
 
-Every table comes from family.unified_members or family.general_members,
-named by a spec and an exponential argument alone: P(x+z) passes
-exp_argument=x+z, P(0,y) a zero argument, which drops e^(xt), and the
-phi-free tables M(x), M(z) and the numbers M pass spec.replace(phi=Unit()).
+Every table is named by a spec, or a phi for the general polynomials p, and
+an exponential argument alone: P(x+z) passes exp_argument=x+z, P(0,y) a zero
+argument, which drops e^(xt), and the phi-free tables M(x), M(z) and the
+numbers M pass spec.replace(phi=Unit()).
 Symmetry's left side reads no table: it re-expands the product
 F(ct; dx) F(dt; 0) from the series family.unified_series (the phi-free core)
 and family.general_series, each at rescaled t.  Like unified_members, it
@@ -19,11 +19,10 @@ reads each member off the last Cauchy sum with n! cancelled before the
 single normalization (PowerSeries.product_member), not through extract.
 
 Every side is a stream of members, read once in ascending n.  _stream
-serves every family table on either side: any prefix of a table verify_all
-shares, then family's member stream _members, which builds each member when
-the check reads it, so a verifier run alone holds only the members it has
-compared, and a FAIL at n builds no member past n.  general_members tables
-are lists of members extracted from one cached series.  verify_all first
+serves every table on either side, p included: any prefix of a table
+verify_all shares, then family's member stream _members, which builds each
+member when the check reads it, so a verifier run alone holds only the
+members it has compared, and a FAIL at n builds no member past n.  verify_all first
 builds the two tables four verifiers each read, at the largest n any reader
 holds: P(x) at n_max + m_max and P(x+z) at n_max, keyed by (spec,
 exp_argument), which compare by value (so when phi is unit, M(x) is found as
@@ -61,8 +60,7 @@ from itertools import accumulate, chain, repeat
 from math import comb
 from operator import mul
 
-from .family import (FamilySpec, Unit, _members, general_members, general_series,
-                     unified_members, unified_series)
+from .family import FamilySpec, Phi, Unit, _members, general_series, unified_members, unified_series
 from .polyring import (MultiPoly, Record, Scalar, VarId, check_int, is_exact_scalar,
                        linear_combination)
 from .series import PowerSeries
@@ -116,14 +114,14 @@ class Verdict(Record):
         super().__init__(identity, spec, max_n, passed, counterexample)
 
 
-def _stream(tables: Mapping, spec: FamilySpec, n_max: int, **kwargs) -> Iterator[MultiPoly]:
-    """Members 0 .. n_max of unified_members(spec, n_max, **kwargs): one side, read once.
+def _stream(tables: Mapping, table: FamilySpec | Phi, n_max: int, **kwargs) -> Iterator[MultiPoly]:
+    """Members 0 .. n_max of the table _members reads for a spec or a phi: one side, read once.
 
     Any prefix of a shared table comes first; _members builds each member past it when read.
     """
     check_int("n_max", n_max, 0)
-    prefix = tables.get((spec, kwargs.get("exp_argument")), [])[:n_max + 1]
-    return chain(prefix, _members(spec, len(prefix), n_max, **kwargs))
+    prefix = tables.get((table, kwargs.get("exp_argument")), [])[:n_max + 1]
+    return chain(prefix, _members(table, len(prefix), n_max, **kwargs))
 
 
 def binomial_convolution(a: Sequence[MultiPoly], b: Sequence[MultiPoly], n: int) -> MultiPoly:
@@ -163,7 +161,7 @@ def verify_series_def(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) ->
         IdentityId.SERIES_DEF, spec, n_max,
         _stream(_tables, spec, n_max),
         _stream(_tables, spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.zero()),
-        general_members(spec.phi, n_max),
+        _stream(_tables, spec.phi, n_max),
     )
 
 
@@ -186,7 +184,7 @@ def verify_shift_mixed(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -
     return _convolution_verdict(
         IdentityId.SHIFT_MIXED, spec, n_max,
         _stream(_tables, spec, n_max, exp_argument=_x_plus_z()),
-        general_members(spec.phi, n_max, exp_argument=MultiPoly.var(VarId.Z)),
+        _stream(_tables, spec.phi, n_max, exp_argument=MultiPoly.var(VarId.Z)),
         _stream(_tables, spec.replace(phi=Unit()), n_max),
     )
 
@@ -239,7 +237,7 @@ def verify_shift_general(spec: FamilySpec, n_max: int, *, _tables: Mapping = {})
         IdentityId.SHIFT_GENERAL, spec, n_max,
         _stream(_tables, spec, n_max, exp_argument=_x_plus_z()),
         _stream(_tables, spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.var(VarId.Z)),
-        general_members(spec.phi, n_max),
+        _stream(_tables, spec.phi, n_max),
     )
 
 
@@ -303,9 +301,8 @@ def verify_all(spec: FamilySpec, n_max: int, *, c: Scalar = AUXILIARY["c"],
 
     Bounds and scalars are checked first; then the two shared tables below
     are built once, keyed as _stream looks them up, and dropped on return.
-    Only P(x) is built past n_max: double-index's left side streams P(x+z)
-    past n_max, one member at a time.  Every other family table is streamed
-    by each reader, and each reader builds its own general_members lists.
+    Only P(x) is built past n_max; double-index streams P(x+z) past it, and
+    every other table, p included, is streamed by each reader.
     """
     args = _arguments(n_max, c, d, m_max)
     check_int("n_max", n_max, 0)

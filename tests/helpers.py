@@ -6,7 +6,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from apostol import family
+from apostol import family, identities, series
 from apostol.polyring import NVARS, MultiPoly, VarId
 from apostol.series import PowerSeries
 
@@ -34,6 +34,35 @@ def cold_factor_caches():
     finally:
         for cache in caches:
             cache.cache_clear()
+
+
+def drop_last_left_side_triple(monkeypatch):
+    """Patch the left-side kernel, as the series products call it, to drop the last of 3+ triples.
+
+    A Cauchy product first sums three triples at t^2 (an inversion at t^3).
+    """
+    kernel = series.sum_of_products
+
+    def dropping_last(triples, *times):
+        triples = list(triples)
+        return kernel(triples[:-1] if len(triples) >= 3 else triples, *times)
+
+    monkeypatch.setattr(series, "sum_of_products", dropping_last)
+
+
+def drop_last_right_side_triple(monkeypatch, calls=None):
+    """Patch the right-side kernel, as identities calls it, to drop its last triple.
+
+    calls, when given, gets one entry per call.
+    """
+    kernel = identities.linear_combination
+
+    def dropping_last(triples):
+        if calls is not None:
+            calls.append(1)
+        return kernel(list(triples)[:-1])
+
+    monkeypatch.setattr(identities, "linear_combination", dropping_last)
 
 
 def random_rational(rng: random.Random, max_abs: int = 5) -> Fraction:

@@ -510,7 +510,7 @@ def test_a_single_identity_builds_only_its_own_tables(monkeypatch, capsys, ident
     # verifier reads, at n.  Only double-index reads past n, to n + m_max:
     # P(x+z) and P(x), each as a member stream.
     sizes = []
-    for name in ("unified_members", "general_members", "_members"):
+    for name in ("unified_members", "_members"):
         build = getattr(identities_mod, name)
 
         def logged(of, *n, _build=build, **kwargs):

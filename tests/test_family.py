@@ -554,9 +554,12 @@ def test_public_builders_name_a_value_of_the_wrong_type():
         message = f"exp_linear needs a MultiPoly coefficient, got {bad!r}"
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             PowerSeries.exp_linear(bad, 5)
+    # A spec is no phi either, though the member stream reads both.
     for build in (phi_series, general_series, general_members):
-        with pytest.raises(InvalidFamilySpecError, match="^unknown phi kind: 'unit'$"):
-            build("unit", 3)
+        for bad in ("unit", PRESETS["hermite"]):
+            message = f"^unknown phi kind: {re.escape(repr(bad))}$"
+            with pytest.raises(InvalidFamilySpecError, match=message):
+                build(bad, 3)
 
 
 def test_general_members_start_at_one():

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 import apostol.family as family_mod
 import apostol.identities as identities_mod
-import apostol.series as series_mod
 
 from apostol.family import (
     PHI_KINDS,
@@ -56,7 +55,8 @@ from apostol.identities import (
 from apostol.polyring import MultiPoly, VarId
 from apostol.series import PowerSeries
 
-from helpers import cold_factor_caches, random_poly
+from helpers import (cold_factor_caches, drop_last_left_side_triple, drop_last_right_side_triple,
+                     random_poly)
 
 X = MultiPoly.var(VarId.X)
 Y = MultiPoly.var(VarId.Y)
@@ -395,25 +395,28 @@ def test_the_product_of_binomial_rows_n_and_m_is_row_n_plus_m():
 
 
 # (verifier slug, perturbed table or series, name the verifier calls it by,
-# phi kind of the spec or phi passed, kwargs of that call).  Each family
-# table, on either side, is the member stream _members.  The numbers M and
-# P(0) both pass a zero exp_argument and differ only in the phi of the spec.
+# _kind of the spec or phi passed, kwargs of that call).  Each table, on
+# either side, is the member stream _members.  The numbers M and P(0) both
+# pass a zero exp_argument and differ only in the phi of the spec.
 GH, UNIT = "gould-hopper", "unit"
+# A phi's own table, its general polynomials: Gould-Hopper's p(x) has the
+# phi kind and the argument of a Gould-Hopper spec's P(x), not its type.
+P_GH = "general " + GH
 FAULTS = [
     ("series-def", "lhs P(x)", "_members", GH, {}),
     ("series-def", "numbers M", "_members", UNIT, {"exp_argument": ZERO}),
-    ("series-def", "general p(x)", "general_members", GH, {}),
+    ("series-def", "general p(x)", "_members", P_GH, {}),
     ("shift", "lhs P(x+z)", "_members", GH, {"exp_argument": X + Z}),
     ("shift", "P(x)", "_members", GH, {}),
     ("shift-mixed", "lhs P(x+z)", "_members", GH, {"exp_argument": X + Z}),
-    ("shift-mixed", "general p(z)", "general_members", GH, {"exp_argument": Z}),
+    ("shift-mixed", "general p(z)", "_members", P_GH, {"exp_argument": Z}),
     ("shift-mixed", "phi-free M(x)", "_members", UNIT, {}),
     ("shift-one", "lhs P(x+1)", "_members", GH, {"exp_argument": X + 1}),
     ("shift-one", "P(x)", "_members", GH, {}),
     ("shift-general", "lhs P(x+z)", "_members", GH, {"exp_argument": X + Z}),
     ("shift-general", "phi-free M(z)", "_members", UNIT, {"exp_argument": Z}),
-    ("shift-general", "general p(x)", "general_members", GH, {}),
-    ("symmetry", "lhs G(dx)", "general_series", GH, {"exp_argument": 3 * X}),
+    ("shift-general", "general p(x)", "_members", P_GH, {}),
+    ("symmetry", "lhs G(dx)", "general_series", P_GH, {"exp_argument": 3 * X}),
     ("symmetry", "rhs P(cx)", "_members", GH, {"exp_argument": 2 * X}),
     ("symmetry", "rhs P(0)", "_members", GH, {"exp_argument": ZERO}),
 ]
@@ -428,20 +431,25 @@ VERIFIERS = {
 }
 
 
+def _kind(of):
+    """The phi kind of a spec's family table, or "general <kind>" for a phi's own table."""
+    return of.phi.kind if isinstance(of, FamilySpec) else f"general {of.kind}"
+
+
 def _faulty_stream(stream, kind=None, match={}, j0=None, hits=None, *, log=None, plus=Y):
     """stream (a _members) with plus added to member j0 of each matching stream, logged in hits.
 
-    A stream matches when its phi kind is kind and its exp_argument is the
-    one in match, a verifier's keyword arguments.  log, when given, gets
-    (phi kind, exp_argument, n) of every member the stream builds.
+    A stream matches when the _kind of what it reads is kind and its
+    exp_argument is the one in match, a verifier's keyword arguments.  log,
+    when given, gets (_kind, exp_argument, n) of every member the stream builds.
     """
     arg = match.get("exp_argument")
 
-    def faulty(spec, n_min, n_max, exp_argument=None):
-        for n, member in enumerate(stream(spec, n_min, n_max, exp_argument), n_min):
+    def faulty(of, n_min, n_max, exp_argument=None):
+        for n, member in enumerate(stream(of, n_min, n_max, exp_argument), n_min):
             if log is not None:
-                log.append((spec.phi.kind, exp_argument, n))
-            if n == j0 and spec.phi.kind == kind and exp_argument == arg:
+                log.append((_kind(of), exp_argument, n))
+            if n == j0 and _kind(of) == kind and exp_argument == arg:
                 hits.append(("stream", n_max))
                 member = member + plus
             yield member
@@ -453,12 +461,12 @@ def _faulty_table(build, kind, match, j0, hits):
     """build (called as build(of, n, **kwargs)) with y added to entry j0 of each matching output.
 
     The twin of _faulty_stream for list builders: an output matches when the
-    phi kind of its spec or phi is kind, its keyword arguments are match and
-    it holds entry j0; each perturbed output is logged in hits as ("table", n).
+    _kind of its spec or phi is kind, its keyword arguments are match and it
+    holds entry j0; each perturbed output is logged in hits as ("table", n).
     """
     def faulty(of, n, **kwargs):
         out = build(of, n, **kwargs)
-        if (getattr(of, "phi", of).kind == kind and kwargs == match
+        if (_kind(of) == kind and kwargs == match
                 and j0 < len(getattr(out, "coeffs", out))):
             hits.append(("table", n))
             out = _plus_y_at(out, j0)
@@ -483,7 +491,7 @@ def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, ta
     """Adding y to entry j0 of one table (or series) a verifier reads makes it FAIL at n = j0.
 
     Every table is perturbed through the name the verifier calls, and each
-    family table, on either side, is read from the member stream _members.  Entry 0
+    table, on either side, is read from the member stream _members.  Entry 0
     of each other table is a nonzero constant (1, or P_0 = -1 for this
     spec), so the fault cannot cancel at n = j0 and cannot show earlier.
 
@@ -500,10 +508,11 @@ def test_convolution_verifiers_fail_at_the_perturbed_index(monkeypatch, slug, ta
     y t^j0 to the general series G(t; dx), which reaches the product as
     c^j0 y t^j0 times the constant M_0^2 G_0(0) = 1.
 
-    Under verify_all a table that several verifiers read is built once and
-    shared, so a fault in it fails every one of them (SHARED_FAULTS below):
+    Under verify_all P(x) and P(x+z) are built once and shared, and every
+    other table is streamed by each reader, so a fault in a table fails
+    every verifier that reads it (SHARED_FAULTS below):
 
-        shared table   read by
+        table          read by
         P(x)           series-def (lhs), shift, double-index, shift-one
         P(x+z)         shift, shift-mixed, double-index, shift-general (lhs each)
         p(x)           series-def, shift-general
@@ -566,14 +575,8 @@ def test_right_sides_fail_when_a_right_side_kernel_drops_a_pair(monkeypatch):
     (1, h^0, P_N), so it first fails at (0, 0).
     """
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
-    kernel = identities_mod.linear_combination
     calls = []
-
-    def dropping_last(triples):
-        calls.append(1)
-        return kernel(list(triples)[:-1])
-
-    monkeypatch.setattr(identities_mod, "linear_combination", dropping_last)
+    drop_last_right_side_triple(monkeypatch, calls)
     verifiers = {**VERIFIERS, "double-index": lambda spec, n: verify_double_index(spec, n, 2)}
     for slug, verifier in verifiers.items():
         calls.clear()
@@ -680,13 +683,7 @@ def test_left_sides_fail_when_the_left_side_kernel_drops_a_triple(monkeypatch):
     the faulty kernel and no faulty factor leaks into other tests.
     """
     spec = FamilySpec(2, 0, *SYM, (Fraction(2), Fraction(-3)), GouldHopper(2))
-    kernel = series_mod.sum_of_products
-
-    def dropping_last(triples, *times):
-        triples = list(triples)
-        return kernel(triples[:-1] if len(triples) >= 3 else triples, *times)
-
-    monkeypatch.setattr(series_mod, "sum_of_products", dropping_last)
+    drop_last_left_side_triple(monkeypatch)
     verifiers = {**VERIFIERS, "double-index": lambda spec, n: verify_double_index(spec, n, 2)}
     with cold_factor_caches():
         for slug, verifier in verifiers.items():
@@ -731,23 +728,24 @@ def _recording_builders(monkeypatch):
     """Route identities' table builders through a log of (builder, spec or phi, argument, n).
 
     A member stream from 0, on either side, lists the table
-    unified_members(spec, n) and is logged as it; a stream past a shared
-    prefix is the rest of that shared table and is not.
+    unified_members(spec, n), or general_members(phi, n) for a phi, and is
+    logged as it; a stream past a shared prefix is the rest of that shared
+    table and is not.
     """
     requests = []
-    for name in ("unified_members", "general_members"):
-        build = getattr(identities_mod, name)
+    build = identities_mod.unified_members
 
-        def logged(of, n, _name=name, _build=build, **kwargs):
-            requests.append((_name, of, kwargs.get("exp_argument"), n))
-            return _build(of, n, **kwargs)
+    def logged(of, n, **kwargs):
+        requests.append(("unified_members", of, kwargs.get("exp_argument"), n))
+        return build(of, n, **kwargs)
 
-        monkeypatch.setattr(identities_mod, name, logged)
+    monkeypatch.setattr(identities_mod, "unified_members", logged)
     stream = identities_mod._members
 
     def logged_stream(of, n_min, n, **kwargs):
         if n_min == 0:
-            requests.append(("unified_members", of, kwargs.get("exp_argument"), n))
+            name = "unified_members" if isinstance(of, FamilySpec) else "general_members"
+            requests.append((name, of, kwargs.get("exp_argument"), n))
         return stream(of, n_min, n, **kwargs)
 
     monkeypatch.setattr(identities_mod, "_members", logged_stream)
@@ -785,22 +783,22 @@ def test_verify_all_requests_each_table_once(monkeypatch, spec):
             assert n == (n_max + m_max if wide else n_max), (n_max, m_max, name, of, arg)
 
 
-# The family tables each verifier reads as member streams, (phi kind, exp_argument)
-# in the order it reads them at each n, left side first, for SYM_GH2 at c = 2.
+# The tables each verifier reads as member streams, (_kind, exp_argument) in
+# the order it reads them at each n, left side first, for SYM_GH2 at c = 2.
 STREAMS = {
-    "series-def": [(GH, None), (UNIT, ZERO)],
+    "series-def": [(GH, None), (UNIT, ZERO), (P_GH, None)],
     "shift": [(GH, X + Z), (GH, None)],
-    "shift-mixed": [(GH, X + Z), (UNIT, None)],
+    "shift-mixed": [(GH, X + Z), (P_GH, Z), (UNIT, None)],
     "double-index": [(GH, X + Z), (GH, None)],
     "shift-one": [(GH, X + 1), (GH, None)],
-    "shift-general": [(GH, X + Z), (UNIT, Z)],
+    "shift-general": [(GH, X + Z), (UNIT, Z), (P_GH, None)],
     "symmetry": [(GH, 2 * X), (GH, ZERO)],
 }
 
 
 @pytest.mark.parametrize("run", ["verify_all", *STREAMS])
 def test_each_stream_builds_each_member_once_just_before_its_check(monkeypatch, run):
-    # Every family table on either side is a member stream: member n is built
+    # Every table on either side is a member stream: member n is built
     # once, after the check at n - 1 and before the check at n, and never in a
     # table.  Under verify_all the shared P(x) (to n_max + m_max) and P(x+z)
     # (to n_max) are the only tables, and double-index streams P_N(x+z) past n_max.
@@ -842,18 +840,22 @@ def test_each_stream_builds_each_member_once_just_before_its_check(monkeypatch, 
             assert next(e for e in reversed(events[:i]) if e[0] == "check") == ("check", n - 1)
 
 
-# (run, perturbed table (phi kind, keyword arguments), j0, the members built in all).
+# (run, perturbed table (_kind, keyword arguments), j0, the members built in all).
 STOPS = [
     ("double-index", GH, {}, 1, 4),  # right side P(x): P_0, P_1 on each side
     ("double-index", GH, {"exp_argument": X + Z}, 1, 4),  # left side P(x+z)
-    ("series-def", UNIT, {"exp_argument": ZERO}, 2, 6),
+    ("series-def", UNIT, {"exp_argument": ZERO}, 2, 9),  # P_0..P_2, M_0..M_2 and p_0..p_2
     ("symmetry", GH, {"exp_argument": ZERO}, 2, 6),  # the left side is a series product
+    # p_0 of a general table: each of the three sides builds its member 0 and no more
+    ("series-def", P_GH, {}, 0, 3),
+    ("shift-mixed", P_GH, {"exp_argument": Z}, 0, 3),
+    ("shift-general", P_GH, {}, 0, 3),
 ]
 
 
 @pytest.mark.parametrize("run, kind, match, j0, built", STOPS,
                          ids=["double-index:rhs", "double-index:lhs", "series-def:rhs",
-                              "symmetry:rhs"])
+                              "symmetry:rhs", "series-def:p", "shift-mixed:p", "shift-general:p"])
 def test_a_fail_at_j_builds_no_member_past_j(monkeypatch, run, kind, match, j0, built):
     # y added to member j0 of one table: both the stream identities reads and
     # the list unified_members makes pass through the log, so a table built
@@ -876,7 +878,7 @@ def test_a_fail_under_verify_all_builds_no_member_past_it_in_its_stream(monkeypa
 
 
 def _logged_members(monkeypatch, kind, match, j0):
-    """Log (phi kind, exp_argument, n) of every member family builds; y added to one, j0.
+    """Log (_kind, exp_argument, n) of every member family builds; y added to one, j0.
 
     identities' member stream and family's, which unified_members lists, are
     both replaced.
@@ -980,34 +982,34 @@ def test_verify_all_returns_the_verdicts_of_the_verifiers_run_alone(spec):
         assert verify_all(spec, n_max, m_max=m_max) == alone, (n_max, m_max)
 
 
-# (table, builder, phi kind, kwargs, its builds under verify_all, the verifiers that read it):
-# verify_all shares P(x) and P(x+z), each reader of p(x) builds its own, and
+# (table, _kind, kwargs, its builds under verify_all, the verifiers that read it):
+# verify_all shares P(x) and P(x+z), each reader of p(x) streams its own, and
 # symmetry streams P(0).
 SHARED_FAULTS = [
-    ("P(x)", "unified_members", GH, {}, 1, {"series-def", "shift", "double-index", "shift-one"}),
-    ("P(x+z)", "unified_members", GH, {"exp_argument": X + Z}, 1,
+    ("P(x)", GH, {}, 1, {"series-def", "shift", "double-index", "shift-one"}),
+    ("P(x+z)", GH, {"exp_argument": X + Z}, 1,
      {"shift", "shift-mixed", "double-index", "shift-general"}),
-    ("p(x)", "general_members", GH, {}, 2, {"series-def", "shift-general"}),
-    ("P(0)", "unified_members", GH, {"exp_argument": ZERO}, 1, {"symmetry"}),
+    ("p(x)", P_GH, {}, 2, {"series-def", "shift-general"}),
+    ("P(0)", GH, {"exp_argument": ZERO}, 1, {"symmetry"}),
 ]
 
 
 @pytest.mark.parametrize("j0", [1, 4])
-@pytest.mark.parametrize("table, name, kind, match, builds, readers", SHARED_FAULTS,
+@pytest.mark.parametrize("table, kind, match, builds, readers", SHARED_FAULTS,
                          ids=[table for table, *_ in SHARED_FAULTS])
-def test_a_fault_in_a_shared_table_fails_every_reader(monkeypatch, table, name, kind, match,
+def test_a_fault_in_a_shared_table_fails_every_reader(monkeypatch, table, kind, match,
                                                       builds, readers, j0):
     """A shared table is built once, any other per reader; each reader FAILs as alone.
 
-    Run alone, a verifier reads each family table's members from the
-    stream, perturbed too.
+    The shared tables are unified_members lists, and every member past them
+    comes from the stream, perturbed too: run alone, a verifier reads each
+    table's members from it.
     """
     hits = []
-    monkeypatch.setattr(identities_mod, name, _faulty_table(
-        getattr(identities_mod, name), kind, match, j0, hits))
-    if name == "unified_members":
-        monkeypatch.setattr(identities_mod, "_members", _faulty_stream(
-            identities_mod._members, kind, match, j0, hits))
+    monkeypatch.setattr(identities_mod, "unified_members", _faulty_table(
+        identities_mod.unified_members, kind, match, j0, hits))
+    monkeypatch.setattr(identities_mod, "_members", _faulty_stream(
+        identities_mod._members, kind, match, j0, hits))
     verdicts = verify_all(SYM_GH2, 5, m_max=2)
     assert len(hits) == builds
     assert {v.identity.value for v in verdicts if not v.passed} == readers
