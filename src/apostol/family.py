@@ -37,7 +37,9 @@ Cauchy sum of the two factors with n! cancelled against the sum's
 denominator, so it is normalized once.  unified_members lists these
 members from _members, a stream that builds each member when it is read,
 and general_members lists a phi's p_n(x, y) from it; every table on either
-side of an identity in identities reads the same stream.
+side of an identity in identities reads the same stream, the one reader of
+either kind: a public builder refuses a value of another type, a phi given
+for a spec too, with an InvalidFamilySpecError naming it.
 unified_series(spec, order).extract(n) stays the public series route to
 the same member, and the tests' reference.  A zero arg drops e^(xt), and
 spec.replace(phi=Unit()) drops phi; both together give the number sequence
@@ -161,16 +163,17 @@ def TruncatedExp(beta: int | None = None) -> Phi:
     return Phi("truncated-exp", beta)
 
 
-def _checked_phi(phi: object) -> Phi:
-    """phi itself if it is a Phi; InvalidFamilySpecError otherwise."""
-    if not isinstance(phi, Phi):
-        raise InvalidFamilySpecError(f"unknown phi kind: {phi!r}")
-    return phi
+def _checked(value: object, kind: type = Phi):
+    """value itself if it is a kind (Phi by default); else InvalidFamilySpecError naming it."""
+    if not isinstance(value, kind):
+        what = "unknown phi kind" if kind is Phi else "not a FamilySpec"
+        raise InvalidFamilySpecError(f"{what}: {value!r}")
+    return value
 
 
 def phi_series(phi: Phi, order: int) -> PowerSeries:
     """Expand the chosen phi(y, t) as a truncated series in t."""
-    weight = PHI_KINDS[_checked_phi(phi).kind][2]
+    weight = PHI_KINDS[_checked(phi).kind][2]
     if weight is None:
         return PowerSeries.one(order)
     y = MultiPoly.var(VarId.Y)
@@ -209,7 +212,7 @@ class FamilySpec(Record):
             raise InvalidFamilySpecError(f"need exactly r={r} alphas, got {len(alphas)}")
         if a is b:
             raise InvalidFamilySpecError("the bases a and b must differ")
-        super().__init__(r, k, a, b, alphas, _checked_phi(phi))
+        super().__init__(r, k, a, b, alphas, _checked(phi))
         if self.unit_alpha_count and (a, b) != (LogBase.ONE, LogBase.E):
             raise InvalidFamilySpecError(
                 "alpha = 1 (Bernoulli-type factor) is only supported for bases "
@@ -268,7 +271,7 @@ def denominator_series(spec: FamilySpec, order: int) -> PowerSeries:
     call over the r+1 exponentials' coefficients, normalized once.
     """
     coeffs = [Fraction(1)]  # of prod_i (alpha_i z - 1), lowest power of z first
-    for alpha in spec.alphas:  # times (alpha z - 1): c_j becomes alpha c_(j-1) - c_j
+    for alpha in _checked(spec, FamilySpec).alphas:  # c_j becomes alpha c_(j-1) - c_j
         coeffs = [alpha * below - c for c, below in zip([*coeffs, 0], [0, *coeffs])]
     la, lb = spec.a.log_poly(), spec.b.log_poly()
     one = MultiPoly.one()
@@ -330,7 +333,7 @@ def unified_series(spec: FamilySpec, order: int, *,
     spec.replace(phi=Unit()) with a zero argument gives the family's
     numbers.  Both factors come from their caches.
     """
-    core, small = _factors(spec, check_int("order", order, 1), exp_argument)
+    core, small = _factors(_checked(spec, FamilySpec), check_int("order", order, 1), exp_argument)
     return core if small is None else core * small
 
 
@@ -347,7 +350,8 @@ def unified_members(spec: FamilySpec, n_max: int, *,
     unified_series(...).extract(n) is the same member by the public series
     route.
     """
-    return list(_members(spec, 0, check_int("n_max", n_max, 0), exp_argument))
+    return list(_members(_checked(spec, FamilySpec), 0, check_int("n_max", n_max, 0),
+                         exp_argument))
 
 
 def _members(table: FamilySpec | Phi, n_min: int, n_max: int,
@@ -373,7 +377,7 @@ def _members(table: FamilySpec | Phi, n_min: int, n_max: int,
 def general_series(phi: Phi, order: int, *,
                    exp_argument: MultiPoly | Scalar | None = None) -> PowerSeries:
     """e^(xt) phi(y,t), the cached small factor: the general polynomials, no prefactor."""
-    return _small_factor(_exp_argument_poly(exp_argument), _checked_phi(phi),
+    return _small_factor(_exp_argument_poly(exp_argument), _checked(phi),
                          check_int("order", order, 1))
 
 
@@ -382,7 +386,7 @@ def general_members(phi: Phi, n_max: int, *,
     """The two-variable general polynomials p_0 .. p_n_max of the given phi, from _members."""
     check_int("n_max", n_max, 0)
     arg = _exp_argument_poly(exp_argument)  # checked before phi, as general_series checks
-    return list(_members(_checked_phi(phi), 0, n_max, arg))
+    return list(_members(_checked(phi), 0, n_max, arg))
 
 
 # -- tables ---------------------------------------------------------------------

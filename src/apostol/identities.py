@@ -22,14 +22,14 @@ Every side is a stream of members, read once in ascending n.  _stream
 serves every table on either side, p included: any prefix of a table
 verify_all shares, then family's member stream _members, which builds each
 member when the check reads it, so a verifier run alone holds only the
-members it has compared, and a FAIL at n builds no member past n.  verify_all first
-builds the two tables four verifiers each read, at the largest n any reader
-holds: P(x) at n_max + m_max and P(x+z) at n_max, keyed by (spec,
-exp_argument), which compare by value (so when phi is unit, M(x) is found as
-P(x)).  No verifier reads one shared table on both of its sides, so the
-sides stay apart.  They may share the factor values family caches, the core
-and e^(arg t) phi, which both sides already computed with the same code, but
-never a table.
+members it has compared, and a FAIL at n builds no member past n.  Tables
+are shared only in the scope, a context variable, that verify_all opens
+around its verify_identity calls, so each thread's run is its own: the two
+tables four verifiers read, P(x) to n_max + m_max and P(x+z) to n_max,
+keyed by (spec, exp_argument), which compare by value (so when phi is
+unit, M(x) is found as P(x)).  No verifier reads a shared table on both of
+its sides, so the sides stay apart; they may share family's cached
+factors, the core and e^(arg t) phi, but never a table.
 
 Every identity is checked as lhs[n] == binomial_convolution(a, b, n), and
 every right side takes its products inside the right-side kernel
@@ -41,8 +41,7 @@ After the automorphism z -> x + h, the double-index identity at (n, m) is the
 shift identity at N = n + m, so double-index runs the shift check at
 n_max + m_max and reports a FAIL at the first pair with that N, both sides
 mapped back with MultiPoly.substitute({Z: z - x}).  Its sides are
-shift's streams, so under verify_all it reads the shared P(x+z) up to n_max
-and the shared P(x) up to n_max + m_max, and streams the members past them.
+shift's streams: it reads verify_all's shared prefixes and streams the rest.
 Every comparison of two sides happens in one loop, _convolution_verdict,
 which reads each side once, in ascending n.
 
@@ -54,6 +53,7 @@ is reproducible from the report alone.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextvars import ContextVar
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
@@ -98,6 +98,9 @@ class IdentityId(Enum):
 # The verifier arguments besides n_max, their defaults, in CLI check order; m_max None is n_max.
 AUXILIARY = {"c": 2, "d": 3, "m_max": None}
 
+# The tables verify_all shares, keyed by (spec, exp_argument): empty outside its scope.
+_SHARED: ContextVar[Mapping] = ContextVar("shared_tables", default={})
+
 
 class Counterexample(Record):
     __slots__ = ("indices", "lhs", "rhs")
@@ -114,13 +117,13 @@ class Verdict(Record):
         super().__init__(identity, spec, max_n, passed, counterexample)
 
 
-def _stream(tables: Mapping, table: FamilySpec | Phi, n_max: int, **kwargs) -> Iterator[MultiPoly]:
+def _stream(table: FamilySpec | Phi, n_max: int, **kwargs) -> Iterator[MultiPoly]:
     """Members 0 .. n_max of the table _members reads for a spec or a phi: one side, read once.
 
-    Any prefix of a shared table comes first; _members builds each member past it when read.
+    Any prefix of a table shared in verify_all's scope comes first; _members builds the rest.
     """
     check_int("n_max", n_max, 0)
-    prefix = tables.get((table, kwargs.get("exp_argument")), [])[:n_max + 1]
+    prefix = _SHARED.get().get((table, kwargs.get("exp_argument")), [])[:n_max + 1]
     return chain(prefix, _members(table, len(prefix), n_max, **kwargs))
 
 
@@ -151,7 +154,7 @@ def _convolution_verdict(identity: IdentityId, spec: FamilySpec, n_max: int,
     return Verdict(identity, spec, n_max, True)
 
 
-def verify_series_def(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> Verdict:
+def verify_series_def(spec: FamilySpec, n_max: int) -> Verdict:
     """P_n(x,y) = sum_j C(n,j) * M_(n-j) * p_j(x,y).
 
     M are the family's numbers (zero exponential argument, phi-free spec)
@@ -159,23 +162,23 @@ def verify_series_def(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) ->
     """
     return _convolution_verdict(
         IdentityId.SERIES_DEF, spec, n_max,
-        _stream(_tables, spec, n_max),
-        _stream(_tables, spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.zero()),
-        _stream(_tables, spec.phi, n_max),
+        _stream(spec, n_max),
+        _stream(spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.zero()),
+        _stream(spec.phi, n_max),
     )
 
 
-def verify_shift(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> Verdict:
+def verify_shift(spec: FamilySpec, n_max: int) -> Verdict:
     """P_n(x+z, y) = sum_m C(n,m) * P_m(x,y) * z^(n-m)."""
     return _convolution_verdict(
         IdentityId.SHIFT, spec, n_max,
-        _stream(_tables, spec, n_max, exp_argument=_x_plus_z()),
+        _stream(spec, n_max, exp_argument=_x_plus_z()),
         accumulate(repeat(MultiPoly.var(VarId.Z), n_max), mul, initial=MultiPoly.one()),
-        _stream(_tables, spec, n_max),
+        _stream(spec, n_max),
     )
 
 
-def verify_shift_mixed(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> Verdict:
+def verify_shift_mixed(spec: FamilySpec, n_max: int) -> Verdict:
     """P_n(x+z, y) = sum_j C(n,j) * M_j(x) * p_(n-j)(z, y).
 
     M_j(x) are the phi-free family polynomials in x; p are the general
@@ -183,14 +186,13 @@ def verify_shift_mixed(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -
     """
     return _convolution_verdict(
         IdentityId.SHIFT_MIXED, spec, n_max,
-        _stream(_tables, spec, n_max, exp_argument=_x_plus_z()),
-        _stream(_tables, spec.phi, n_max, exp_argument=MultiPoly.var(VarId.Z)),
-        _stream(_tables, spec.replace(phi=Unit()), n_max),
+        _stream(spec, n_max, exp_argument=_x_plus_z()),
+        _stream(spec.phi, n_max, exp_argument=MultiPoly.var(VarId.Z)),
+        _stream(spec.replace(phi=Unit()), n_max),
     )
 
 
-def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
-                        _tables: Mapping = {}) -> Verdict:
+def verify_double_index(spec: FamilySpec, n_max: int, m_max: int) -> Verdict:
     """P_(n+m)(z,y) = sum_{p<=n, q<=m} C(n,p) C(m,q) (z-x)^(p+q) P_(n+m-p-q)(x,y).
 
     Checked for every pair (n, m) with n <= n_max and m <= m_max.  After the
@@ -203,7 +205,7 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
     """
     check_int("n_max", n_max, 0)
     check_int("m_max", m_max, 0)
-    shift = verify_shift(spec, n_max + m_max, _tables=_tables)
+    shift = verify_shift(spec, n_max + m_max)
     fail = shift.counterexample
     if fail is not None:  # report the mismatch in (x, z)
         (nm,) = fail.indices
@@ -213,7 +215,7 @@ def verify_double_index(spec: FamilySpec, n_max: int, m_max: int, *,
     return Verdict(IdentityId.DOUBLE_INDEX, spec, n_max, shift.passed, fail)
 
 
-def verify_shift_one(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> Verdict:
+def verify_shift_one(spec: FamilySpec, n_max: int) -> Verdict:
     """P_n(x+1, y) = sum_m C(n,m) * P_(n-m)(x,y).
 
     The left side re-expands with the exponential argument x + 1 rather than
@@ -221,13 +223,13 @@ def verify_shift_one(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> 
     """
     return _convolution_verdict(
         IdentityId.SHIFT_ONE, spec, n_max,
-        _stream(_tables, spec, n_max, exp_argument=MultiPoly.var(VarId.X) + 1),
+        _stream(spec, n_max, exp_argument=MultiPoly.var(VarId.X) + 1),
         repeat(MultiPoly.one(), n_max + 1),
-        _stream(_tables, spec, n_max),
+        _stream(spec, n_max),
     )
 
 
-def verify_shift_general(spec: FamilySpec, n_max: int, *, _tables: Mapping = {}) -> Verdict:
+def verify_shift_general(spec: FamilySpec, n_max: int) -> Verdict:
     """P_n(x+z, y) = sum_m C(n,m) * M_(n-m)(z) * p_m(x, y).
 
     The companion of the mixed shift with the roles of the two variables
@@ -235,14 +237,13 @@ def verify_shift_general(spec: FamilySpec, n_max: int, *, _tables: Mapping = {})
     """
     return _convolution_verdict(
         IdentityId.SHIFT_GENERAL, spec, n_max,
-        _stream(_tables, spec, n_max, exp_argument=_x_plus_z()),
-        _stream(_tables, spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.var(VarId.Z)),
-        _stream(_tables, spec.phi, n_max),
+        _stream(spec, n_max, exp_argument=_x_plus_z()),
+        _stream(spec.replace(phi=Unit()), n_max, exp_argument=MultiPoly.var(VarId.Z)),
+        _stream(spec.phi, n_max),
     )
 
 
-def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int, *,
-                    _tables: Mapping = {}) -> Verdict:
+def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int) -> Verdict:
     """sum_m C(n,m) c^(n-m) d^m P_(n-m)(dx,y) P_m(0,y) is symmetric in c, d.
 
     This is the z = 0 case of F(ct; dx) F(dt; cz) = F(dt; cx) F(ct; dz) for
@@ -259,8 +260,8 @@ def verify_symmetry(spec: FamilySpec, c: Scalar, d: Scalar, n_max: int, *,
     check_int("n_max", n_max, 0)
     return _convolution_verdict(
         IdentityId.SYMMETRY, spec, n_max, _symmetry_left_side(spec, c, d, n_max),
-        _scaled(_stream(_tables, spec, n_max, exp_argument=MultiPoly.var(VarId.X) * c), d),
-        _scaled(_stream(_tables, spec, n_max, exp_argument=MultiPoly.zero()), c),
+        _scaled(_stream(spec, n_max, exp_argument=MultiPoly.var(VarId.X) * c), d),
+        _scaled(_stream(spec, n_max, exp_argument=MultiPoly.zero()), c),
     )
 
 
@@ -297,42 +298,37 @@ def _symmetry_scalars(c: Scalar, d: Scalar) -> tuple[Fraction, Fraction]:
 
 def verify_all(spec: FamilySpec, n_max: int, *, c: Scalar = AUXILIARY["c"],
                d: Scalar = AUXILIARY["d"], m_max: int | None = None) -> list[Verdict]:
-    """Run every identity with the same auxiliary arguments, one verdict each.
+    """Run every identity through verify_identity with the same auxiliary arguments.
 
-    Bounds and scalars are checked first; then the two shared tables below
-    are built once, keyed as _stream looks them up, and dropped on return.
-    Only P(x) is built past n_max; double-index streams P(x+z) past it, and
-    every other table, p included, is streamed by each reader.
+    Bounds and scalars are checked before any table is built.  The two shared
+    tables live in a scope this call opens and closes, returning or raising,
+    so a verifier called outside it, or in another thread, streams its own.
     """
-    args = _arguments(n_max, c, d, m_max)
     check_int("n_max", n_max, 0)
-    total = n_max + check_int("m_max", args["m_max"], 0)
+    m_max = n_max if m_max is None else m_max
+    total = n_max + check_int("m_max", m_max, 0)
     _symmetry_scalars(c, d)
     x_plus_z = _x_plus_z()
-    tables = {
+    token = _SHARED.set({
         # P(x): series-def, shift, shift-one, and double-index's right side up to n_max + m_max
         (spec, None): unified_members(spec, total),
         # P(x+z): shift, shift-mixed, shift-general, and double-index's left side up to n_max
         (spec, x_plus_z): unified_members(spec, n_max, exp_argument=x_plus_z),
-    }
-    return [_run(identity, spec, args, tables) for identity in IdentityId]
+    })
+    try:
+        return [verify_identity(i, spec, n_max, c=c, d=d, m_max=m_max) for i in IdentityId]
+    finally:
+        _SHARED.reset(token)
 
 
 def verify_identity(identity: IdentityId, spec: FamilySpec, n_max: int, *,
                     c: Scalar = AUXILIARY["c"], d: Scalar = AUXILIARY["d"],
                     m_max: int | None = None) -> Verdict:
-    """Run one identity alone with verify_all's auxiliary parameters."""
+    """Run one identity with verify_all's auxiliary parameters: the one runner."""
     if not isinstance(identity, IdentityId):
         raise ValueError(f"identity must be an IdentityId, got {identity!r}")
-    return _run(identity, spec, _arguments(n_max, c, d, m_max), {})
-
-
-def _arguments(n_max: int, c: Scalar, d: Scalar, m_max: int | None) -> dict:
-    return {"n_max": n_max, "c": c, "d": d, "m_max": n_max if m_max is None else m_max}
-
-
-def _run(identity: IdentityId, spec: FamilySpec, args: dict, tables: Mapping) -> Verdict:
-    return globals()[identity.verifier](spec, *(args[a] for a in identity.args), _tables=tables)
+    args = {"n_max": n_max, "c": c, "d": d, "m_max": n_max if m_max is None else m_max}
+    return globals()[identity.verifier](spec, *(args[a] for a in identity.args))
 
 
 def _x_plus_z() -> MultiPoly:

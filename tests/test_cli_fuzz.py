@@ -3,10 +3,14 @@
 Each example is an argv for expand, verify or table, run in process through
 cli.main.  Every flag is present or absent and takes values from its valid
 pool, except at most one, which takes them from its malformed pool; each is
-written as `--flag value` or `--flag=value`, and may be abbreviated or repeated.  Sizes stay small (n <= 3, r <= 2, --m-max <= 2), so
-each example is cheap; the contract does not cover resource use, so no
-example is large on purpose.  An index above the ring's MAX_DEGREE is
-malformed: it exits 2 before any table is built.
+written as `--flag value` or `--flag=value`, and may be abbreviated or
+repeated.  An argv that runs (exit 0 or 1) must print the same with every
+absent flag given its default explicitly.  Sizes stay small (n <= 3, r <= 2,
+--m-max <= 2), so each example is cheap; the contract does not cover
+resource use, so no example is large on purpose.  An index above the ring's
+MAX_DEGREE is malformed: it exits 2 before any table is built.  Every
+malformed value of every flag is also run once, deterministically, in the
+context that reads it.
 """
 
 from __future__ import annotations
@@ -55,6 +59,9 @@ POOLS = {
 }
 # The flags without which a command cannot run, drawn more often than the others.
 REQUIRED = {"expand": {"--n"}, "verify": {"--n"}, "table": {"--n", "--preset"}}
+# The default --m of each phi kind that takes one, and of each table preset that takes one.
+STEP_DEFAULTS = {"gould-hopper": "2", "laguerre": "1", "truncated-exp": "2"}
+TABLE_STEP_DEFAULTS = {"gould-hopper": "3", "laguerre": "1", "truncated-exp": "2"}
 ERROR_LINE = re.compile(r"^(apostol( \w+)?: )?error: ", re.M)
 
 
@@ -106,6 +113,28 @@ def _argv(command: str, items) -> list[str]:
     return argv
 
 
+def _explicit_defaults(command: str, given: dict[str, str]) -> list[str]:
+    """--flag=value for every flag absent from given (flag: value) that the command reads."""
+    defaults = {}
+    if command == "table":
+        defaults["--m"] = TABLE_STEP_DEFAULTS.get(given["--preset"])
+    elif "--preset" not in given:  # each spec flag takes the Euler preset's value
+        if "--r" not in given and "--alphas" not in given:
+            defaults.update({"--r": "1", "--alphas": "-1"})
+        defaults.update({"--k": "0", "--a": "1", "--b": "e", "--phi": "unit"})
+        defaults["--m"] = STEP_DEFAULTS.get(given.get("--phi", "unit"))
+    if command == "verify":
+        identity = defaults["--identity"] = given.get("--identity", "all")
+        if identity in ("symmetry", "all"):
+            defaults.update({"--c": "2", "--d": "3"})
+        if identity in ("double-index", "all"):
+            defaults["--m-max"] = given["--n"]
+    else:
+        defaults["--format"] = "json"
+    return [f"{flag}={value}" for flag, value in defaults.items()
+            if flag not in given and value is not None]
+
+
 def _run(argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of cli.main; any other exception propagates."""
     out, err = io.StringIO(), io.StringIO()
@@ -142,6 +171,38 @@ def test_every_argv_keeps_the_exit_code_contract(invocation):
     if code == 0:
         shortest = [(_shortest(command, _resolve(command, w)), v, j) for w, v, j in items]
         assert _run(_argv(command, shortest))[:2] == (0, out)
+    if code in (0, 1):  # an absent flag reads as its default given explicitly
+        given = {_resolve(command, w): v for w, v, _ in items}
+        explicit = _argv(command, items) + _explicit_defaults(command, given)
+        assert _run(explicit)[:2] == (code, out), explicit
+
+
+# The flags each flag is read with, so that its malformed values reach its own check.
+SPEC_CONTEXT = {"--r": ["--alphas=-1"], "--alphas": ["--r=1"], "--m": ["--phi=gould-hopper"]}
+CONTEXT = {
+    "expand": SPEC_CONTEXT,
+    "verify": {**SPEC_CONTEXT, "--m-max": ["--identity=double-index"],
+               "--c": ["--identity=symmetry"], "--d": ["--identity=symmetry"]},
+    "table": {"--preset": [], "--n": ["--preset=euler"], "--m": ["--preset=gould-hopper"],
+              "--format": ["--preset=euler"]},
+}
+# The malformed values read exactly, as the ints and rationals they spell.
+READ_EXACTLY = {" 2": "2", "٣": "3"}
+
+
+def test_every_malformed_value_of_every_flag_exits_2_in_its_context():
+    # The random fuzz draws one malformed flag per example, so a flag's check
+    # may go unreached for a whole run; here every (command, flag, value) is run.
+    for command, pools in POOLS.items():
+        for flag, (_, malformed) in pools.items():
+            head = [command, *CONTEXT[command].get(flag, []), *([] if flag == "--n" else ["--n=2"])]
+            for value in malformed:
+                code, out, err = _run([*head, f"{flag}={value}"])
+                if value in READ_EXACTLY:
+                    assert (code, out, err) == _run([*head, f"{flag}={READ_EXACTLY[value]}"])
+                else:
+                    assert (code, out) == (2, ""), (head, flag, value)
+                    assert ERROR_LINE.search(err), (head, flag, value, err)
 
 
 def test_a_key_error_inside_a_command_propagates(monkeypatch):

@@ -554,12 +554,22 @@ def test_public_builders_name_a_value_of_the_wrong_type():
         message = f"exp_linear needs a MultiPoly coefficient, got {bad!r}"
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             PowerSeries.exp_linear(bad, 5)
-    # A spec is no phi either, though the member stream reads both.
-    for build in (phi_series, general_series, general_members):
-        for bad in ("unit", PRESETS["hermite"]):
-            message = f"^unknown phi kind: {re.escape(repr(bad))}$"
-            with pytest.raises(InvalidFamilySpecError, match=message):
-                build(bad, 3)
+    # A spec is no phi, nor a phi a spec, though the member stream reads both:
+    # unified_members(GouldHopper(2), 3) used to return that phi's general polynomials.
+    for builders, bads, message in [
+            ((phi_series, general_series, general_members), ("unit", PRESETS["hermite"]),
+             "unknown phi kind"),
+            ((unified_members, unified_series, extract_table, denominator_series),
+             (GouldHopper(2), None, "euler"), "not a FamilySpec")]:
+        for build in builders:
+            for bad in bads:
+                with cold_factor_caches(), pytest.raises(
+                        InvalidFamilySpecError, match=f"^{message}: {re.escape(repr(bad))}$"):
+                    try:
+                        build(bad, 3)
+                    finally:  # refused before any factor is built
+                        assert _core_quotient.cache_info().currsize == 0, build
+                        assert _small_factor.cache_info().currsize == 0, build
 
 
 def test_general_members_start_at_one():

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -648,15 +649,15 @@ def test_index_bounds_of_the_verifiers_must_be_non_negative_ints():
 
 def test_the_registry_names_each_verifier_once_with_its_arguments():
     # IdentityId is the one list of identities: every exported verifier is
-    # named by exactly one member, and each member lists its verifier's
-    # positional arguments after spec, n_max and the keys of AUXILIARY.
+    # named by exactly one member, and each member lists every parameter of
+    # its verifier after spec, n_max and the keys of AUXILIARY: no verifier
+    # takes anything else, keyword-only or private.
     exported = [name for name in identities_mod.__all__
                 if name.startswith("verify_") and name != "verify_all"]
     assert sorted(member.verifier for member in IdentityId) == sorted(exported)
     for member in IdentityId:
         params = inspect.signature(getattr(identities_mod, member.verifier)).parameters
-        positional = [p.name for p in params.values() if p.kind is p.POSITIONAL_OR_KEYWORD]
-        assert positional == ["spec", *member.args], member
+        assert list(params) == ["spec", *member.args], member
         assert set(member.args) <= {"n_max", *identities_mod.AUXILIARY}, member
     assert [m.value for m in IdentityId] == [
         "series-def", "shift", "shift-mixed", "double-index", "shift-one", "shift-general",
@@ -781,6 +782,83 @@ def test_verify_all_requests_each_table_once(monkeypatch, spec):
             # its left side streams P(x+z) past n_max
             wide = name == "unified_members" and of == spec and arg is None
             assert n == (n_max + m_max if wide else n_max), (n_max, m_max, name, of, arg)
+
+
+def test_the_shared_tables_exist_only_while_verify_all_runs(monkeypatch):
+    # A verifier called inside verify_all's scope reads the shared prefixes;
+    # once verify_all has returned, or raised, a lone shift streams P(x+z)
+    # and P(x) from n = 0 again.
+    starts = []
+    stream = identities_mod._members
+
+    def logged(of, n_min, n_max, **kwargs):
+        starts.append((of, kwargs.get("exp_argument"), n_min))
+        return stream(of, n_min, n_max, **kwargs)
+
+    def lone_shift():
+        starts.clear()
+        assert verify_shift(SYM_GH2, 3).passed
+        return list(starts)
+
+    def raising(spec, n_max):
+        inside.extend(lone_shift())
+        raise RuntimeError("raised inside verify_all")
+
+    monkeypatch.setattr(identities_mod, "_members", logged)
+    from_zero = [(SYM_GH2, X + Z, 0), (SYM_GH2, None, 0)]
+    verify_all(SYM_GH2, 3)
+    assert lone_shift() == from_zero
+    inside = []
+    monkeypatch.setattr(identities_mod, "verify_shift_one", raising)
+    with pytest.raises(RuntimeError, match="^raised inside verify_all$"):
+        verify_all(SYM_GH2, 3)
+    assert inside == [(SYM_GH2, X + Z, 4), (SYM_GH2, None, 4)]  # both shared to n = 3 or more
+    assert lone_shift() == from_zero
+
+
+def test_threads_in_verify_all_at_once_each_request_each_shared_table_once(monkeypatch):
+    # Each thread's verify_all opens its own scope.  The runs (more threads
+    # than the 2 CPUs the suite runs on) are held inside together from their
+    # first verifier to their last, so tables kept in one module-wide dict
+    # would be the last run's all along, and every other run would stream
+    # its own shared tables again.
+    specs = [SYM_GH2, PRESETS["laguerre"], PRESETS["truncated-exp"]]
+    requests = _recording_builders(monkeypatch)
+    alone, counts = {}, Counter()
+    for spec in specs:
+        requests.clear()
+        alone[spec] = verify_all(spec, 3)
+        counts += _table_counts(requests)
+    requests.clear()
+    barrier = threading.Barrier(len(specs), timeout=30)
+
+    def held(verifier):
+        def run(*args):
+            barrier.wait()  # every run is inside its scope
+            return verifier(*args)
+        return run
+
+    for identity in (IdentityId.SERIES_DEF, IdentityId.SYMMETRY):  # the first and the last
+        monkeypatch.setattr(identities_mod, identity.verifier,
+                            held(getattr(identities_mod, identity.verifier)))
+    verdicts = {}
+    threads = [threading.Thread(target=lambda s=spec: verdicts.update({s: verify_all(s, 3)}))
+               for spec in specs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert verdicts == alone
+    assert _table_counts(requests) == counts
+    for spec in specs:
+        assert counts[("unified_members", spec, None)] == 1
+        assert counts[("unified_members", spec, X + Z)] == 1
 
 
 # The tables each verifier reads as member streams, (_kind, exp_argument) in
