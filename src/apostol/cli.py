@@ -111,24 +111,24 @@ def render_verdict(verdict: Verdict) -> str:
 # -- flag parsing ---------------------------------------------------------------
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+        raise ValueError(f"{flag}: not a rational number: {text!r}") from exc
 
 
-def _parse_base(text: str, symbolic: LogBase) -> LogBase:
+def _parse_base(text: str, flag: str, symbolic: LogBase) -> LogBase:
     bases = {"1": LogBase.ONE, "e": LogBase.E, "sym": symbolic}
     if text not in bases:
-        raise ValueError(f"base must be one of {', '.join(bases)}; got {text!r}")
+        raise ValueError(f"{flag}: base must be one of {', '.join(bases)}; got {text!r}")
     return bases[text]
 
 
 def _parse_phi(kind: str, m: int | None) -> Phi:
-    if kind in ("unit", "hermite") and m is not None:
-        raise ValueError(f"--m does not apply to --phi {kind}")
-    return PRESETS["hermite"].phi if kind == "hermite" else Phi(kind, m)
+    if kind == "unit" and m is not None:
+        raise ValueError("--m does not apply to --phi unit")
+    return Phi(kind, m)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,23 +157,18 @@ def _given(args: argparse.Namespace, *names: str) -> list[str]:
 
 def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
     if args.preset:
-        given = _given(args, "r", "alphas", "k", "a", "b", "phi", "m")
+        given = _given(args, "alphas", "k", "a", "b", "phi", "m")
         if given:
             raise ValueError(f"--preset cannot be combined with {', '.join(given)}")
         return PRESETS[args.preset]
     default = PRESETS["euler"]  # each absent flag takes this family's value
-    if args.r is None and args.alphas is None:
-        r, alphas = default.r, default.alphas
-    elif args.r is None or args.alphas is None:
-        raise ValueError("need both --r and --alphas (or neither, for the default family)")
-    else:
-        r = args.r
-        alphas = tuple(_parse_rational(s) for s in args.alphas.split(","))
+    alphas = default.alphas if args.alphas is None else tuple(
+        _parse_rational(s, "--alphas") for s in args.alphas.split(","))
     return FamilySpec(
-        r=r,
+        r=len(alphas),
         k=args.k if args.k is not None else default.k,
-        a=default.a if args.a is None else _parse_base(args.a, LogBase.SYMBOLIC_A),
-        b=default.b if args.b is None else _parse_base(args.b, LogBase.SYMBOLIC_B),
+        a=default.a if args.a is None else _parse_base(args.a, "--a", LogBase.SYMBOLIC_A),
+        b=default.b if args.b is None else _parse_base(args.b, "--b", LogBase.SYMBOLIC_B),
         alphas=alphas,
         phi=_parse_phi(args.phi if args.phi is not None else default.phi.kind, args.m),
     )
@@ -192,16 +187,15 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     alphas = ",".join(map(str, default.alphas))
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="named family (cannot be combined with the individual flags)")
-    parser.add_argument("--r", type=int, help="order r (number of alphas); "
-                        f"default family is r={default.r}, alphas={alphas}")
     parser.add_argument("--k", type=int, help=f"power-of-t twist k (default {default.k})")
     parser.add_argument("--alphas",
-                        help="comma-separated rationals, one per factor, each read exactly "
-                             "as Python's Fraction reads it (1.5 is 3/2, 1e3 is 1000); "
+                        help="comma-separated rationals, one per factor, so their number is "
+                             f"the order r (default {alphas}, so r={default.r}); each is read "
+                             "exactly as Python's Fraction reads it (1.5 is 3/2, 1e3 is 1000); "
                              "write --alphas=-1,3 when the first is negative")
     parser.add_argument("--a", help=f"base a: 1, e or sym (default {default.a.value})")
     parser.add_argument("--b", help=f"base b: 1, e or sym (default {default.b.value})")
-    parser.add_argument("--phi", choices=[*PHI_KINDS, "hermite"],  # hermite: the preset's phi
+    parser.add_argument("--phi", choices=PHI_KINDS,
                         help=f"two-variable polynomial layer (default {default.phi.kind})")
     kinds = [(kind, Phi(kind)) for kind, (param, *_) in PHI_KINDS.items() if param]
     parser.add_argument("--m", type=int, help=f"step parameter of --phi ({_steps_help(kinds)})")
@@ -242,7 +236,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"{' and '.join(flags)}: only used by --identity {readers[0]} or all")
     if "m_max" in reads and args.n + (args.n if args.m_max is None else args.m_max) > MAX_DEGREE:
         raise ValueError(f"--m-max plus --n must be at most {MAX_DEGREE} (absent, --m-max is --n)")
-    given = {name: _parse_rational(getattr(args, name)) for name in ("c", "d")
+    given = {name: _parse_rational(getattr(args, name), f"--{name}") for name in ("c", "d")
              if getattr(args, name) is not None}  # absent: AUXILIARY's defaults
     if args.identity == "all":
         verdicts = verify_all(spec, args.n, m_max=args.m_max, **given)

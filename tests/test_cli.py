@@ -117,11 +117,11 @@ def test_the_cli_starts_without_dataclasses_inspect_or_json():
 ROW_CASES = [
     (["expand", "--preset", "hermite", "--n", "4"],
      lambda: extract_table(PRESETS["hermite"], 4)),
-    (["expand", "--r", "2", "--alphas", "5/7,5/7", "--a", "1", "--b", "e",
+    (["expand", "--alphas", "5/7,5/7", "--a", "1", "--b", "e",
       "--phi", "gould-hopper", "--m", "2", "--n", "16"],
      lambda: extract_table(FamilySpec(2, 0, LogBase.ONE, LogBase.E, (Fraction(5, 7),) * 2,
                                       GouldHopper(2)), 16)),
-    (["expand", "--r", "2", "--alphas", "2,-3", "--a", "sym", "--b", "sym",
+    (["expand", "--alphas", "2,-3", "--a", "sym", "--b", "sym",
       "--phi", "truncated-exp", "--m", "2", "--n", "8"],
      lambda: extract_table(FamilySpec(2, 0, LogBase.SYMBOLIC_A, LogBase.SYMBOLIC_B, (2, -3),
                                       TruncatedExp(2)), 8)),
@@ -214,16 +214,13 @@ def test_a_json_table_renders_within_five_times_the_size_of_its_text():
 
 def test_exit_code_2_on_spec_errors(capsys):
     cases = [
-        ["expand", "--r", "2", "--alphas", "5", "--n", "2"],
-        ["expand", "--r", "1", "--k", "1", "--alphas", "1", "--a", "sym", "--b", "sym", "--n", "2"],
-        ["expand", "--preset", "euler", "--r", "1", "--alphas", "2", "--n", "1"],
-        ["expand", "--r", "1", "--alphas", "1", "--n", "1"],  # pole: unit alpha, k=0
-        ["expand", "--r", "1", "--alphas", "x", "--n", "1"],
-        ["expand", "--r", "1", "--alphas", "2", "--a", "q", "--n", "1"],
+        ["expand", "--k", "1", "--alphas", "1", "--a", "sym", "--b", "sym", "--n", "2"],
+        ["expand", "--preset", "euler", "--alphas", "2", "--n", "1"],
+        ["expand", "--alphas", "1", "--n", "1"],  # pole: unit alpha, k=0
+        ["expand", "--alphas", "x", "--n", "1"],
+        ["expand", "--alphas", "2", "--a", "q", "--n", "1"],
         ["verify", "--preset", "euler", "--n", "2", "--c", "0"],
-        ["expand", "--r", "2", "--n", "2"],  # r without alphas
         # a flag the chosen family or identity does not use is an error, not a no-op
-        ["expand", "--phi", "hermite", "--m", "5", "--n", "2"],
         ["expand", "--phi", "unit", "--m", "5", "--n", "2"],
         ["expand", "--m", "5", "--n", "2"],
         ["expand", "--preset", "euler", "--phi", "laguerre", "--k", "3", "--n", "2"],
@@ -296,13 +293,16 @@ def test_negative_n_names_n_max_for_every_verifier(identity, capsys):
     assert capsys.readouterr().err == "error: n_max must be an int >= 0, got -1\n"
 
 
-def test_argparse_usage_errors_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "--preset", "nope", "--n", "1"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+def test_argparse_usage_errors_exit_2(capsys):
+    # The order r is the number of --alphas, and hermite is a preset, not a phi kind.
+    for argv in (["table", "--preset", "nope", "--n", "1"], ["frobnicate"],
+                 ["expand", "--r", "2", "--alphas=2,-3", "--n", "2"],
+                 ["expand", "--phi", "hermite", "--n", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: " in err, argv
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -339,7 +339,7 @@ def test_an_unambiguous_abbreviation_is_the_flag_and_an_ambiguous_one_exits_2(ca
 
 def test_rationals_read_as_fraction_reads_them(capsys):
     # A decimal is read exactly, not as a float; nan is no rational and exits 2.
-    argv = ["expand", "--r", "1", "--n", "3", "--format", "csv"]
+    argv = ["expand", "--n", "3", "--format", "csv"]
     assert main([*argv, "--alphas=3/2"]) == 0
     exact = capsys.readouterr().out
     assert main([*argv, "--alphas=1.5"]) == 0
@@ -347,7 +347,7 @@ def test_rationals_read_as_fraction_reads_them(capsys):
     assert main([*argv, "--alphas=nan"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: not a rational number: 'nan'\n"
+    assert err == "error: --alphas: not a rational number: 'nan'\n"
 
 
 def test_exit_code_1_on_identity_failure(monkeypatch, capsys):
@@ -390,7 +390,7 @@ def test_render_verdict_double_index_names_both_indices():
 
 
 def test_custom_flags_match_presets(capsys):
-    assert main(["expand", "--r", "1", "--k", "0", "--alphas", "-1",
+    assert main(["expand", "--k", "0", "--alphas", "-1",
                  "--a", "1", "--b", "e", "--phi", "unit", "--n", "3"]) == 0
     explicit = capsys.readouterr().out
     assert main(["expand", "--preset", "euler", "--n", "3"]) == 0
@@ -399,7 +399,7 @@ def test_custom_flags_match_presets(capsys):
 
 
 def test_negative_alpha_list_with_equals_syntax(capsys):
-    assert main(["expand", "--r", "2", "--k", "1", "--alphas=-1,3",
+    assert main(["expand", "--k", "1", "--alphas=-1,3",
                  "--a", "1", "--b", "e", "--n", "2", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == "2,-1/2"
@@ -465,7 +465,7 @@ def test_help_names_each_spec_default_from_the_euler_preset(command, monkeypatch
     assert exc.value.code == 0
     out = capsys.readouterr().out
     expected = [
-        "order r (number of alphas); default family is r=2, alphas=-1,1/2",
+        "so their number is the order r (default -1,1/2, so r=2)",
         "power-of-t twist k (default 1)",
         "base a: 1, e or sym (default e)",
         "base b: 1, e or sym (default 1)",
@@ -487,7 +487,7 @@ def test_table_latex_carries_the_preset_note(capsys):
     ]
 
 
-SYM_SYM_FLAGS = ["--r", "2", "--alphas=2,-3", "--a", "sym", "--b", "sym",
+SYM_SYM_FLAGS = ["--alphas=2,-3", "--a", "sym", "--b", "sym",
                  "--phi", "gould-hopper", "--m", "2"]
 SYM_SYM_SPEC = FamilySpec(2, 0, LogBase.SYMBOLIC_A, LogBase.SYMBOLIC_B,
                           (Fraction(2), Fraction(-3)), GouldHopper(2))

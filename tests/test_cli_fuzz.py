@@ -1,11 +1,14 @@
 """A grammar-driven fuzz of the CLI exit-code contract.
 
 Each example is an argv for expand, verify or table, run in process through
-cli.main.  Every flag is present or absent and takes values from its valid
+cli.main.  Expand and verify take their family from --preset or from the
+family flags, and from both at once (a usage error) in a small share of
+examples.  Every flag is present or absent and takes values from its valid
 pool, except at most one, which takes them from its malformed pool; each is
-written as `--flag value` or `--flag=value`, and may be abbreviated or
-repeated.  An argv that runs (exit 0 or 1) must print the same with every
-absent flag given its default explicitly.  Sizes stay small (n <= 3, r <= 2,
+written as `--flag value` or `--flag=value`, and may be abbreviated, and at
+most one is repeated.  So most examples are well formed, and an argv that
+runs (exit 0 or 1) must print the same with every absent flag given its
+default explicitly.  Sizes stay small (n <= 3, at most three alphas,
 --m-max <= 2), so each example is cheap; the contract does not cover
 resource use, so no example is large on purpose.  An index above the ring's
 MAX_DEGREE is malformed: it exits 2 before any table is built.  Every
@@ -38,16 +41,16 @@ PRESET = (sorted(PRESETS), ["", "Euler"])
 INDEX = (["0", "1", "2", "3"], [*BAD_INTS, *HUGE_INDICES])
 FORMAT = (["json", "csv", "latex"], ["", "xml"])
 STEP = (["1", "2", "3"], ["0", *BAD_INTS])
-SPEC = {
-    "--preset": PRESET,
-    "--r": (["1", "2"], ["0", "3", *BAD_INTS]),  # 3 is more than any alpha pool holds
+# The family flags: --preset cannot be combined with any of them.
+FAMILY = {
     "--k": (["0", "1", "2"], BAD_INTS),
-    "--alphas": (["-1", "1", "1/2", "2,-3", "1,5/7", "1,1", "-1,-1"], BAD_RATIONALS),
+    "--alphas": (["-1", "1", "1/2", "2,-3", "1,5/7", "1,1", "-1,-1", "2,-3,1/2"], BAD_RATIONALS),
     "--a": (["1", "e", "sym"], ["", "E", "2"]),
     "--b": (["1", "e", "sym"], ["", "E", "2"]),
-    "--phi": (["unit", "gould-hopper", "laguerre", "truncated-exp", "hermite"], ["", "gauss"]),
+    "--phi": (["unit", "gould-hopper", "laguerre", "truncated-exp"], ["", "gauss", "hermite"]),
     "--m": STEP,
 }
+SPEC = {"--preset": PRESET, **FAMILY}
 SCALAR = (["2", "3", "1/2", "-5"], ["0", *BAD_RATIONALS])
 # Each command's flags with their (valid, malformed) value pools.
 POOLS = {
@@ -57,8 +60,9 @@ POOLS = {
                "--c": SCALAR, "--d": SCALAR},
     "table": {"--preset": PRESET, "--n": INDEX, "--m": STEP, "--format": FORMAT},
 }
-# The flags without which a command cannot run, drawn more often than the others.
-REQUIRED = {"expand": {"--n"}, "verify": {"--n"}, "table": {"--n", "--preset"}}
+# Drawn more often than the others: --n, which every command needs, and --preset,
+# which table needs and which names the family in its branch of expand and verify.
+REQUIRED = {"--n", "--preset"}
 # The default --m of each phi kind that takes one, and of each table preset that takes one.
 STEP_DEFAULTS = {"gould-hopper": "2", "laguerre": "1", "truncated-exp": "2"}
 TABLE_STEP_DEFAULTS = {"gould-hopper": "3", "laguerre": "1", "truncated-exp": "2"}
@@ -93,13 +97,20 @@ def _shortest(command: str, flag: str) -> str:
 def invocations(draw):
     """(command, [(written flag, value, as --flag=value)]) for one argv."""
     command = draw(st.sampled_from(sorted(POOLS)))
-    # At most one flag takes malformed values, so that later checks are reached too.
-    bad = draw(st.sampled_from(sorted(POOLS[command]))) if draw(st.integers(0, 2)) else None
+    pools = POOLS[command]
+    branch = draw(st.integers(0, 7))  # 0-2: --preset; 3-6: the family flags; 7: both, a conflict
+    if command != "table" and branch < 7:
+        drop = FAMILY if branch < 3 else {"--preset"}
+        pools = {flag: pool for flag, pool in pools.items() if flag not in drop}
+    # At most one flag takes malformed values and at most one is repeated, in a
+    # fifth and a tenth of the examples, so that most reach the command.
+    bad = draw(st.sampled_from(sorted(pools))) if draw(st.integers(0, 4)) == 4 else None
+    twice = draw(st.sampled_from(sorted(pools))) if draw(st.integers(0, 9)) == 9 else None
     items = []
-    for flag, (valid, malformed) in POOLS[command].items():
-        if flag != bad and draw(st.integers(0, 7)) >= (7 if flag in REQUIRED[command] else 2):
+    for flag, (valid, malformed) in pools.items():
+        if flag not in (bad, twice) and draw(st.integers(0, 7)) >= (7 if flag in REQUIRED else 2):
             continue
-        for _ in range(2 if draw(st.integers(0, 9)) == 0 else 1):  # sometimes repeated
+        for _ in range(2 if flag == twice else 1):
             value = draw(st.sampled_from(malformed if flag == bad else valid))
             cut = draw(st.integers(3, len(flag))) if draw(st.integers(0, 2)) == 0 else len(flag)
             items.append((flag[:cut], value, draw(st.booleans())))
@@ -119,9 +130,7 @@ def _explicit_defaults(command: str, given: dict[str, str]) -> list[str]:
     if command == "table":
         defaults["--m"] = TABLE_STEP_DEFAULTS.get(given["--preset"])
     elif "--preset" not in given:  # each spec flag takes the Euler preset's value
-        if "--r" not in given and "--alphas" not in given:
-            defaults.update({"--r": "1", "--alphas": "-1"})
-        defaults.update({"--k": "0", "--a": "1", "--b": "e", "--phi": "unit"})
+        defaults.update({"--alphas": "-1", "--k": "0", "--a": "1", "--b": "e", "--phi": "unit"})
         defaults["--m"] = STEP_DEFAULTS.get(given.get("--phi", "unit"))
     if command == "verify":
         identity = defaults["--identity"] = given.get("--identity", "all")
@@ -178,7 +187,7 @@ def test_every_argv_keeps_the_exit_code_contract(invocation):
 
 
 # The flags each flag is read with, so that its malformed values reach its own check.
-SPEC_CONTEXT = {"--r": ["--alphas=-1"], "--alphas": ["--r=1"], "--m": ["--phi=gould-hopper"]}
+SPEC_CONTEXT = {"--m": ["--phi=gould-hopper"]}
 CONTEXT = {
     "expand": SPEC_CONTEXT,
     "verify": {**SPEC_CONTEXT, "--m-max": ["--identity=double-index"],
@@ -188,6 +197,9 @@ CONTEXT = {
 }
 # The malformed values read exactly, as the ints and rationals they spell.
 READ_EXACTLY = {" 2": "2", "٣": "3"}
+# The flags the CLI parses itself, whose errors name them; --c 0 and --d 0 are
+# rationals, refused by the identities in their own words.
+SELF_PARSED = {"--alphas", "--a", "--b", "--c", "--d"}
 
 
 def test_every_malformed_value_of_every_flag_exits_2_in_its_context():
@@ -203,6 +215,8 @@ def test_every_malformed_value_of_every_flag_exits_2_in_its_context():
                 else:
                     assert (code, out) == (2, ""), (head, flag, value)
                     assert ERROR_LINE.search(err), (head, flag, value, err)
+                    if flag in SELF_PARSED and value != "0":
+                        assert f"error: {flag}: " in err, (head, flag, value, err)
 
 
 def test_a_key_error_inside_a_command_propagates(monkeypatch):

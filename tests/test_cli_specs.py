@@ -1,8 +1,9 @@
 """CLI runs on specs no golden command covers: symbolic bases, edge bounds, unit alphas.
 
 Each case is an argv of `apostol verify` that must exit 0 with a PASS on
-every printed line, one line per identity checked.  The last test checks
-the installed script's entry point and exit code without installing it.
+every printed line, one line per identity checked.  Every `apostol` line of
+README's CLI block must exit 0 too.  The last test checks the installed
+script's entry point and exit code without installing it.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import importlib
 import json
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -18,7 +20,8 @@ import pytest
 from apostol import cli
 from apostol.cli import main
 
-SYM_SYM = "--a sym --b sym --r 2 --alphas=2,-3 --phi gould-hopper"
+ROOT = Path(__file__).resolve().parent.parent
+SYM_SYM = "--a sym --b sym --alphas=2,-3 --phi gould-hopper"
 
 # (reason, argv of `apostol verify`)
 PASSING = [
@@ -31,16 +34,16 @@ PASSING = [
     ("symbolic bases",
      f"--identity all {SYM_SYM} --n 8"),
     ("fractional alphas, where n! cancels most of each member's denominator",
-     "--identity all --a sym --b sym --r 2 --alphas=1/2,5/7 --phi truncated-exp --n 10"),
+     "--identity all --a sym --b sym --alphas=1/2,5/7 --phi truncated-exp --n 10"),
     ("r = 3, where the denominator sums four exponentials",
-     "--identity all --a sym --b sym --r 3 --alphas=2,-3,1/2 --phi gould-hopper --n 6"),
+     "--identity all --a sym --b sym --alphas=2,-3,1/2 --phi gould-hopper --n 6"),
     ("m_max above n_max: the shared P(x) and P(x+z) tables are over twice n_max wide",
      f"--identity all {SYM_SYM} --n 4 --m-max 6"),
     ("unit alphas (Bernoulli-type factors): the core's denominator is one order deeper "
      "per unit alpha",
-     "--identity all --r 2 --k 1 --alphas=1,1 --phi gould-hopper --n 6"),
+     "--identity all --k 1 --alphas=1,1 --phi gould-hopper --n 6"),
     ("unit alphas mixed with a non-unit one",
-     "--identity all --r 3 --k 1 --alphas=1,5/7,1 --phi truncated-exp --n 5"),
+     "--identity all --k 1 --alphas=1,5/7,1 --phi truncated-exp --n 5"),
 ]
 
 
@@ -67,12 +70,24 @@ def test_symbolic_bases_expand_to_json_and_latex(capsys):
     assert r"\log a" in latex and r"\log b" in latex
 
 
+def _readme_examples() -> list[str]:
+    """The `apostol ...` lines of the code block under README's ## CLI heading."""
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    return [line for line in block.group(1).splitlines() if line.startswith("apostol ")]
+
+
+@pytest.mark.parametrize("line", _readme_examples())
+def test_every_readme_example_exits_0(line, capsys):
+    assert main(shlex.split(line)[1:]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_the_console_script_is_cli_run_and_exits_2_on_a_bad_bound(monkeypatch, capsys):
     # The installed `apostol` script calls the [project.scripts] entry, which
     # resolves to apostol.cli.run.  pyproject.toml is read without tomllib,
     # which Python 3.10 lacks.  run() exits with main's code and the error
     # on stderr, as the script does.
-    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    text = (ROOT / "pyproject.toml").read_text()
     section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
     scripts = dict(re.findall(r'^(\S+) = "([^"]+)"$', section.group(1), re.M))
     module, attr = scripts["apostol"].split(":")

@@ -145,9 +145,14 @@ def _denominator_product(spec, order):
     FamilySpec(3, 1, *SYM, [2, -3, HALF]),
     FamilySpec(3, 2, *ONE_E, [1, 1, HALF]),
     FamilySpec(2, 1, LogBase.ONE, LogBase.SYMBOLIC_B, [-1, Fraction(5, 7)]),
-], ids=["sym-r1", "sym-r2", "sym-r2-no-middle", "sym-r3", "one-e-unit-alphas", "one-sym"])
+    FamilySpec(3, 0, *SYM, [2, 2, 2]),
+    FamilySpec(3, 0, *ONE_E, [-1, -1, -1]),
+    FamilySpec(3, 1, *ONE_E, [1, 1, 1]),
+], ids=["sym-r1", "sym-r2", "sym-r2-no-middle", "sym-r3", "one-e-unit-alphas", "one-sym",
+        "sym-repeated", "one-e-repeated", "one-e-all-unit"])
 def test_denominator_equals_the_product_of_its_factors(spec):
-    assert denominator_series(spec, 9) == _denominator_product(spec, 9)
+    for order in (1, 4, 9):  # the lowest orders too, where the product is cut shortest
+        assert denominator_series(spec, order) == _denominator_product(spec, order)
 
 
 # -- unified series and tables ------------------------------------------------------

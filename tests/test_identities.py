@@ -32,7 +32,6 @@ from apostol.family import (
     Unit,
     _core_quotient,
     _small_factor,
-    denominator_series,
     general_members,
     general_series,
     phi_series,
@@ -210,14 +209,6 @@ def test_tables_reassociate_the_generating_product(spec, arg, order):
     exp = PowerSeries.exp_linear(X if arg is None else arg, order)
     assert unified_series(spec, order, exp_argument=arg) == (
         (core * exp) * phi_series(spec.phi, order))
-    # The denominator product starts at its first factor, not at the series 1.
-    for r in (1, 2, 3):
-        wider = spec.replace(r=r, alphas=(spec.alphas * 3)[:r])
-        bt, at = (PowerSeries.exp_linear(base.log_poly(), order) for base in (wider.b, wider.a))
-        from_one = PowerSeries.one(order)
-        for alpha in wider.alphas:
-            from_one = from_one * (bt.scale(alpha) + at.scale(-1))
-        assert denominator_series(wider, order) == from_one
 
 
 @settings(max_examples=25, deadline=None, database=None)
