@@ -1,130 +1,60 @@
-"""Independent long-division oracle for the classical polynomial families.
+"""Classical oracle: the Apostol-Bernoulli, Euler and Genocchi polynomials.
 
-Everything here is built from scratch on fractions.Fraction and plain
-lists, on purpose: these values cross-check the package and must not share
-any code path with it.  A univariate polynomial in x is a list of
-coefficients (index = power of x); a series is a list of such polynomials
-(index = power of t).  Division is schoolbook long division solved forward
-from the constant term.
+Each family is transcribed from its generating function as one factor's
+exponential generating function (EGF coefficients c_n of t^n / n!), raised
+to the order r, with a scale and a power of t:
+
+    Bernoulli  (t / (lam e^t - 1))^r e^(xt):  lam - [n = 0], t^r;  for lam = 1
+               the t^r cancels (e^t - 1) / t, whose coefficients are 1 / (n+1);
+    Euler      (2 / (lam e^t + 1))^r e^(xt):  lam + [n = 0], scale 2^r;
+    Genocchi   (2t / (lam e^t + 1))^r e^(xt): lam + [n = 0], scale 2^r, t^r.
+
+reference_oracle.solve_members solves each quotient on the reference ring,
+so these tables share no code with apostol.  Every member is a RefPoly in x.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
-XPoly = list  # list[Fraction], coefficient of x^i at index i
-
-
-def p_scale(p: XPoly, c: Fraction) -> XPoly:
-    return [ci * c for ci in p]
+from reference_oracle import ONE, solve_members
+from reference_ring import ZERO_EXPS, RefPoly
 
 
-def p_sub(a: XPoly, b: XPoly) -> XPoly:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        ai = a[i] if i < len(a) else Fraction(0)
-        bi = b[i] if i < len(b) else Fraction(0)
-        out.append(ai - bi)
-    return out
+def _factors(r: int, lam, sign: int, n_max: int) -> list[list[RefPoly]]:
+    """r copies of the EGF coefficients of lam e^t + sign, which must not vanish at t = 0."""
+    assert lam + sign != 0
+    return [[ONE * (lam + sign if n == 0 else lam) for n in range(n_max + 1)]] * r
 
 
-def scalar_series_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = min(len(a), len(b))
-    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)]
-
-
-def scalar_series_pow(a: list[Fraction], r: int) -> list[Fraction]:
-    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
-    for _ in range(r):
-        out = scalar_series_mul(out, a)
-    return out
-
-
-def exp_x_series(order: int) -> list[XPoly]:
-    """e^(xt): the t^n coefficient is the monomial x^n / n!."""
-    return [[Fraction(0)] * n + [Fraction(1, factorial(n))] for n in range(order)]
-
-
-def shift_t(series: list[XPoly], m: int) -> list[XPoly]:
-    """Multiply by t^m, keeping the same truncation length."""
-    return [[Fraction(0)] for _ in range(m)] + series[: len(series) - m]
-
-
-def long_divide(num: list[XPoly], den: list[Fraction], order: int) -> list[XPoly]:
-    """num / den with den[0] != 0, coefficients solved lowest power first."""
-    assert den[0] != 0
-    out: list[XPoly] = []
-    for n in range(order):
-        acc = list(num[n]) if n < len(num) else [Fraction(0)]
-        for i in range(1, min(n, len(den) - 1) + 1):
-            acc = p_sub(acc, p_scale(out[n - i], den[i]))
-        out.append(p_scale(acc, Fraction(1) / den[0]))
-    return out
-
-
-def members(series: list[XPoly], n_max: int) -> list[XPoly]:
-    """Family members n! * [t^n], with trailing zero coefficients trimmed."""
-    out = []
-    for n in range(n_max + 1):
-        p = p_scale(series[n], Fraction(factorial(n)))
-        while p and p[-1] == 0:
-            p.pop()
-        out.append(p)
-    return out
-
-
-def _lambda_exp_pm(lam: Fraction, sign: int, order: int) -> list[Fraction]:
-    """The scalar series lam * e^t + sign."""
-    out = [lam * Fraction(1, factorial(n)) for n in range(order)]
-    out[0] += sign
-    return out
-
-
-def apostol_bernoulli(r: int, lam, n_max: int) -> list[XPoly]:
-    """B_n^(r)(x; lam) from (t / (lam e^t - 1))^r e^(xt) by long division."""
-    lam = Fraction(lam)
-    order = n_max + 1
-    num = exp_x_series(order)
+def apostol_bernoulli(r: int, lam, n_max: int) -> list[RefPoly]:
+    """B_n^(r)(x; lam) from (t / (lam e^t - 1))^r e^(xt)."""
     if lam == 1:
-        # (e^t - 1) / t has constant term 1; the t^r cancels exactly.
-        unit = [Fraction(1, factorial(n + 1)) for n in range(order)]
-        den = scalar_series_pow(unit, r)
-    else:
-        den = scalar_series_pow(_lambda_exp_pm(lam, -1, order), r)
-        num = shift_t(num, r) if r < order else [[Fraction(0)] for _ in range(order)]
-    return members(long_divide(num, den, order), n_max)
+        factors = [[ONE * Fraction(1, n + 1) for n in range(n_max + 1)]] * r
+        return solve_members(Fraction(1), 0, factors, "unit", None, n_max)
+    return solve_members(Fraction(1), r, _factors(r, lam, -1, n_max), "unit", None, n_max)
 
 
-def apostol_euler(r: int, lam, n_max: int) -> list[XPoly]:
-    """E_n^(r)(x; lam) from (2 / (lam e^t + 1))^r e^(xt) by long division."""
-    lam = Fraction(lam)
-    assert lam != -1
-    order = n_max + 1
-    num = [p_scale(p, Fraction(2) ** r) for p in exp_x_series(order)]
-    den = scalar_series_pow(_lambda_exp_pm(lam, 1, order), r)
-    return members(long_divide(num, den, order), n_max)
+def apostol_euler(r: int, lam, n_max: int) -> list[RefPoly]:
+    """E_n^(r)(x; lam) from (2 / (lam e^t + 1))^r e^(xt)."""
+    return solve_members(Fraction(2) ** r, 0, _factors(r, lam, 1, n_max), "unit", None, n_max)
 
 
-def apostol_genocchi(r: int, lam, n_max: int) -> list[XPoly]:
-    """G_n^(r)(x; lam) from (2t / (lam e^t + 1))^r e^(xt) by long division."""
-    lam = Fraction(lam)
-    assert lam != -1
-    order = n_max + 1
-    num = [p_scale(p, Fraction(2) ** r) for p in exp_x_series(order)]
-    num = shift_t(num, r) if r < order else [[Fraction(0)] for _ in range(order)]
-    den = scalar_series_pow(_lambda_exp_pm(lam, 1, order), r)
-    return members(long_divide(num, den, order), n_max)
+def apostol_genocchi(r: int, lam, n_max: int) -> list[RefPoly]:
+    """G_n^(r)(x; lam) from (2t / (lam e^t + 1))^r e^(xt)."""
+    return solve_members(Fraction(2) ** r, r, _factors(r, lam, 1, n_max), "unit", None, n_max)
 
 
-def bernoulli_numbers(n_max: int) -> list[Fraction]:
-    return [p[0] if p else Fraction(0) for p in apostol_bernoulli(1, 1, n_max)]
+def apostol_type(r: int, k: int, lam, phi_kind: str, step: int | None,
+                 n_max: int) -> list[RefPoly]:
+    """The members of (2^(1-k) t^k / (lam e^t + 1))^r e^(xt) phi(y, t).
+
+    phi is read through reference_oracle.general_polynomial, as a kind and its step.
+    """
+    return solve_members(Fraction(2) ** (r * (1 - k)), r * k, _factors(r, lam, 1, n_max),
+                         phi_kind, step, n_max)
 
 
-def euler_polys(n_max: int) -> list[XPoly]:
-    return apostol_euler(1, 1, n_max)
-
-
-def genocchi_numbers(n_max: int) -> list[Fraction]:
-    return [p[0] if p else Fraction(0) for p in apostol_genocchi(1, 1, n_max)]
+def numbers(members: list[RefPoly]) -> list[Fraction]:
+    """The members at x = 0: their constant terms."""
+    return [p.terms.get(ZERO_EXPS, Fraction(0)) for p in members]

@@ -1,4 +1,4 @@
-"""Shared test utilities: seeded random ring elements and conversions."""
+"""Shared test utilities: seeded random ring elements and the adapter to the reference oracles."""
 
 from __future__ import annotations
 
@@ -7,8 +7,29 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from apostol import family, identities, series
+from apostol.family import FamilySpec, LogBase
 from apostol.polyring import NVARS, MultiPoly, VarId
 from apostol.series import PowerSeries
+
+from reference_oracle import reference_members
+from reference_ring import RefPoly
+
+# log a and log b of each base, spelled here: the fault table's La/Lb fault patches
+# LogBase.log_poly, and a reference that read it would swap its own bases too.
+LOGS = {LogBase.ONE: MultiPoly.zero(), LogBase.E: MultiPoly.one(),
+        LogBase.SYMBOLIC_A: MultiPoly.var(VarId.LA), LogBase.SYMBOLIC_B: MultiPoly.var(VarId.LB)}
+REF_LOGS = {base: RefPoly(log.terms) for base, log in LOGS.items()}
+
+
+def lift(members: list[RefPoly]) -> list[MultiPoly]:
+    """Reference-ring members converted into the package's ring."""
+    return [MultiPoly(member.terms) for member in members]
+
+
+def reference(spec: FamilySpec, n_max: int) -> list[MultiPoly]:
+    """P_0 .. P_n_max of spec from reference_oracle, each member converted into the ring."""
+    return lift(reference_members(spec.k, spec.alphas, REF_LOGS[spec.a], REF_LOGS[spec.b],
+                                  spec.phi.kind, spec.phi.step, n_max))
 
 
 def exps(**powers: int) -> tuple[int, ...]:
@@ -91,12 +112,3 @@ def random_invertible_series(rng: random.Random, order: int) -> PowerSeries:
     coeffs = [MultiPoly.const(head)]
     coeffs += [random_poly(rng, max_degree=2, max_terms=3) for _ in range(order - 1)]
     return PowerSeries(coeffs)
-
-
-def xpoly_to_multipoly(p) -> MultiPoly:
-    """Lift the oracle's univariate x-polynomial into the ring."""
-    out = MultiPoly.zero()
-    for i, c in enumerate(p):
-        if c:
-            out = out + MultiPoly({exps(x=i): c})
-    return out

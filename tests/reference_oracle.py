@@ -20,7 +20,9 @@ nonzero rational (the determinantal route to Appell sequences of Costabile
 and Longo, J. Comput. Appl. Math. 234, 2010).  The core is t^v Q(t) with
 v = rk - (unit count), whose EGF coefficients are M_n = n!/(n-v)! Q_(n-v).
 The general polynomials are p_n = n! [t^n] e^(xt) phi(y, t), and
-P_n = sum_j C(n, j) M_j p_(n-j).
+P_n = sum_j C(n, j) M_j p_(n-j).  solve_members does the product, the
+solve, the shift and the convolution for any scale, power of t and factors;
+classical_oracle calls it too.
 """
 
 from __future__ import annotations
@@ -55,26 +57,34 @@ def general_polynomial(kind: str, step: int | None, n: int) -> RefPoly:
                 for j in range(n // step + 1)), RefPoly())
 
 
-def reference_members(k: int, alphas: tuple[Fraction, ...], log_a: RefPoly, log_b: RefPoly,
-                      phi_kind: str, step: int | None, n_max: int) -> list[RefPoly]:
-    """P_0 .. P_n_max of order r = len(alphas); log_a, log_b are 0 and 1 for the bases (1, e)."""
-    order, r = n_max + 1, len(alphas)
-    units = sum(1 for alpha in alphas if alpha == 1)
-    v = r * k - units
-    assert v >= 0, "more unit alphas than powers of t: the quotient has a pole"
-    assert not units or (log_a.terms, log_b.terms) == ({}, {ZERO_EXPS: 1}), "unit alpha off (1, e)"
+def solve_members(scale: Fraction, shift: int, factors: list[list[RefPoly]], phi_kind: str,
+                  step: int | None, n_max: int) -> list[RefPoly]:
+    """P_0 .. P_n_max of scale t^shift / prod(factors) * e^(xt) phi(y, t).
+
+    Each factor is given by its EGF coefficients to n_max, and the product's
+    constant term must be a nonzero rational.
+    """
+    order = n_max + 1
     d = [ONE] + [RefPoly()] * n_max
-    for alpha in alphas:
-        if alpha == 1:
-            factor = [ONE * Fraction(1, n + 1) for n in range(order)]
-        else:
-            factor = [log_b ** n * alpha - log_a ** n for n in range(order)]
+    for factor in factors:
         d = egf_product(d, factor)
-    s = Fraction((-1) ** r) * Fraction(2) ** (r * (1 - k))
     q = []
     for n in range(order):
         rest = sum((d[j] * q[n - j] * comb(n, j) for j in range(1, n + 1)), RefPoly())
-        q.append(((ONE * s if n == 0 else RefPoly()) - rest) * (1 / d[0].constant_value()))
-    m = [q[n - v] * Fraction(factorial(n), factorial(n - v)) if n >= v else RefPoly()
+        q.append(((ONE * scale if n == 0 else RefPoly()) - rest) * (1 / d[0].constant_value()))
+    m = [q[n - shift] * Fraction(factorial(n), factorial(n - shift)) if n >= shift else RefPoly()
          for n in range(order)]
     return egf_product(m, [general_polynomial(phi_kind, step, n) for n in range(order)])
+
+
+def reference_members(k: int, alphas: tuple[Fraction, ...], log_a: RefPoly, log_b: RefPoly,
+                      phi_kind: str, step: int | None, n_max: int) -> list[RefPoly]:
+    """P_0 .. P_n_max of order r = len(alphas); log_a, log_b are 0 and 1 for the bases (1, e)."""
+    r = len(alphas)
+    units = sum(1 for alpha in alphas if alpha == 1)
+    assert r * k >= units, "more unit alphas than powers of t: the quotient has a pole"
+    assert not units or (log_a.terms, log_b.terms) == ({}, {ZERO_EXPS: 1}), "unit alpha off (1, e)"
+    factors = [[ONE * Fraction(1, n + 1) if alpha == 1 else log_b ** n * alpha - log_a ** n
+                for n in range(n_max + 1)] for alpha in alphas]
+    s = Fraction((-1) ** r) * Fraction(2) ** (r * (1 - k))
+    return solve_members(s, r * k - units, factors, phi_kind, step, n_max)

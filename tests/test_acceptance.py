@@ -31,10 +31,10 @@ from apostol.polyring import MultiPoly, VarId
 from apostol.series import PowerSeries
 
 from helpers import (
+    lift,
     random_invertible_series,
     random_poly,
     random_series,
-    xpoly_to_multipoly,
 )
 from test_cli import GOLDEN_DIR, GOLDEN_MANIFEST
 
@@ -65,8 +65,8 @@ def _random_non_unit_alphas(rng: random.Random, r: int) -> tuple[Fraction, ...]:
 
 
 def test_criterion_1_reduction_suite():
-    # The three classical reductions against classical_oracle, which long-divides
-    # each generating function on plain Fractions and shares no code with apostol.
+    # The three classical reductions against classical_oracle, which solves each
+    # generating function on the reference ring and shares no code with apostol.
     with criterion("1 (reduction suite)"):
         n_max = 8
         for lam in [Fraction(1), Fraction(2), Fraction(-3), Fraction(5, 7), Fraction(-1, 2),
@@ -79,22 +79,28 @@ def test_criterion_1_reduction_suite():
                         (0, -lam, co.apostol_euler, Fraction(1)),
                         (1, -lam, co.apostol_genocchi, Fraction(1, 2 ** r))]:
                     fam = extract_table(FamilySpec(r, k, *ONE_E, (alpha,) * r), n_max)
-                    expected = [factor * xpoly_to_multipoly(p) for p in oracle(r, lam, n_max)]
+                    expected = [factor * p for p in lift(oracle(r, lam, n_max))]
                     assert [poly for _, poly in fam] == expected, (oracle.__name__, lam, r)
 
 
 def test_criterion_2_classical_values():
     with criterion("2 (classical values)"):
         x = MultiPoly.var(VarId.X)
-        euler = [xpoly_to_multipoly(p) for p in co.euler_polys(4)]
-        bernoulli = [xpoly_to_multipoly(p) for p in co.apostol_bernoulli(1, 1, 4)]
-        genocchi_nums = co.genocchi_numbers(6)
+        bernoulli_ref = co.apostol_bernoulli(1, 1, 10)
+        euler, bernoulli = lift(co.apostol_euler(1, 1, 6)), lift(bernoulli_ref)
+        genocchi_nums = co.numbers(co.apostol_genocchi(1, 1, 10))
 
-        # spot values, all derived from the long-division oracle above
+        # The oracle against published values: Abramowitz & Stegun, Tables 23.1-23.2,
+        # and the Genocchi numbers G_n = 2 (1 - 2^n) B_n.
+        assert co.numbers(bernoulli_ref) == [1, Fraction(-1, 2), Fraction(1, 6), 0,
+                                             Fraction(-1, 30), 0, Fraction(1, 42), 0,
+                                             Fraction(-1, 30), 0, Fraction(5, 66)]
+        assert genocchi_nums == [0, 1, -1, 0, 1, 0, -3, 0, 17, 0, -155]
+        assert [2 ** n * p.substitute({VarId.X: Fraction(1, 2)}).constant_value()
+                for n, p in enumerate(euler)] == [1, 0, -1, 0, 5, 0, -61]
+        assert euler[3] == x ** 3 - Fraction(3, 2) * x * x + Fraction(1, 4)
         assert bernoulli[2] == x * x - x + Fraction(1, 6)
         assert euler[1] == x - Fraction(1, 2)
-        assert genocchi_nums[0] == 0
-        assert genocchi_nums[1] == 1
 
         fam_e = dict(extract_table(PRESETS["euler"], 4))
         for n in range(5):

@@ -31,6 +31,7 @@ from apostol.cli import build_parser, main
 from apostol.family import PRESETS
 from apostol.identities import IdentityId
 from apostol.polyring import MAX_DEGREE
+from apostol.series import NotAUnitError
 
 # The values a rational flag must refuse (or read exactly, as ' 2' and '٣').
 BAD_RATIONALS = ["", "1/0", "nan", "inf", "2/-3", " 2", "٣", "1,,2"]
@@ -197,8 +198,7 @@ CONTEXT = {
 }
 # The malformed values read exactly, as the ints and rationals they spell.
 READ_EXACTLY = {" 2": "2", "٣": "3"}
-# The flags the CLI parses itself, whose errors name them; --c 0 and --d 0 are
-# rationals, refused by the identities in their own words.
+# The flags the CLI parses itself, whose errors name them.
 SELF_PARSED = {"--alphas", "--a", "--b", "--c", "--d"}
 
 
@@ -215,18 +215,19 @@ def test_every_malformed_value_of_every_flag_exits_2_in_its_context():
                 else:
                     assert (code, out) == (2, ""), (head, flag, value)
                     assert ERROR_LINE.search(err), (head, flag, value, err)
-                    if flag in SELF_PARSED and value != "0":
+                    if flag in SELF_PARSED:
                         assert f"error: {flag}: " in err, (head, flag, value, err)
 
 
-def test_a_key_error_inside_a_command_propagates(monkeypatch):
-    # No argv reaches a KeyError, so one raised inside a command is an internal
-    # fault: it surfaces as a traceback, as every error but bad input does.
+@pytest.mark.parametrize("error", [KeyError, NotAUnitError])
+def test_a_key_error_inside_a_command_propagates(monkeypatch, error):
+    # No argv reaches a KeyError or a SeriesError, so one raised inside a command is
+    # an internal fault: it surfaces as a traceback, as every error but bad input does.
     def failing(spec, n_max):
-        raise KeyError("raised inside expand")
+        raise error("raised inside expand")
 
     monkeypatch.setattr(cli, "extract_table", failing)
-    with pytest.raises(KeyError, match="raised inside expand"):
+    with pytest.raises(error, match="raised inside expand"):
         main(["expand", "--n", "1"])
 
 

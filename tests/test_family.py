@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from functools import reduce
+from math import factorial
 
 import pytest
 
@@ -37,7 +39,8 @@ from apostol.family import (
 from apostol.polyring import MultiPoly, VarId
 from apostol.series import PowerSeries
 
-from helpers import cold_factor_caches, xpoly_to_multipoly
+from helpers import REF_LOGS, cold_factor_caches, lift
+from reference_oracle import egf_product
 
 X = MultiPoly.var(VarId.X)
 Y = MultiPoly.var(VarId.Y)
@@ -128,14 +131,16 @@ def test_denominator_symbolic_product():
     assert den.coeffs[1] == expected_t == 7 * lb - 3 * la
 
 
+def _egf_series(egf, scale=1):
+    """scale times the series whose t^n coefficient is the reference EGF coefficient c_n over n!."""
+    return PowerSeries([p * Fraction(scale, factorial(n)) for n, p in enumerate(lift(egf))])
+
+
 def _denominator_product(spec, order):
-    """The reference denominator: prod_i (alpha_i b^t - a^t) as r series products."""
-    bt = PowerSeries.exp_linear(spec.b.log_poly(), order)
-    at = PowerSeries.exp_linear(spec.a.log_poly(), order)
-    product = PowerSeries.one(order)
-    for alpha in spec.alphas:
-        product = product * (bt.scale(alpha) + at.scale(-1))
-    return product
+    """The reference denominator prod_i (alpha_i b^t - a^t), factor i's EGF alpha_i Lb^n - La^n."""
+    log_a, log_b = REF_LOGS[spec.a], REF_LOGS[spec.b]
+    return _egf_series(reduce(egf_product, ([log_b ** n * alpha - log_a ** n for n in range(order)]
+                                            for alpha in spec.alphas)))
 
 
 @pytest.mark.parametrize("spec", [
@@ -159,23 +164,14 @@ def test_denominator_equals_the_product_of_its_factors(spec):
 
 
 def test_unified_euler_generating_series():
-    # r=1, k=0, alpha=-1, bases (1, e): exactly 2 e^(xt) / (e^t + 1)
-    spec = PRESETS["euler"]
-    got = unified_series(spec, 6)
-    num = PowerSeries.exp_linear(X, 6).scale(2)
-    den = PowerSeries.exp_linear(ONE, 6) + PowerSeries.one(6)
-    assert got == num.divide_with_valuation(den, 0)
+    # r=1, k=0, alpha=-1, bases (1, e): exactly 2 e^(xt) / (e^t + 1), the Euler polynomials' series.
+    assert unified_series(PRESETS["euler"], 6) == _egf_series(co.apostol_euler(1, 1, 5))
 
 
 def test_unified_bernoulli_generating_series():
     # r=1, k=1, alpha=1: -t e^(xt) / (e^t - 1); the core absorbs the order the
-    # valuation costs, so the reference is built one order deeper.
-    spec = PRESETS["bernoulli"]
-    got = unified_series(spec, 6)
-    assert len(got.coeffs) == 6
-    num = PowerSeries.t_power(1, 7) * PowerSeries.exp_linear(X, 7)
-    den = PowerSeries.exp_linear(ONE, 7) + PowerSeries.one(7).scale(-1)
-    assert got == num.divide_with_valuation(den, 1).scale(-1)
+    # valuation costs, so all 6 orders are the Bernoulli polynomials' series, negated.
+    assert unified_series(PRESETS["bernoulli"], 6) == _egf_series(co.apostol_bernoulli(1, 1, 5), -1)
 
 
 def test_unit_alpha_needs_bases_one_e():
@@ -243,15 +239,15 @@ def test_pole_when_unit_alphas_exceed_numerator():
 
 def test_extract_table_euler_matches_oracle():
     table = dict(extract_table(PRESETS["euler"], 4))
-    for n, expected in enumerate(co.euler_polys(4)):
-        assert table[n] == xpoly_to_multipoly(expected)
+    for n, expected in enumerate(lift(co.apostol_euler(1, 1, 4))):
+        assert table[n] == expected
     assert table[2] == X * X - X
 
 
 def test_extract_table_bernoulli_matches_oracle_with_sign():
     table = dict(extract_table(PRESETS["bernoulli"], 4))
-    for n, expected in enumerate(co.apostol_bernoulli(1, 1, 4)):
-        assert table[n] == -xpoly_to_multipoly(expected)
+    for n, expected in enumerate(lift(co.apostol_bernoulli(1, 1, 4))):
+        assert table[n] == -expected
     assert table[2] == -(X * X - X + Fraction(1, 6))
 
 
@@ -262,11 +258,9 @@ def test_extract_table_bernoulli_matches_oracle_with_sign():
 ])
 @pytest.mark.parametrize("r", [1, 2])
 @pytest.mark.parametrize("lam", [Fraction(1), Fraction(2), Fraction(-3), Fraction(5, 7)])
-def test_special_case_oracle_against_long_division(which, oracle_fn, r, lam):
-    table = dict(special_case_oracle(which, r, lam, 6))
-    expected = oracle_fn(r, lam, 6)
-    for n in range(7):
-        assert table[n] == xpoly_to_multipoly(expected[n])
+def test_special_case_oracle_against_the_classical_oracle(which, oracle_fn, r, lam):
+    table = special_case_oracle(which, r, lam, 6)
+    assert [poly for _, poly in table] == lift(oracle_fn(r, lam, 6))
 
 
 def test_gould_hopper_values():
@@ -298,32 +292,14 @@ def test_special_case_oracle_rejects_a_which_that_is_no_classical_family():
 # -- reduction properties --------------------------------------------------------------
 
 
-def _apostol_type_series(r, k, lam, phi, order):
-    """The two-variable Apostol-type generating function, built directly.
-
-    (2^(1-k) t^k / (lam e^t + 1))^r e^(xt) phi(y, t): the independent side
-    of the mu = 1-k, nu = k reduction check.
-    """
-    scalar = Fraction(2) ** (r * (1 - k))
-    num = PowerSeries.t_power(r * k, order).scale(scalar)
-    den_factor = PowerSeries.exp_linear(ONE, order).scale(lam) + PowerSeries.one(order)
-    den = PowerSeries.one(order)
-    for _ in range(r):
-        den = den * den_factor
-    series = num.divide_with_valuation(den, 0)
-    series = series * PowerSeries.exp_linear(X, order)
-    return series * phi_series(phi, order)
-
-
 @pytest.mark.parametrize("phi", [Unit(), GouldHopper(2), Laguerre(1), TruncatedExp(2)])
 @pytest.mark.parametrize("r,k", [(1, 0), (1, 1), (2, 1), (2, 2)])
 def test_reduction_two_variable_apostol_type(phi, r, k):
+    # alphas -lam: the mu = 1-k, nu = k case, (2^(1-k) t^k / (lam e^t + 1))^r e^(xt) phi(y, t),
+    # from the classical oracle.
     lam = Fraction(3, 2)
-    spec = spec_one_e(r, k, [-lam] * r, phi)
-    fam = unified_members(spec, 6)
-    direct = _apostol_type_series(r, k, lam, phi, 7 + r * k)
-    for n in range(7):
-        assert fam[n] == direct.extract(n)
+    fam = unified_members(spec_one_e(r, k, [-lam] * r, phi), 6)
+    assert fam == lift(co.apostol_type(r, k, lam, phi.kind, phi.step, 6))
 
 
 @pytest.mark.parametrize("phi", [Unit(), GouldHopper(2), Laguerre(1), TruncatedExp(2)])

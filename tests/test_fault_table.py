@@ -10,13 +10,12 @@ of 3 or more triples; the right-side kernel drops its last triple, which
 changes no table, only every right side.  Reading x+z as x changes no table
 either, only the verifiers that read P(x+z).
 The checks are the seven verdicts of verify_all at n = 5, plus, for the
-(1, e) spec, its phi-free table against classical_oracle.apostol_euler,
-which divides the Apostol-Euler generating function out on plain Fractions
-and shares no code with the package; for the sym/sym spec, its table
-against the (1, e) map: the same spec's (1, e) table, mapped term by term
-onto its bases with log a and log b spelled in this file; and, for both,
-its table against reference_oracle, which solves the generating function
-on the reference ring and shares no code with the package either.  FAULTS
+(1, e) spec, its phi-free table against classical_oracle.apostol_euler;
+for the sym/sym spec, its table against the (1, e) map: the same spec's
+(1, e) table, mapped term by term onto its bases with helpers.LOGS's log a
+and log b; and, for both, its table against reference_oracle.  Both
+oracles solve their generating function on the reference ring with one
+triangular solve and share no code with the package.  FAULTS
 pins every cell as measured, and the index at which the reference first
 differs; README prints the same table, so a change that turns a catch into
 a miss, or a miss into a catch, fails here and shows there.
@@ -40,10 +39,8 @@ from apostol.polyring import MultiPoly, VarId
 from apostol.series import PowerSeries
 
 import classical_oracle
-from helpers import (cold_factor_caches, drop_last_left_side_triple, drop_last_right_side_triple,
-                     random_series, xpoly_to_multipoly)
-from reference_oracle import reference_members
-from reference_ring import RefPoly
+from helpers import (LOGS, cold_factor_caches, drop_last_left_side_triple,
+                     drop_last_right_side_triple, lift, random_series, reference)
 
 N = 5
 SYM = (LogBase.SYMBOLIC_A, LogBase.SYMBOLIC_B)
@@ -52,15 +49,10 @@ SPECS = {
     "(1, e)": FamilySpec(2, 0, LogBase.ONE, LogBase.E, (-2, -2), GouldHopper(2)),
 }
 # k = 0 and alphas -lambda make the (1, e) spec's phi-free table Apostol-Euler, order 2, lambda 2.
-ORACLE = [xpoly_to_multipoly(p) for p in classical_oracle.apostol_euler(2, 2, N)]
+ORACLE = lift(classical_oracle.apostol_euler(2, 2, N))
 MAP, REF = "(1, e) map", "reference"
 CHECKS = [*(identity.value for identity in IdentityId), "oracle", MAP, REF]
 VERDICTS = {identity.value for identity in IdentityId}
-# log a and log b of each base, spelled here: the La/Lb fault patches LogBase.log_poly,
-# and a map that read it would swap its own bases too.
-LOGS = {LogBase.ONE: MultiPoly.zero(), LogBase.E: MultiPoly.one(),
-        LogBase.SYMBOLIC_A: MultiPoly.var(VarId.LA), LogBase.SYMBOLIC_B: MultiPoly.var(VarId.LB)}
-REF_LOGS = {base: RefPoly(log.terms) for base, log in LOGS.items()}
 # The checks whose two sides need e^((x+z)t) = e^(xt) e^(zt) or e^((x+1)t) = e^(xt) e^t.
 SHIFTS = {"shift", "shift-mixed", "double-index", "shift-one", "shift-general"}
 
@@ -91,13 +83,6 @@ def one_e_map(spec: FamilySpec, n_max: int) -> list[MultiPoly]:
 ], ids=["r2-k1-gh2", "r2-k0-gh2", "r1-k0-te2", "r3-k2-laguerre1"])
 def test_the_one_e_map_gives_the_symbolic_table(spec):
     assert one_e_map(spec, 6) == unified_members(spec, 6)
-
-
-def reference(spec: FamilySpec, n_max: int) -> list[MultiPoly]:
-    """P_0 .. P_n_max of spec from reference_oracle, each member converted into the ring."""
-    members = reference_members(spec.k, spec.alphas, REF_LOGS[spec.a], REF_LOGS[spec.b],
-                                spec.phi.kind, spec.phi.step, n_max)
-    return [MultiPoly(member.terms) for member in members]
 
 
 REFERENCE_SPECS = {

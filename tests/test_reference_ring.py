@@ -8,9 +8,12 @@ coprime to the denominator as a whole.
 
 from __future__ import annotations
 
+import ast
 import re
+import sys
 from fractions import Fraction
 from math import comb, factorial, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,3 +314,21 @@ def test_overflowing_exponents_raise():
     series = PowerSeries([MultiPoly.one(), half, MultiPoly.zero()])
     with pytest.raises(ValueError):
         series * series
+
+
+def test_the_reference_stack_imports_only_the_standard_library_and_itself():
+    # The oracles cross-check the package, so they must share none of its code:
+    # not apostol, and not helpers, which imports it.
+    stack = {"reference_ring", "reference_oracle", "classical_oracle"}
+    for name in stack:
+        tree = ast.parse((Path(__file__).parent / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = ["." * node.level + (node.module or "")]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                assert top in sys.stdlib_module_names or top in stack, (name, module)

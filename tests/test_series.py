@@ -107,7 +107,7 @@ def test_divide_bernoulli_generating_series():
     num = PowerSeries.t_power(1, 6)
     den = exp_t(6) + PowerSeries.one(6).scale(-1)
     q = num.divide_with_valuation(den, 1)
-    numbers = co.bernoulli_numbers(4)
+    numbers = co.numbers(co.apostol_bernoulli(1, 1, 4))
     got = [q.extract(n).constant_value() for n in range(5)]
     assert got == numbers
     assert [c.constant_value() for c in q.coeffs[:4]] == [
@@ -157,12 +157,12 @@ def test_extract():
 
 def test_extract_euler_polynomial():
     import classical_oracle as co
-    from helpers import xpoly_to_multipoly
+    from helpers import lift
 
     num = PowerSeries.exp_linear(X, 4).scale(2)
     den = exp_t(4) + PowerSeries.one(4)
     q = num.divide_with_valuation(den, 0)
-    e2 = xpoly_to_multipoly(co.euler_polys(2)[2])
+    e2 = lift(co.apostol_euler(1, 1, 2))[2]
     assert q.extract(2) == e2 == X * X - X
 
 
